@@ -51,7 +51,6 @@ from .matroid import (
     TutteCache,
     TuttePolynomial,
     f_h_vectors,
-    is_independent,
     top_betti,
     tutte_polynomial,
     tutte_polynomial_naive,

@@ -35,7 +35,6 @@ from .matroid import (
     TutteCache,
     TuttePolynomial,
     f_h_vectors,
-    top_betti,
     tutte_polynomial,
 )
 from .partitions import Partition, admissible_partitions, local_system_rank, partitions_of, stabilizer_order
@@ -72,16 +71,30 @@ def cache_load(path):
 
 
 def cache_store(path, cache):
-    """Write the cache; failures warn rather than fail the command."""
+    """Write the cache; failures warn rather than fail the command.
+
+    The file is written to a temp file in the same directory and renamed
+    over the old one, so a failed or concurrent write never leaves a
+    truncated cache behind.
+    """
     entries = {}
     for key, poly in sorted(cache.items()):
         entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
     payload = {"format": CACHE_FORMAT, "entries": entries}
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    created = False
     try:
-        with open(path, "w", encoding="ascii") as handle:
+        with open(tmp, "x", encoding="ascii") as handle:
+            created = True
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
+        if created:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         print("warning: could not write cache %s (%s)" % (path, exc), file=sys.stderr)
 
 
@@ -265,7 +278,7 @@ def cmd_tutte(args):
     graph = quiver.underlying()
 
     def work(cache):
-        return tutte_polynomial(graph, cache=cache, threads=args.threads)
+        return tutte_polynomial(graph, cache=cache)
 
     poly = _with_cache(args, work)
     value = poly.evaluate(args.eval[0], args.eval[1]) if args.eval else None
@@ -288,12 +301,12 @@ def cmd_tutte(args):
 def cmd_matroid(args):
     quiver = _resolve_quiver(args)
     matroid = CographicMatroid(quiver.underlying())
-    f, h = f_h_vectors(matroid)
 
     def work(cache):
-        return top_betti(matroid.graph, cache=cache, threads=args.threads)
+        return f_h_vectors(matroid, cache=cache)
 
-    spheres = _with_cache(args, work)
+    f, h = _with_cache(args, work)
+    spheres = h[-1]  # T_graphic(1, 0), the top_betti sphere count
     if args.json:
         _print_json(
             {
@@ -444,7 +457,6 @@ def _add_graph_source(parser):
 
 def _add_cache_options(parser):
     parser.add_argument("--cache", help="Tutte cache file (or set %s)" % CACHE_ENV_VAR)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for Tutte branches")
 
 
 def build_parser():

@@ -224,6 +224,12 @@ def spectral_dual_graph(partition, genus):
     return MultiGraph(r, edges)
 
 
+def spectral_edge_count(partition, genus):
+    """Edge count s = (2g-2) * sum_{i<j} n_i n_j of the spectral dual graph, without building it."""
+    squares = sum(p * p for p in partition.parts)
+    return (genus - 1) * (partition.n * partition.n - squares)
+
+
 def spectral_dual_quiver(partition, genus):
     """spectral_dual_graph with each edge oriented from the smaller vertex index."""
     return Quiver.from_graph(spectral_dual_graph(partition, genus))
@@ -429,6 +435,16 @@ def load_graph(text):
     try:
         vertices = payload["vertices"]
         edges = payload["edges"]
-    except (KeyError, TypeError):
+    except KeyError:
         raise ValueError("graph file needs 'vertices' and 'edges' fields") from None
-    return Quiver(vertices, [(e[0], e[1]) for e in edges])
+    if not _is_int(vertices):
+        raise ValueError("graph file: 'vertices' must be an integer, got %r" % (vertices,))
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e) for e in edges
+    ):
+        raise ValueError("graph file: 'edges' must be a list of [u, v] integer pairs")
+    return Quiver(vertices, edges)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -27,7 +27,7 @@ from .graphs import (
     boundary_matrix,
     canonical_key,
     contract_counting_loops,
-    spectral_dual_graph,
+    spectral_edge_count,
 )
 from .matroid import top_betti
 from .partitions import set_partitions
@@ -235,10 +235,9 @@ def local_model_dims(partition, genus):
     """Dimension ledger of the local model of the moduli embedding at a stratum."""
     if genus < 2:
         raise ValueError("genus must be at least 2, got %r" % genus)
-    graph = spectral_dual_graph(partition, genus)
     n = partition.n
-    s = graph.edge_count
-    b1 = betti1(graph)
+    s = spectral_edge_count(partition, genus)
+    b1 = s - partition.r + 1
     gm1 = genus - 1
     return LocalModelDims(
         n=n,

@@ -5,7 +5,9 @@ a subset is independent when deleting it leaves the graph connected, so the
 rank is the first Betti number b1.  Its Tutte polynomial is the graphic one
 with the variables exchanged, which is how everything here is computed: the
 number of top-dimensional spheres in the matroid complex (the multiplicity
-in every semismall decomposition downstream) is T_graphic(1, 0).
+in every semismall decomposition downstream) is T_graphic(1, 0), and the
+f- and h-vectors of the complex are read off T_graphic(1, y).  Independent
+sets are enumerated only by the brute-force homology oracle.
 
 Deletion-contraction processes a whole parallel class at a time: a bundle of
 k parallel edges contributes x + y + ... + y^(k-1) when it is a cut and
@@ -18,7 +20,6 @@ what keeps the recursion shallow.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 from .graphs import MultiGraph, Quiver, betti1, canonical_key
@@ -107,7 +108,7 @@ class TutteCache:
     """Thread-safe memo map canonical graph key -> Tutte polynomial.
 
     Writes for the same key always carry the same value, so last-write-wins
-    updates are harmless and results do not depend on the thread count.
+    updates are harmless when several threads share one cache.
     """
 
     def __init__(self):
@@ -192,10 +193,6 @@ class CographicMatroid:
         return [iset for iset in self.independent_sets() if len(iset) == self.rank]
 
 
-def is_independent(matroid, subset):
-    return matroid.is_independent(subset)
-
-
 def _bundles(graph):
     """Non-loop parallel classes as {(u, v): [edge indices]}."""
     out = {}
@@ -220,7 +217,7 @@ def _merge_vertices(graph, a, b):
     )
 
 
-def _tutte(graph, cache, executor):
+def _tutte(graph, cache):
     key = canonical_key(graph)
     hit = cache.get(key)
     if hit is not None:
@@ -237,43 +234,31 @@ def _tutte(graph, cache, executor):
         deleted = core.without_edges(members)
         contracted = _merge_vertices(deleted, u, v)
         if deleted.is_connected():
-            if executor is not None:
-                f_del = executor.submit(_tutte, deleted, cache, None)
-                f_con = executor.submit(_tutte, contracted, cache, None)
-                poly = f_del.result() + TuttePolynomial.y_geometric(k) * f_con.result()
-            else:
-                poly = _tutte(deleted, cache, None) + TuttePolynomial.y_geometric(k) * _tutte(
-                    contracted, cache, None
-                )
+            poly = _tutte(deleted, cache) + TuttePolynomial.y_geometric(k) * _tutte(contracted, cache)
         else:
             # the bundle is a cut: the last surviving edge is a bridge
             factor = TuttePolynomial.monomial(1, 0) + TuttePolynomial(
                 {(0, j): 1 for j in range(1, k)}
             )
-            poly = factor * _tutte(contracted, cache, None)
+            poly = factor * _tutte(contracted, cache)
     if loops:
         poly = TuttePolynomial.monomial(0, len(loops)) * poly
     cache.put(key, poly)
     return poly
 
 
-def tutte_polynomial(graph, cache=None, threads=1):
+def tutte_polynomial(graph, cache=None):
     """Tutte polynomial of the graphic matroid of a connected multigraph.
 
     Memoized deletion-contraction on parallel classes; the memo cache is
     keyed by canonical graph form and shared across the process by default.
-    With threads > 1 the two branches at the root are evaluated in a thread
-    pool; the result is identical for every thread count.
     """
     g = _as_multigraph(graph)
     if not g.is_connected():
         raise ValueError("Tutte polynomial requires a connected graph")
     if cache is None:
         cache = DEFAULT_CACHE
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            return _tutte(g, cache, executor)
-    return _tutte(g, cache, None)
+    return _tutte(g, cache)
 
 
 def tutte_polynomial_naive(graph):
@@ -293,7 +278,7 @@ def tutte_polynomial_naive(graph):
     return TuttePolynomial.monomial(1, 0) * tutte_polynomial_naive(contracted)
 
 
-def top_betti(graph, cache=None, threads=1):
+def top_betti(graph, cache=None):
     """Number of top-dimensional spheres in the matroid complex of the cographic matroid.
 
     Computed as T_graphic(1, 0), which equals the cographic evaluation
@@ -305,24 +290,21 @@ def top_betti(graph, cache=None, threads=1):
         raise ValueError("top_betti requires a connected graph")
     if betti1(g) == 0:
         return 1
-    return tutte_polynomial(g, cache=cache, threads=threads).evaluate(1, 0)
+    return tutte_polynomial(g, cache=cache).evaluate(1, 0)
 
 
-def f_h_vectors(matroid):
+def f_h_vectors(matroid, cache=None):
     """f- and h-vector of the matroid complex; exact integers.
 
-    f[i] is the number of independent sets of size i for i = 0..rank; the
-    h-vector is the standard transform, whose top entry equals the sphere
-    count T(0, 1) of the complex.
+    f[i] is the number of independent sets of size i for i = 0..rank.  The
+    h-vector is read off the Tutte polynomial: sum_i h[i] x^(rank-i) equals
+    T_graphic(1, x) (Bjorner, "Homology and shellability of matroids and
+    geometric lattices", 1992), so its top entry is the sphere count
+    T_graphic(1, 0).  f follows by f[k] = sum_{i<=k} C(rank-i, k-i) h[i].
     """
     rank = matroid.rank
-    f = [0] * (rank + 1)
-    for iset in matroid.independent_sets():
-        f[len(iset)] += 1
-    h = []
-    for j in range(rank + 1):
-        value = 0
-        for i in range(j + 1):
-            value += (-1) ** (j - i) * comb(rank - i, j - i) * f[i]
-        h.append(value)
+    h = [0] * (rank + 1)
+    for (_, j), c in tutte_polynomial(matroid.graph, cache=cache).coeffs.items():
+        h[rank - j] += c
+    f = [sum(comb(rank - i, k - i) * h[i] for i in range(k + 1)) for k in range(rank + 1)]
     return tuple(f), tuple(h)

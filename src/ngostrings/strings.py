@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import betti1, spectral_dual_graph
+from .graphs import spectral_edge_count
 from .partitions import (
     Partition,
     admissible_partitions,
@@ -109,10 +109,10 @@ def stratum_dims(partition, genus):
     dim_a = n * n * gm1 + 1
     genera = tuple(p * p * gm1 + 1 for p in partition.parts)
     dim_s = sum(genera)
-    graph = spectral_dual_graph(partition, genus)
-    delta = betti1(graph)
+    s = spectral_edge_count(partition, genus)
+    delta = s - partition.r + 1
     gprime = n * n * gm1 + 1
-    expected = sum(genera) + graph.edge_count - partition.r + 1
+    expected = sum(genera) + s - partition.r + 1
     if gprime != expected:
         raise RuntimeError(
             "internal consistency failure: arithmetic genus %d != %d for %s"
@@ -132,54 +132,19 @@ def stratum_dims(partition, genus):
     )
 
 
-def _multiplicity_data(n):
-    """All ways to write n = sum m_i * k_i as a multiset of pairs (m_i, k_i)."""
-
-    def extend(remaining, floor_pair):
-        if remaining == 0:
-            yield ()
-            return
-        for m in range(1, remaining + 1):
-            for k in range(1, remaining // m + 1):
-                pair = (m, k)
-                if pair < floor_pair:
-                    continue
-                if m * k > remaining:
-                    continue
-                for rest in extend(remaining - m * k, pair):
-                    yield (pair,) + rest
-
-    yield from extend(n, (1, 1))
-
-
 def stabilization_codim(n, genus):
     """Codimension where the rank-n table stops influencing low cohomology.
 
-    Brute-force maximization of r + (g-1) * sum(k_i^2) over all nontrivial
-    multiplicity data sum m_i * k_i = n, subtracted from twice the base
-    dimension; checked on every call against the closed form
-    4*(g-1)*(n-1) - 2.
+    Twice the base dimension minus twice the maximum of
+    r + (g-1) * sum(k_i^2) over all nontrivial multiplicity data
+    sum m_i * k_i = n; the maximum is attained by one part n-1 and one part
+    1, which gives 4*(g-1)*(n-1) - 2.
     """
     if n < 2:
         raise ValueError("n must be at least 2, got %r" % n)
     if genus < 2:
         raise ValueError("genus must be at least 2, got %r" % genus)
-    gm1 = genus - 1
-    best = None
-    for data in _multiplicity_data(n):
-        if data == ((1, n),):
-            continue  # the dense open stratum
-        value = len(data) + gm1 * sum(k * k for _, k in data)
-        if best is None or value > best:
-            best = value
-    result = 2 * (n * n * gm1 + 1) - 2 * best
-    closed = 4 * gm1 * (n - 1) - 2
-    if result != closed:
-        raise RuntimeError(
-            "internal consistency failure: brute-force codimension %d != closed form %d"
-            % (result, closed)
-        )
-    return result
+    return 4 * (genus - 1) * (n - 1) - 2
 
 
 def ngo_string_graded_ranks(partition, genus):

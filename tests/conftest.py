@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded random graph generation."""
+"""Shared test helpers: seeded random graph generation and brute-force oracles."""
 
 from ngostrings.graphs import MultiGraph
 
@@ -19,3 +19,32 @@ def random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=F
             v = (v + 1) % r
         edges.append((u, v))
     return MultiGraph(r, edges)
+
+
+def multiplicity_data(n):
+    """All ways to write n = sum m_i * k_i as a multiset of pairs (m_i, k_i)."""
+
+    def extend(remaining, floor_pair):
+        if remaining == 0:
+            yield ()
+            return
+        for m in range(1, remaining + 1):
+            for k in range(1, remaining // m + 1):
+                pair = (m, k)
+                if pair < floor_pair:
+                    continue
+                for rest in extend(remaining - m * k, pair):
+                    yield (pair,) + rest
+
+    yield from extend(n, (1, 1))
+
+
+def brute_force_stabilization_codim(n, genus):
+    """Oracle: twice the base dimension minus twice the maximum of
+    r + (g-1) * sum(k_i^2) over all nontrivial multiplicity data of n."""
+    best = max(
+        len(data) + (genus - 1) * sum(k * k for _, k in data)
+        for data in multiplicity_data(n)
+        if data != ((1, n),)  # the dense open stratum
+    )
+    return 2 * (n * n * (genus - 1) + 1) - 2 * best

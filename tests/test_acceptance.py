@@ -21,12 +21,19 @@ from ngostrings.graphs import (
 from ngostrings.homology import matroid_complex, reduced_homology_ranks
 from ngostrings.hypertoric import certify_small, circuit_relations, enumerate_strata, local_decomposition, local_model_dims
 from ngostrings.intlinalg import gale_dual, smith_normal_form, verify_exact
-from ngostrings.matroid import CographicMatroid, TutteCache, top_betti, tutte_polynomial, tutte_polynomial_naive
+from ngostrings.matroid import (
+    CographicMatroid,
+    TutteCache,
+    f_h_vectors,
+    top_betti,
+    tutte_polynomial,
+    tutte_polynomial_naive,
+)
 from ngostrings.partitions import Partition, partitions_of
 from ngostrings.strings import stabilization_codim, string_table, stratum_dims, table_report
 
-from conftest import random_connected_multigraph
-from test_matroid import spanning_tree_count
+from conftest import brute_force_stabilization_codim, random_connected_multigraph
+from test_matroid import brute_force_f_h, spanning_tree_count
 
 
 @contextmanager
@@ -156,6 +163,8 @@ def test_criterion_08_local_model_ledger():
             for g in range(2, 6):
                 for p in partitions_of(n):
                     dims = local_model_dims(p, g)
+                    graph = spectral_dual_graph(p, g)
+                    assert (dims.s, dims.b1) == (graph.edge_count, betti1(graph))
                     # both defining expressions for the first constant
                     via_moduli = (dims.dim_M - dims.dim_Y) // 2 - g - 1
                     via_formula = (n * n - 1) * (g - 1) - 1 - dims.b1
@@ -182,9 +191,10 @@ def test_criterion_09_semismall_certification():
 
 def test_criterion_10_stabilization_codimension():
     with criterion(10, "stabilization codimension", 5):
-        for n in range(2, 11):
+        for n in range(2, 21):
             for g in range(2, 6):
-                assert stabilization_codim(n, g) == 4 * (g - 1) * (n - 1) - 2
+                closed = 4 * (g - 1) * (n - 1) - 2
+                assert stabilization_codim(n, g) == closed == brute_force_stabilization_codim(n, g)
 
 
 def test_criterion_11_oracle_suite():
@@ -214,7 +224,9 @@ def test_criterion_11_oracle_suite():
             if graph.edge_count <= 8:
                 assert poly == tutte_polynomial_naive(graph)
             if graph.edge_count <= 12:
-                complex_ = matroid_complex(CographicMatroid(graph))
+                matroid = CographicMatroid(graph)
+                assert f_h_vectors(matroid) == brute_force_f_h(matroid)
+                complex_ = matroid_complex(matroid)
                 ranks = reduced_homology_ranks(complex_)
                 assert all(v == 0 for v in ranks[:-1])
                 faces = complex_.faces_by_dim()

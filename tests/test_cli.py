@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ngostrings import cli
 from ngostrings.cli import CACHE_ENV_VAR, cache_load, cache_store, run
 from ngostrings.graphs import Quiver, dump_graph
 from ngostrings.matroid import TutteCache, TuttePolynomial
@@ -84,6 +85,28 @@ class TestGraphCommands:
         assert status == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": "graph/1", "vertices": 2, "edges": [[0]]}',
+            '{"format": "graph/1", "vertices": 2, "edges": 5}',
+            '{"format": "graph/1", "vertices": 1e400, "edges": []}',
+            '{"format": "graph/1", "vertices": 2, "edges": [[0, null]]}',
+            '{"format": "graph/1", "vertices": 2, "edges": [[0, 1, 1]]}',
+            '{"format": "graph/1", "vertices": true, "edges": []}',
+            '{"format": "graph/1", "vertices": 2}',
+            '[1, 2]',
+        ],
+    )
+    def test_malformed_graph_file(self, capture, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        status, out, err = capture("graph", "--quiver", str(path))
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_graph_needs_source(self, capture):
         status, _, err = capture("graph")
         assert status == 1
@@ -137,10 +160,9 @@ class TestTutteCommand:
         assert "spheres: 2" in out
         assert "wedge: ok" in out
 
-    def test_threads_flag_same_output(self, capture):
-        _, out1, _ = capture("tutte", "--partition", "2,1,1", "--genus", "2")
-        _, out4, _ = capture("tutte", "--partition", "2,1,1", "--genus", "2", "--threads", "4")
-        assert out1 == out4
+    def test_threads_option_is_a_usage_error(self, capture):
+        status, _, _ = capture("tutte", "--partition", "2,1,1", "--genus", "2", "--threads", "4")
+        assert status == 2
 
 
 class TestStrataAndDims:
@@ -161,6 +183,18 @@ class TestStrataAndDims:
         status, out, _ = capture("dims", "--partition", "1,1", "--genus", "2")
         assert status == 0
         assert "codim_S: 1" in out and "delta: 1" in out and "psi: -7" in out
+
+    def test_huge_genus_needs_no_edge_list(self, capture):
+        gm1 = 10**12 - 1
+        status, out, _ = capture("dims", "--partition", "2,1,1", "--genus", str(gm1 + 1))
+        assert status == 0
+        assert "dim_A: %d\n" % (16 * gm1 + 1) in out
+        assert "codim_S: %d\n" % (10 * gm1 - 2) in out
+        assert "delta: %d\n" % (10 * gm1 - 2) in out
+        status, out, _ = capture("local-model", "--partition", "2,1,1", "--genus", str(gm1 + 1))
+        assert status == 0
+        assert "s: %d\nb1: %d\nd: %d\nc: %d\n" % (10 * gm1, 10 * gm1 - 2, 5 * gm1 + 1, 44 * gm1 + 3) in out
+        assert "dim_X: %d\n" % (20 * gm1 - 2) in out
 
     def test_partition_listing(self, capture):
         status, out, _ = capture("partition", "--n", "4", "--d", "2")
@@ -198,6 +232,24 @@ class TestCache:
         cache = cache_load(str(path))
         assert len(cache) == 0
         assert "warning" in capsys.readouterr().err
+
+    def test_failed_write_keeps_old_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = TutteCache()
+        cache.put(b"(2, (0, 0, 2))", TuttePolynomial({(1, 0): 1, (0, 1): 1}))
+        cache_store(str(path), cache)
+        before = path.read_bytes()
+
+        def failing_dump(payload, handle, **kwargs):
+            handle.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        cache.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
+        cache_store(str(path), cache)
+        assert path.read_bytes() == before
+        assert "warning: could not write cache" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
     def test_warm_cold_identical_output(self, capture, tmp_path):
         path = str(tmp_path / "cache.json")

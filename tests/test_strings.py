@@ -21,6 +21,8 @@ from ngostrings.strings import (
     table_report,
 )
 
+from conftest import brute_force_stabilization_codim
+
 
 def straight_line_ranks(n, q):
     """Independent, memo-free restatement of the rank recursion (test oracle).
@@ -130,9 +132,13 @@ class TestStabilization:
         assert stabilization_codim(3, 3) == 14
 
     def test_closed_form(self):
-        for n in range(2, 11):
+        for n in range(2, 21):
             for g in range(2, 6):
-                assert stabilization_codim(n, g) == 4 * (g - 1) * (n - 1) - 2
+                closed = 4 * (g - 1) * (n - 1) - 2
+                assert stabilization_codim(n, g) == closed == brute_force_stabilization_codim(n, g)
+
+    def test_large_n_is_closed_form(self):
+        assert stabilization_codim(10**6, 2) == 4 * (10**6 - 1) - 2
 
     def test_guards(self):
         with pytest.raises(ValueError):
