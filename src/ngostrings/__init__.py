@@ -58,9 +58,6 @@ from .matroid import (
 from .partitions import (
     Partition,
     admissible_partitions,
-    grouping_count,
-    grouping_enumerate,
-    grouping_types,
     local_system_rank,
     partitions_of,
     set_partitions,

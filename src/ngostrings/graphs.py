@@ -64,6 +64,9 @@ class MultiGraph:
     def is_connected(self):
         if self.vertex_count == 1:
             return True
+        # a spanning tree needs r - 1 edges; so per-vertex work below stays O(s)
+        if self.vertex_count > len(self.edges) + 1:
+            return False
         adj = {v: set() for v in range(self.vertex_count)}
         for u, v in self.edges:
             if u != v:

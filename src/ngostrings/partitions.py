@@ -1,12 +1,11 @@
-"""Integer partitions and their grouping combinatorics.
+"""Integer partitions and their symmetric-group constants.
 
 Everything downstream is indexed by partitions of the rank n: spectral dual
 graphs, strata of the Hitchin base, and the string-rank recursion.  This
-module enumerates partitions, filters the degree-admissible subset (parts
-n_i with n_i*d/n integral), counts the ways of grouping the labelled parts
-of one partition into blocks realizing a coarser one, and evaluates the
-symmetric-group constants attached to a partition: the generic local-system
-rank (r-1)! and the stabilizer order prod_i alpha_i!.
+module counts and enumerates partitions, filters the degree-admissible
+subset (parts n_i with n_i*d/n integral), lists set partitions, and
+evaluates the symmetric-group constants attached to a partition: the
+generic local-system rank (r-1)! and the stabilizer order prod_i alpha_i!.
 """
 
 from __future__ import annotations
@@ -14,6 +13,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
+
+from .errors import ResourceLimitError
+
+# partitions_of refuses any n with more partitions than this: p(41) = 44583
+# and p(42) = 53174.  n = 41 is the largest n up to which report, strings and
+# partition all answer within 10 s (2-core Xeon, Python 3.11).
+MAX_PARTITIONS = 50_000
 
 
 class Partition:
@@ -85,6 +92,40 @@ class Partition:
         return "Partition(%r)" % (list(self.parts),)
 
 
+def _partition_numbers():
+    """Yield p(0), p(1), p(2), ... by Euler's pentagonal number recurrence."""
+    p = [1]
+    yield 1
+    while True:
+        m = len(p)
+        total = 0
+        k = 1
+        pentagonal = 1  # k(3k-1)/2; the other pentagonal number is that plus k
+        while pentagonal <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - pentagonal]
+            if pentagonal + k <= m:
+                total += sign * p[m - pentagonal - k]
+            k += 1
+            pentagonal = k * (3 * k - 1) // 2
+        p.append(total)
+        yield total
+
+
+def partition_count(n):
+    """Number p(n) of partitions of ``n``, exact."""
+    if n < 0:
+        raise ValueError("n must be nonnegative, got %r" % n)
+    return next(islice(_partition_numbers(), n, None))
+
+
+@lru_cache(maxsize=None)
+def _largest_enumerable_n():
+    for n, count in enumerate(_partition_numbers()):
+        if count > MAX_PARTITIONS:
+            return n - 1
+
+
 @lru_cache(maxsize=None)
 def _partition_tuples(n, max_part):
     if n == 0:
@@ -105,6 +146,10 @@ def partitions_of(n):
     """
     if n < 1:
         raise ValueError("n must be a positive integer, got %r" % n)
+    if n > _largest_enumerable_n():
+        raise ResourceLimitError(
+            "n=%d has more than %d partitions; refusing to enumerate them" % (n, MAX_PARTITIONS)
+        )
     return [Partition(t) for t in _partition_tuples(int(n), int(n))]
 
 
@@ -137,140 +182,6 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
-
-
-def grouping_enumerate(fine, coarse):
-    """All ways to group the labelled parts of ``fine`` into blocks realizing ``coarse``.
-
-    The parts of ``fine`` are treated as distinguishable items; a grouping is
-    a set partition of them into unordered blocks whose multiset of block
-    sums equals ``coarse``.  Each grouping is returned as a list of blocks,
-    each block canonicalized as a Partition and the blocks sorted in the
-    canonical partition order.  Groupings that look identical after
-    canonicalization are still listed once per underlying set partition.
-
-    Items are placed into capacity slots directly rather than by filtering
-    all set partitions, so the cost scales with the number of valid
-    groupings; slots with equal capacity are opened in a fixed order so
-    every unordered grouping appears exactly once.
-    """
-    if fine.n != coarse.n:
-        raise ValueError(
-            "partition sums differ: %s sums to %d, %s sums to %d"
-            % (fine, fine.n, coarse, coarse.n)
-        )
-    parts = fine.parts
-    k = coarse.r
-    remaining = list(coarse.parts)
-    blocks = [[] for _ in range(k)]
-    out = []
-
-    def place(i):
-        if i == len(parts):
-            grouping = sorted(
-                (Partition(b) for b in blocks),
-                key=lambda p: p.parts,
-                reverse=True,
-            )
-            out.append(grouping)
-            return
-        p = parts[i]
-        opened = set()
-        for j in range(k):
-            if remaining[j] < p:
-                continue
-            if not blocks[j]:
-                # empty slots of equal capacity are interchangeable
-                if remaining[j] in opened:
-                    continue
-                opened.add(remaining[j])
-            remaining[j] -= p
-            blocks[j].append(p)
-            place(i + 1)
-            blocks[j].pop()
-            remaining[j] += p
-
-    place(0)
-    return out
-
-
-def _blocks_summing(avail, idx, target):
-    """Sub-multisets of avail (tuples (value, count), values descending) summing to target.
-
-    Yields (content, remaining) with content a descending tuple of parts and
-    remaining the depleted availability list.
-    """
-    if target == 0:
-        yield (), avail
-        return
-    if idx == len(avail):
-        return
-    v, c = avail[idx]
-    maxtake = min(c, target // v)
-    for take in range(maxtake, -1, -1):
-        for rest, remaining in _blocks_summing(avail, idx + 1, target - take * v):
-            depleted = list(remaining)
-            depleted[idx] = (v, c - take)
-            yield (v,) * take + rest, tuple(depleted)
-
-
-def grouping_types(fine, coarse):
-    """Groupings of grouping_enumerate aggregated by block content.
-
-    Returns a list of (blocks, count) pairs: ``blocks`` is a tuple of
-    Partitions in canonical order (repeats included) describing one multiset
-    of block contents, and ``count`` is the number of groupings of the
-    labelled parts of ``fine`` realizing exactly those contents, computed by
-    the multinomial formula
-
-        count = prod_v alpha_v! / (prod_types (prod_v beta_v!)^c * c!).
-
-    Summing the counts recovers grouping_count.  The number of content types
-    stays small even when the number of groupings is astronomically large,
-    which is what makes the rank recursion scale.
-    """
-    if fine.n != coarse.n:
-        raise ValueError(
-            "partition sums differ: %s sums to %d, %s sums to %d"
-            % (fine, fine.n, coarse, coarse.n)
-        )
-    avail = tuple(sorted(fine.alpha.items(), reverse=True))
-    targets = coarse.parts
-
-    def assign(slot, remaining, prev_content):
-        if slot == len(targets):
-            yield ()
-            return
-        target = targets[slot]
-        for content, depleted in _blocks_summing(remaining, 0, target):
-            # equal-capacity slots take contents in nonincreasing order so
-            # every multiset of contents appears exactly once
-            if slot > 0 and targets[slot - 1] == target and content > prev_content:
-                continue
-            for rest in assign(slot + 1, depleted, content):
-                yield (content,) + rest
-
-    out = []
-    numerator = 1
-    for _, count in avail:
-        numerator *= math.factorial(count)
-    for contents in assign(0, avail, None):
-        denominator = 1
-        for content, repeat in Counter(contents).items():
-            inner = 1
-            for mult in Counter(content).values():
-                inner *= math.factorial(mult)
-            denominator *= inner ** repeat * math.factorial(repeat)
-        blocks = tuple(
-            sorted((Partition(c) for c in contents), key=lambda p: p.parts, reverse=True)
-        )
-        out.append((blocks, numerator // denominator))
-    return out
-
-
-def grouping_count(fine, coarse):
-    """Number of groupings of ``fine``'s labelled parts with block sums ``coarse``."""
-    return sum(count for _, count in grouping_types(fine, coarse))
 
 
 def local_system_rank(p):

@@ -18,6 +18,18 @@ a product of smaller moduli spaces.  A negative intermediate value would
 mean the reconstructed step is wrong on that instance; it raises
 ModelInconsistencyError instead of being clamped.
 
+Every block sum is a multiple of D = n/q, and every sub-table (D*k, k)
+has the same D.  The sum over groupings weighted by (|m|-1)! is Moebius
+inversion over set partitions, so by the exponential formula (Stanley,
+Enumerative Combinatorics 2, 5.1) the ranks for one D are the coefficients
+of 1 - exp(P_D log(1 - X)), X = sum_k x_k, where P_D keeps the monomials
+whose weight D divides.  The coefficients of P_D log(1 - X) see a part k
+only through k mod D, so neither do the ranks: a partition has the rank of
+its parts reduced into 1..D, itself a partition of a multiple of D.  The
+library evaluates them by one integer recursion over sub-multisets
+(_rank), memoised on D and the reduced multiplicities, and never
+enumerates groupings.
+
 Dimension bookkeeping lives here too: stratum dimensions and the
 codimension = b1 identity, the stabilization codimension, and the graded
 ranks binom(2*dim_S, l) * (r-1)! of a string.
@@ -27,15 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .graphs import spectral_edge_count
-from .partitions import (
-    Partition,
-    admissible_partitions,
-    grouping_types,
-    local_system_rank,
-    partitions_of,
-)
+from .partitions import Partition, local_system_rank, partitions_of
 
 
 class ModelInconsistencyError(RuntimeError):
@@ -160,57 +167,92 @@ def ngo_string_graded_ranks(partition, genus):
     return [math.comb(width, l) * base for l in range(width + 1)]
 
 
-_TABLE_MEMO = {}
+_RANK_MEMO = {}
 
 
-def _string_ranks(n, q):
-    """Rank table for rank n at gcd q | n; returns (dict parts->rank, flagged multisets)."""
-    key = (n, q)
-    hit = _TABLE_MEMO.get(key)
-    if hit is not None:
-        return hit
+def _residues(parts, step):
+    """Multiplicity tuple ((part, count), ...) of the parts reduced into 1..step."""
+    if parts[0] > step:
+        parts = sorted(((part - 1) % step + 1 for part in parts), reverse=True)
+    return tuple((part, len(tuple(run))) for part, run in groupby(parts))
 
-    all_parts = partitions_of(n)
-    if q == n:
-        ranks = {p.parts: (1 if p.r == 1 else 0) for p in all_parts}
-        result = (ranks, frozenset())
-    elif q == 1:
-        ranks = {p.parts: local_system_rank(p) for p in all_parts}
-        result = (ranks, frozenset())
-    else:
-        proper = [
-            m
-            for m in admissible_partitions(n, q)
-            if m.r > 1
+
+def _expand(alpha):
+    """Partition with multiplicity tuple alpha."""
+    return Partition(part for part, count in alpha for _ in range(count))
+
+
+def _rank(step, alpha):
+    """Rank of the partition lambda with multiplicities alpha in table (m, m // step).
+
+    m is the weight of lambda, a multiple of step = D.  With k the largest
+    part of lambda, the exponential formula gives
+
+        rank(lambda) = sum over beta <= lambda - e_k with step | |beta| of
+                       C(lambda - e_k, beta) * g(beta) * (r(lambda - beta) - 1)!
+
+    with g(empty) = 1 and g(beta) = -rank(beta).  The empty term is (r-1)!,
+    the base; the others are subtracted as contributions.  A negative value
+    raises ModelInconsistencyError for lambda at (m, m // step).
+    """
+    key = (step, alpha)
+    value = _RANK_MEMO.get(key)
+    if value is not None:
+        return value
+    (top, top_count), others = alpha[0], alpha[1:]
+    rest = ((top, top_count - 1),) + others
+    r_rest = sum(count for _, count in rest)
+    base = math.factorial(r_rest)
+    # sub-multisets beta of lambda - e_k with step | |beta|, as
+    # (beta, |beta|, r(beta), C(lambda - e_k, beta)); a prefix is kept while
+    # the parts still to come (weight room) can reach a multiple of step
+    subs = [((), 0, 0, 1)]
+    room = sum(part * count for part, count in rest)
+    for part, count in rest:
+        room -= part * count
+        subs = [
+            (beta + ((part, t),) if t else beta, size + part * t, r + t, coeff * math.comb(count, t))
+            for beta, size, r, coeff in subs
+            for t in range(count + 1)
+            if (size + part * t + room) // step * step >= size + part * t
         ]
-        flagged = set()
-        ranks = {}
-        for fine in all_parts:
-            base = local_system_rank(fine)
-            contributions = {}
-            for coarse in proper:
-                weight = local_system_rank(coarse)
-                total = 0
-                for blocks, count in grouping_types(fine, coarse):
-                    prod = 1
-                    for block in blocks:
-                        m_j = block.n
-                        q_j = m_j * q // n
-                        sub_ranks, sub_flags = _string_ranks(m_j, q_j)
-                        flagged.update(sub_flags)
-                        prod *= sub_ranks[block.parts]
-                    total += count * prod
-                if total:
-                    contributions[coarse.parts] = weight * total
-                    if weight > 1:
-                        flagged.add(coarse.parts)
-            value = base - sum(contributions.values())
-            if value < 0:
-                raise ModelInconsistencyError(n, q, fine, base, contributions)
-            ranks[fine.parts] = value
-        result = (ranks, frozenset(flagged))
-    _TABLE_MEMO[key] = result
-    return result
+    contributions = []
+    for beta, size, r, coeff in subs[1:]:  # subs[0] is the empty beta, the base
+        term = coeff * _rank(step, beta) * math.factorial(r_rest - r)
+        if term:
+            contributions.append((beta, term))
+    value = base - sum(term for _, term in contributions)
+    if value < 0:
+        m = sum(part * count for part, count in alpha)
+        raise ModelInconsistencyError(
+            m,
+            m // step,
+            _expand(alpha),
+            base,
+            {_expand(beta).parts: term for beta, term in contributions},
+        )
+    _RANK_MEMO[key] = value
+    return value
+
+
+def _multiplier_partitions(n, q):
+    """Coarsenings that enter some sub-table with weight (r-1)! > 1.
+
+    Every admissible coarsening with r >= 3 parts enters its own row through
+    its own one-part grouping, and 1^n reaches every sub-table (D*k, k) with
+    k <= q, D = n/q.  So the set is every partition of some D*k, 3 <= k <= q,
+    into at least three multiples of D; rows q = 1 and q = n have none.
+    """
+    if q in (1, n):
+        return ()
+    step = n // q
+    flagged = [
+        Partition(step * part for part in mu.parts)
+        for k in range(3, q + 1)
+        for mu in partitions_of(k)
+        if mu.r >= 3
+    ]
+    return tuple(sorted(flagged, reverse=True))
 
 
 def string_table(n, d):
@@ -222,15 +264,20 @@ def string_table(n, d):
     if n < 2:
         raise ValueError("n must be at least 2, got %r" % n)
     q = math.gcd(n, d)
-    ranks, flagged = _string_ranks(n, q)
+    parts = partitions_of(n)
+    if q == n:
+        ranks = {p: (1 if p.r == 1 else 0) for p in parts}
+    elif q == 1:
+        ranks = {p: local_system_rank(p) for p in parts}
+    else:
+        step = n // q
+        ranks = {p: _rank(step, _residues(p.parts, step)) for p in parts}
     return StringTable(
         n=n,
         d=d,
         q=q,
-        ranks={Partition(parts): value for parts, value in ranks.items()},
-        multiplier_partitions=tuple(
-            sorted((Partition(parts) for parts in flagged), key=lambda p: p.parts, reverse=True)
-        ),
+        ranks=ranks,
+        multiplier_partitions=_multiplier_partitions(n, q),
     )
 
 

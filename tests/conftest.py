@@ -1,6 +1,10 @@
 """Shared test helpers: seeded random graph generation and brute-force oracles."""
 
+import math
+from collections import Counter
+
 from ngostrings.graphs import MultiGraph
+from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of
 
 
 def random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=False):
@@ -48,3 +52,180 @@ def brute_force_stabilization_codim(n, genus):
         if data != ((1, n),)  # the dense open stratum
     )
     return 2 * (n * n * (genus - 1) + 1) - 2 * best
+
+
+def grouping_enumerate(fine, coarse):
+    """All ways to group the labelled parts of ``fine`` into blocks realizing ``coarse``.
+
+    The parts of ``fine`` are treated as distinguishable items; a grouping is
+    a set partition of them into unordered blocks whose multiset of block
+    sums equals ``coarse``.  Each grouping is returned as a list of blocks,
+    each block canonicalized as a Partition and the blocks sorted in the
+    canonical partition order.  Groupings that look identical after
+    canonicalization are still listed once per underlying set partition.
+
+    Items are placed into capacity slots directly rather than by filtering
+    all set partitions, so the cost scales with the number of valid
+    groupings; slots with equal capacity are opened in a fixed order so
+    every unordered grouping appears exactly once.
+    """
+    if fine.n != coarse.n:
+        raise ValueError(
+            "partition sums differ: %s sums to %d, %s sums to %d"
+            % (fine, fine.n, coarse, coarse.n)
+        )
+    parts = fine.parts
+    k = coarse.r
+    remaining = list(coarse.parts)
+    blocks = [[] for _ in range(k)]
+    out = []
+
+    def place(i):
+        if i == len(parts):
+            grouping = sorted(
+                (Partition(b) for b in blocks),
+                key=lambda p: p.parts,
+                reverse=True,
+            )
+            out.append(grouping)
+            return
+        p = parts[i]
+        opened = set()
+        for j in range(k):
+            if remaining[j] < p:
+                continue
+            if not blocks[j]:
+                # empty slots of equal capacity are interchangeable
+                if remaining[j] in opened:
+                    continue
+                opened.add(remaining[j])
+            remaining[j] -= p
+            blocks[j].append(p)
+            place(i + 1)
+            blocks[j].pop()
+            remaining[j] += p
+
+    place(0)
+    return out
+
+
+def _blocks_summing(avail, idx, target):
+    """Sub-multisets of avail (tuples (value, count), values descending) summing to target.
+
+    Yields (content, remaining) with content a descending tuple of parts and
+    remaining the depleted availability list.
+    """
+    if target == 0:
+        yield (), avail
+        return
+    if idx == len(avail):
+        return
+    v, c = avail[idx]
+    maxtake = min(c, target // v)
+    for take in range(maxtake, -1, -1):
+        for rest, remaining in _blocks_summing(avail, idx + 1, target - take * v):
+            depleted = list(remaining)
+            depleted[idx] = (v, c - take)
+            yield (v,) * take + rest, tuple(depleted)
+
+
+def grouping_types(fine, coarse):
+    """Groupings of grouping_enumerate aggregated by block content.
+
+    Returns a list of (blocks, count) pairs: ``blocks`` is a tuple of
+    Partitions in canonical order (repeats included) describing one multiset
+    of block contents, and ``count`` is the number of groupings of the
+    labelled parts of ``fine`` realizing exactly those contents, computed by
+    the multinomial formula
+
+        count = prod_v alpha_v! / (prod_types (prod_v beta_v!)^c * c!).
+
+    Summing the counts recovers grouping_count.
+    """
+    if fine.n != coarse.n:
+        raise ValueError(
+            "partition sums differ: %s sums to %d, %s sums to %d"
+            % (fine, fine.n, coarse, coarse.n)
+        )
+    avail = tuple(sorted(fine.alpha.items(), reverse=True))
+    targets = coarse.parts
+
+    def assign(slot, remaining, prev_content):
+        if slot == len(targets):
+            yield ()
+            return
+        target = targets[slot]
+        for content, depleted in _blocks_summing(remaining, 0, target):
+            # equal-capacity slots take contents in nonincreasing order so
+            # every multiset of contents appears exactly once
+            if slot > 0 and targets[slot - 1] == target and content > prev_content:
+                continue
+            for rest in assign(slot + 1, depleted, content):
+                yield (content,) + rest
+
+    out = []
+    numerator = 1
+    for _, count in avail:
+        numerator *= math.factorial(count)
+    for contents in assign(0, avail, None):
+        denominator = 1
+        for content, repeat in Counter(contents).items():
+            inner = 1
+            for mult in Counter(content).values():
+                inner *= math.factorial(mult)
+            denominator *= inner ** repeat * math.factorial(repeat)
+        blocks = tuple(
+            sorted((Partition(c) for c in contents), key=lambda p: p.parts, reverse=True)
+        )
+        out.append((blocks, numerator // denominator))
+    return out
+
+
+def grouping_count(fine, coarse):
+    """Number of groupings of ``fine``'s labelled parts with block sums ``coarse``."""
+    return sum(count for _, count in grouping_types(fine, coarse))
+
+
+_GROUPING_MEMO = {}
+
+
+def grouping_string_ranks(n, q):
+    """Oracle: the rank table for rank n at gcd q | n by the grouping recursion.
+
+    For every fine partition, (r-1)! minus, for every proper admissible
+    coarsening, (|m|-1)! times the sum over grouping types of the product
+    of sub-table ranks.  Returns (dict parts -> rank, frozenset of the
+    coarsenings entering some sub-table with weight (|m|-1)! > 1).
+    """
+    key = (n, q)
+    hit = _GROUPING_MEMO.get(key)
+    if hit is not None:
+        return hit
+    all_parts = partitions_of(n)
+    if q == n:
+        result = ({p.parts: (1 if p.r == 1 else 0) for p in all_parts}, frozenset())
+    elif q == 1:
+        result = ({p.parts: local_system_rank(p) for p in all_parts}, frozenset())
+    else:
+        proper = [m for m in admissible_partitions(n, q) if m.r > 1]
+        flagged = set()
+        ranks = {}
+        for fine in all_parts:
+            consumed = 0
+            for coarse in proper:
+                weight = local_system_rank(coarse)
+                total = 0
+                for blocks, count in grouping_types(fine, coarse):
+                    prod = 1
+                    for block in blocks:
+                        sub_ranks, sub_flags = grouping_string_ranks(block.n, block.n * q // n)
+                        flagged.update(sub_flags)
+                        prod *= sub_ranks[block.parts]
+                    total += count * prod
+                if total and weight > 1:
+                    flagged.add(coarse.parts)
+                consumed += weight * total
+            ranks[fine.parts] = local_system_rank(fine) - consumed
+        result = (ranks, frozenset(flagged))
+    _GROUPING_MEMO[key] = result
+    return result

@@ -58,6 +58,23 @@ class TestStringsAndReport:
         status, _, _ = capture("strings", "--d", "2")
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strings", "--n", "1000", "--d", "10"),
+            ("report", "--n", "500"),
+            ("partition", "--n", "1000"),
+            ("partition", "--n", "1000", "--d", "10"),
+            ("strings", "--n", str(10**9), "--d", "2"),
+        ],
+    )
+    def test_too_many_partitions(self, capture, argv):
+        # refused from the partition count p(n) before any enumeration
+        status, out, err = capture(*argv)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and "partitions" in err
+
 
 class TestGraphCommands:
     def test_graph_statistics(self, capture):
@@ -106,6 +123,15 @@ class TestGraphCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["tutte", "matroid", "strata", "gale"])
+    def test_huge_vertex_count(self, capture, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"format": "graph/1", "vertices": 1000000000, "edges": [[0, 1], [1, 2]]}')
+        status, out, err = capture(command, "--quiver", str(path))
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_graph_needs_source(self, capture):
         status, _, err = capture("graph")

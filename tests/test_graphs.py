@@ -70,6 +70,12 @@ class TestMultiGraph:
         # loops do not connect anything
         assert not MultiGraph(2, [(0, 0), (1, 1)]).is_connected()
 
+    def test_too_few_edges_to_connect(self):
+        # answered from the edge count alone, with no per-vertex work
+        assert not MultiGraph(10**9, [(0, 1), (1, 2)]).is_connected()
+        # enough edges, but loops: the search decides
+        assert not MultiGraph(3, [(0, 1), (1, 1), (2, 2)]).is_connected()
+
 
 class TestSpectralDualGraph:
     def test_two_two_genus_two(self):

@@ -2,17 +2,19 @@ import math
 
 import pytest
 
+from ngostrings.errors import ResourceLimitError
 from ngostrings.partitions import (
+    MAX_PARTITIONS,
     Partition,
     admissible_partitions,
-    grouping_count,
-    grouping_enumerate,
-    grouping_types,
     local_system_rank,
+    partition_count,
     partitions_of,
     set_partitions,
     stabilizer_order,
 )
+
+from conftest import grouping_count, grouping_enumerate, grouping_types
 
 
 def count_partitions(n):
@@ -120,6 +122,27 @@ class TestPartitionsOf:
             partitions_of(0)
         with pytest.raises(ValueError):
             partitions_of(-3)
+
+    def test_refuses_more_than_max_partitions(self):
+        largest = max(n for n in range(1, 100) if partition_count(n) <= MAX_PARTITIONS)
+        assert len(partitions_of(largest)) == partition_count(largest)
+        for n in (largest + 1, 1000, 10**9):
+            with pytest.raises(ResourceLimitError):
+                partitions_of(n)
+
+
+class TestPartitionCount:
+    def test_against_two_variable_recursion(self):
+        for n in range(0, 60):
+            assert partition_count(n) == count_partitions(n)
+
+    def test_known_values(self):
+        assert partition_count(100) == 190569292
+        assert partition_count(1000) == 24061467864032622473692149727991
+
+    def test_negative(self):
+        with pytest.raises(ValueError):
+            partition_count(-1)
 
 
 class TestAdmissible:

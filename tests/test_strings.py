@@ -3,11 +3,12 @@ from math import comb, factorial
 
 import pytest
 
+from ngostrings import strings
 from ngostrings.graphs import betti1, spectral_dual_graph
 from ngostrings.matroid import top_betti
 from ngostrings.partitions import (
     Partition,
-    grouping_enumerate,
+    admissible_partitions,
     local_system_rank,
     partitions_of,
 )
@@ -21,7 +22,7 @@ from ngostrings.strings import (
     table_report,
 )
 
-from conftest import brute_force_stabilization_codim
+from conftest import brute_force_stabilization_codim, grouping_enumerate, grouping_string_ranks
 
 
 def straight_line_ranks(n, q):
@@ -235,8 +236,6 @@ class TestStringTable:
         for n, d in [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)]:
             table = string_table(n, d)
             q = table.q
-            from ngostrings.partitions import admissible_partitions
-
             proper = [m for m in admissible_partitions(n, q) if m.r > 1]
             for fine in partitions_of(n):
                 consumed = 0
@@ -255,6 +254,43 @@ class TestStringTable:
             oracle = straight_line_ranks(n, q)
             table = string_table(n, q)
             assert {p.parts: v for p, v in table.ranks.items()} == oracle
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_against_grouping_recursion(self, n):
+        for q in [d for d in range(1, n + 1) if n % d == 0]:
+            ranks, flagged = grouping_string_ranks(n, q)
+            table = string_table(n, q)
+            assert {p.parts: v for p, v in table.ranks.items()} == ranks
+            assert [p.parts for p in table.multiplier_partitions] == sorted(flagged, reverse=True)
+
+    def test_rank_24_gcd_12(self):
+        # frozen from the grouping recursion, which needs about 40 s here
+        table = string_table(24, 12)
+        frozen = {
+            (1,) * 24: 4348001449619557104375,
+            (2,) * 12: 0,
+            (3,) * 8: 1575,
+            (5, 4, 3, 3, 2, 2, 1, 1, 1, 1, 1): 793800,
+            (7, 5, 3, 3, 1, 1, 1, 1, 1, 1): 99225,
+        }
+        for parts, value in frozen.items():
+            assert table.ranks[Partition(parts)] == value
+        for p in partitions_of(24):
+            assert 0 <= table.ranks[p] <= local_system_rank(p)
+
+    def test_rank_depends_on_parts_mod_slope(self):
+        # the exponential formula sees a part k only through k mod n/gcd,
+        # so a partition has the rank of its parts reduced into 1..n/gcd
+        for n, q in [(12, 6), (12, 4), (12, 3), (16, 4)]:
+            step = n // q
+            table = string_table(n, q)
+            by_residues = {}
+            for p in partitions_of(n):
+                residues = tuple(sorted(((v - 1) % step + 1 for v in p.parts), reverse=True))
+                assert by_residues.setdefault(residues, table.ranks[p]) == table.ranks[p]
+                if sum(residues) < n:
+                    small = string_table(sum(residues), sum(residues) // step)
+                    assert small.ranks[Partition(residues)] == table.ranks[p]
 
     def test_cross_module_top_betti(self):
         for n in range(2, 6):
@@ -283,6 +319,18 @@ class TestStringTable:
         err = ModelInconsistencyError(6, 2, Partition([1] * 6), 120, {(3, 3): 121})
         assert err.partition == Partition([1] * 6)
         assert "negative rank" in str(err)
+
+    def test_negative_intermediate_raises(self, monkeypatch):
+        # a seeded rank 121 for 1,1,1 at n/gcd = 3 makes 3,1,1,1, the first
+        # partition of 6 whose recursion uses it, negative: 3! - C(3,3) * 121 * 0!
+        monkeypatch.setattr(strings, "_RANK_MEMO", {(3, ((1, 3),)): 121})
+        with pytest.raises(ModelInconsistencyError) as info:
+            string_table(6, 2)
+        err = info.value
+        assert err.partition == Partition([3, 1, 1, 1])
+        assert (err.n, err.q, err.base) == (6, 2, 6)
+        assert err.contributions == {(1, 1, 1): 121}
+        assert "partition 3,1,1,1 at n=6, gcd=2" in str(err)
 
 
 class TestTableReport:
