@@ -53,7 +53,6 @@ from .matroid import (
     f_h_vectors,
     top_betti,
     tutte_polynomial,
-    tutte_polynomial_naive,
 )
 from .partitions import (
     Partition,

@@ -218,14 +218,13 @@ def cmd_partition(args):
 
 def cmd_graph(args):
     quiver = _resolve_quiver(args)
-    graph = quiver.underlying()
     if args.dot:
-        sys.stdout.write(to_dot(quiver if args.directed else graph))
+        sys.stdout.write(to_dot(quiver if args.directed else quiver.underlying()))
         return 0
     if args.emit:
         sys.stdout.write(dump_graph(quiver))
         return 0
-    r, s, b1 = graph.vertex_count, graph.edge_count, betti1(graph)
+    r, s, b1 = quiver.vertex_count, quiver.edge_count, betti1(quiver)
     if args.json:
         _print_json(
             {
@@ -275,10 +274,9 @@ def cmd_gale(args):
 
 def cmd_tutte(args):
     quiver = _resolve_quiver(args)
-    graph = quiver.underlying()
 
     def work(cache):
-        return tutte_polynomial(graph, cache=cache)
+        return tutte_polynomial(quiver, cache=cache)
 
     poly = _with_cache(args, work)
     value = poly.evaluate(args.eval[0], args.eval[1]) if args.eval else None
@@ -300,7 +298,7 @@ def cmd_tutte(args):
 
 def cmd_matroid(args):
     quiver = _resolve_quiver(args)
-    matroid = CographicMatroid(quiver.underlying())
+    matroid = CographicMatroid(quiver)
 
     def work(cache):
         return f_h_vectors(matroid, cache=cache)
@@ -329,7 +327,7 @@ def cmd_matroid(args):
 
 def cmd_matroid_homology(args):
     quiver = _resolve_quiver(args)
-    matroid = CographicMatroid(quiver.underlying())
+    matroid = CographicMatroid(quiver)
     complex_ = matroid_complex(matroid)
     ranks = reduced_homology_ranks(complex_)
     top_degree = len(ranks) - 2

@@ -18,9 +18,17 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 
+from .errors import ResourceLimitError
 from .intlinalg import IntMatrix
 
 GRAPH_FORMAT = "graph/1"
+
+# Bound on vertices + edges of a graph built or printed edge by edge, checked
+# before anything is allocated.  At the bound, `graph` prints its statistics in
+# about 1 s and 100 MiB and its costliest output, --json, in about 6 s and
+# 650 MiB.  The spectral dual graphs of interest stay well below it (2,1,1 at genus 20000 has 199 990 edges), and
+# quantities that need only the edge count never build a graph.
+MAX_GRAPH_SIZE = 10**6
 
 
 class MultiGraph:
@@ -50,16 +58,7 @@ class MultiGraph:
 
     def pair_multiplicities(self):
         """Counter mapping unordered pairs (min,max) to multiplicities; loops as (v,v)."""
-        return Counter((min(u, v), max(u, v)) for u, v in self.edges)
-
-    def neighbors(self):
-        """Adjacency map vertex -> Counter of {neighbor: multiplicity}, loops excluded."""
-        adj = {v: Counter() for v in range(self.vertex_count)}
-        for u, v in self.edges:
-            if u != v:
-                adj[u][v] += 1
-                adj[v][u] += 1
-        return adj
+        return Counter(e if e[0] <= e[1] else (e[1], e[0]) for e in self.edges)
 
     def is_connected(self):
         if self.vertex_count == 1:
@@ -67,20 +66,7 @@ class MultiGraph:
         # a spanning tree needs r - 1 edges; so per-vertex work below stays O(s)
         if self.vertex_count > len(self.edges) + 1:
             return False
-        adj = {v: set() for v in range(self.vertex_count)}
-        for u, v in self.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.vertex_count
+        return pairs_connected(self.vertex_count, self.pair_multiplicities())
 
     def without_edges(self, indices):
         """Copy with the edges at the given positions removed (order preserved)."""
@@ -94,8 +80,9 @@ class MultiGraph:
         )
 
     def __eq__(self, other):
+        # a quiver never equals a multigraph with the same edge list
         return (
-            isinstance(other, MultiGraph)
+            type(other) is type(self)
             and self.vertex_count == other.vertex_count
             and self.edges == other.edges
         )
@@ -104,18 +91,18 @@ class MultiGraph:
         return hash((self.vertex_count, self.edges))
 
     def __repr__(self):
-        return "MultiGraph(%d, %r)" % (self.vertex_count, list(self.edges))
+        return "%s(%d, %r)" % (type(self).__name__, self.vertex_count, list(self.edges))
 
 
-class Quiver:
-    """Directed multigraph; each edge is an ordered (source, target) pair."""
+class Quiver(MultiGraph):
+    """Directed multigraph; each edge is an ordered (source, target) pair.
 
-    __slots__ = ("vertex_count", "edges")
+    A MultiGraph already stores its edges as ordered pairs, so a quiver is a
+    multigraph whose stored order is read as the orientation.  Every function
+    that takes a multigraph takes a quiver as it is.
+    """
 
-    def __init__(self, vertex_count, edges):
-        g = MultiGraph(vertex_count, edges)
-        self.vertex_count = g.vertex_count
-        self.edges = g.edges
+    __slots__ = ()
 
     @classmethod
     def from_graph(cls, graph):
@@ -126,25 +113,22 @@ class Quiver:
         """Forget orientations; edge positions are preserved."""
         return MultiGraph(self.vertex_count, self.edges)
 
-    @property
-    def edge_count(self):
-        return len(self.edges)
 
-    def is_connected(self):
-        return self.underlying().is_connected()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash(("quiver", self.vertex_count, self.edges))
-
-    def __repr__(self):
-        return "Quiver(%d, %r)" % (self.vertex_count, list(self.edges))
+def pairs_connected(r, pairs):
+    """True iff the vertex pairs (u, v) join vertices 0..r-1 into one component."""
+    adj = [[] for _ in range(r)]
+    for u, v in pairs:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for y in adj[queue.popleft()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == r
 
 
 class VertexPartition:
@@ -204,8 +188,25 @@ class VertexPartition:
         return "VertexPartition(%r)" % (list(self.blocks),)
 
 
-def _as_multigraph(g):
-    return g.underlying() if isinstance(g, Quiver) else g
+def _check_size(r, s, what):
+    if r + s > MAX_GRAPH_SIZE:
+        raise ResourceLimitError(
+            "%s has %d vertices and %d edges; the limit is %d in all" % (what, r, s, MAX_GRAPH_SIZE)
+        )
+
+
+def _spectral_edges(partition, genus):
+    if genus < 2:
+        raise ValueError("genus must be at least 2, got %r" % genus)
+    parts = partition.parts
+    r = len(parts)
+    what = "the spectral dual graph of %s at genus %d" % (partition, genus)
+    _check_size(r, spectral_edge_count(partition, genus), what)
+    edges = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            edges.extend([(i, j)] * (parts[i] * parts[j] * (2 * genus - 2)))
+    return edges
 
 
 def spectral_dual_graph(partition, genus):
@@ -214,17 +215,10 @@ def spectral_dual_graph(partition, genus):
     One vertex per part, and n_i * n_j * (2g - 2) parallel edges between
     distinct vertices i and j; no loops.  Edges are listed in lexicographic
     pair order, consecutive within each pair.  Requires genus >= 2 (the
-    canonical bundle must be ample).
+    canonical bundle must be ample).  Raises ResourceLimitError before
+    building anything when r + s exceeds MAX_GRAPH_SIZE.
     """
-    if genus < 2:
-        raise ValueError("genus must be at least 2, got %r" % genus)
-    parts = partition.parts
-    r = len(parts)
-    edges = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            edges.extend([(i, j)] * (parts[i] * parts[j] * (2 * genus - 2)))
-    return MultiGraph(r, edges)
+    return MultiGraph(partition.r, _spectral_edges(partition, genus))
 
 
 def spectral_edge_count(partition, genus):
@@ -235,15 +229,14 @@ def spectral_edge_count(partition, genus):
 
 def spectral_dual_quiver(partition, genus):
     """spectral_dual_graph with each edge oriented from the smaller vertex index."""
-    return Quiver.from_graph(spectral_dual_graph(partition, genus))
+    return Quiver(partition.r, _spectral_edges(partition, genus))
 
 
 def betti1(graph):
     """First Betti number s - r + 1 of a connected multigraph."""
-    g = _as_multigraph(graph)
-    if not g.is_connected():
+    if not graph.is_connected():
         raise ValueError("betti1 requires a connected graph")
-    return g.edge_count - g.vertex_count + 1
+    return graph.edge_count - graph.vertex_count + 1
 
 
 def contract_counting_loops(quiver, vp):
@@ -308,15 +301,15 @@ def boundary_matrix(quiver):
     return IntMatrix(rows)
 
 
-def _refined_colors(r, mult, loops):
+def _refined_colors(r, pairs):
     """Stable 1-dimensional color refinement; returns vertex -> dense color id."""
     neigh = {v: [] for v in range(r)}
-    for (u, v), k in mult.items():
+    for (u, v), k in pairs.items():
         if u != v:
             neigh[u].append((v, k))
             neigh[v].append((u, k))
     initial = {
-        v: (loops.get(v, 0), tuple(sorted(k for _, k in neigh[v])))
+        v: (pairs.get((v, v), 0), tuple(sorted(k for _, k in neigh[v])))
         for v in range(r)
     }
     order = sorted(set(initial.values()))
@@ -334,31 +327,25 @@ def _refined_colors(r, mult, loops):
 
 
 def canonical_key(graph):
-    """Canonical byte string: equal for isomorphic multigraphs, distinct otherwise.
+    """Canonical byte string: equal for isomorphic multigraphs, distinct otherwise."""
+    return pairs_canonical_key(graph.vertex_count, graph.pair_multiplicities())
 
-    Minimizes the row-by-row adjacency encoding over all vertex orders
-    compatible with the refined color classes, pruning lexicographically
-    dominated prefixes, repeated (placed-set, prefix) states and twin
-    vertices.  The encoding contains the full multiplicity matrix, so the
-    key determines the graph up to isomorphism.
+
+def pairs_canonical_key(r, pairs):
+    """canonical_key of the multigraph on 0..r-1 with multiplicities {(u, v): k}, u <= v.
+
+    Every k must be positive; loops are the (v, v) entries.  Minimizes the
+    row-by-row adjacency encoding over all vertex orders compatible with the
+    refined color classes, pruning lexicographically dominated prefixes,
+    repeated (placed-set, prefix) states and twin vertices.  The encoding
+    contains the full multiplicity matrix, so the key determines the graph
+    up to isomorphism.
     """
-    g = _as_multigraph(graph)
-    r = g.vertex_count
-    mult = {}
-    loops = {}
-    for u, v in g.edges:
-        if u == v:
-            loops[u] = loops.get(u, 0) + 1
-        else:
-            key = (min(u, v), max(u, v))
-            mult[key] = mult.get(key, 0) + 1
 
     def m(u, v):
-        if u == v:
-            return loops.get(u, 0)
-        return mult.get((min(u, v), max(u, v)), 0)
+        return pairs.get((u, v) if u <= v else (v, u), 0)
 
-    colors = _refined_colors(r, mult, loops)
+    colors = _refined_colors(r, pairs)
     class_seq = sorted(colors.values())
 
     best = None
@@ -388,7 +375,7 @@ def canonical_key(graph):
         for v in candidates:
             dup = False
             for w in reps:
-                if loops.get(v, 0) != loops.get(w, 0):
+                if m(v, v) != m(w, w):
                     continue
                 if all(m(v, x) == m(w, x) for x in range(r) if x != v and x != w):
                     dup = True
@@ -396,7 +383,7 @@ def canonical_key(graph):
             if not dup:
                 reps.append(v)
         for v in reps:
-            row = (loops.get(v, 0),) + tuple(m(v, u) for u in placed)
+            row = (m(v, v),) + tuple(m(v, u) for u in placed)
             dfs(placed + (v,), prefix + row)
 
     dfs((), ())
@@ -405,6 +392,7 @@ def canonical_key(graph):
 
 def to_dot(graph, name="G"):
     """DOT text for visualization; quivers render as digraphs."""
+    _check_size(graph.vertex_count, graph.edge_count, "a graph to print as DOT")
     directed = isinstance(graph, Quiver)
     arrow = "->" if directed else "--"
     kind = "digraph" if directed else "graph"

@@ -50,9 +50,6 @@ class SimplicialComplex:
             return -2
         return max(len(f) for f in self.facets) - 1
 
-    def vertices(self):
-        return tuple(sorted({v for f in self.facets for v in f}))
-
     def faces_by_dim(self):
         """Map dimension -> lexicographically sorted faces; includes () at dimension -1."""
         if not self.facets:

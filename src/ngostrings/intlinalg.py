@@ -85,9 +85,6 @@ class IntMatrix:
                             oi[j] += a * b
         return IntMatrix(out)
 
-    def transpose(self):
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def is_zero(self):
         return all(v == 0 for row in self.data for v in row)
 

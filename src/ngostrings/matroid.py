@@ -14,7 +14,8 @@ k parallel edges contributes x + y + ... + y^(k-1) when it is a cut and
 splits into a full deletion plus a geometric-series-weighted contraction
 otherwise.  The spectral dual graphs are dense with large multiplicities, so
 bundling (plus a process-wide memo cache keyed by canonical graph form) is
-what keeps the recursion shallow.
+what keeps the recursion shallow.  The recursion runs on the pair
+multiplicities {(u, v): k} alone; no edge list is built below the top.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import threading
 from math import comb
 
-from .graphs import MultiGraph, Quiver, betti1, canonical_key
+from .graphs import betti1, pairs_canonical_key, pairs_connected
 
 
 class TuttePolynomial:
@@ -143,10 +144,6 @@ class TutteCache:
 DEFAULT_CACHE = TutteCache()
 
 
-def _as_multigraph(graph):
-    return graph.underlying() if isinstance(graph, Quiver) else graph
-
-
 class CographicMatroid:
     """Matroid on the edge positions of a connected multigraph.
 
@@ -157,11 +154,10 @@ class CographicMatroid:
     __slots__ = ("graph", "rank")
 
     def __init__(self, graph):
-        g = _as_multigraph(graph)
-        if not g.is_connected():
+        if not graph.is_connected():
             raise ValueError("cographic matroid requires a connected graph")
-        self.graph = g
-        self.rank = betti1(g)
+        self.graph = graph
+        self.rank = betti1(graph)
 
     @property
     def size(self):
@@ -193,56 +189,46 @@ class CographicMatroid:
         return [iset for iset in self.independent_sets() if len(iset) == self.rank]
 
 
-def _bundles(graph):
-    """Non-loop parallel classes as {(u, v): [edge indices]}."""
-    out = {}
-    for i, (u, v) in enumerate(graph.edges):
-        if u != v:
-            out.setdefault((min(u, v), max(u, v)), []).append(i)
-    return out
-
-
-def _merge_vertices(graph, a, b):
-    """Identify vertex b with a (b removed from the numbering)."""
-    assert a != b
+def _merge(pairs, a, b):
+    """Identify vertex b with a < b in a multiplicity map; b leaves the numbering."""
 
     def rename(v):
         if v == b:
             v = a
         return v - 1 if v > b else v
 
-    return MultiGraph(
-        graph.vertex_count - 1,
-        [(rename(u), rename(v)) for u, v in graph.edges],
-    )
+    out = {}
+    for (u, v), k in pairs.items():
+        u, v = sorted((rename(u), rename(v)))
+        out[(u, v)] = out.get((u, v), 0) + k
+    return out
 
 
-def _tutte(graph, cache):
-    key = canonical_key(graph)
+def _tutte(r, pairs, cache):
+    """Tutte polynomial of the connected multigraph with the given pair multiplicities."""
+    key = pairs_canonical_key(r, pairs)
     hit = cache.get(key)
     if hit is not None:
         return hit
 
-    loops = [i for i, (u, v) in enumerate(graph.edges) if u == v]
-    core = graph.without_edges(loops) if loops else graph
-    bundles = _bundles(core)
-    if not bundles:
+    loops = sum(k for (u, v), k in pairs.items() if u == v)
+    core = {(u, v): k for (u, v), k in pairs.items() if u != v}
+    if not core:
         poly = TuttePolynomial.one()
     else:
-        (u, v), members = max(bundles.items(), key=lambda kv: (len(kv[1]), (-kv[0][0], -kv[0][1])))
-        k = len(members)
-        deleted = core.without_edges(members)
-        contracted = _merge_vertices(deleted, u, v)
-        if deleted.is_connected():
-            poly = _tutte(deleted, cache) + TuttePolynomial.y_geometric(k) * _tutte(contracted, cache)
+        (u, v), k = max(core.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
+        del core[(u, v)]
+        contracted = _merge(core, u, v)
+        if pairs_connected(r, core):
+            poly = _tutte(r, core, cache) + TuttePolynomial.y_geometric(k) * _tutte(r - 1, contracted, cache)
         else:
             # the bundle is a cut: the last surviving edge is a bridge
             factor = TuttePolynomial.monomial(1, 0) + TuttePolynomial(
                 {(0, j): 1 for j in range(1, k)}
             )
-            poly = factor * _tutte(contracted, cache)
+            poly = factor * _tutte(r - 1, contracted, cache)
     if loops:
-        poly = TuttePolynomial.monomial(0, len(loops)) * poly
+        poly = TuttePolynomial.monomial(0, loops) * poly
     cache.put(key, poly)
     return poly
 
@@ -250,32 +236,15 @@ def _tutte(graph, cache):
 def tutte_polynomial(graph, cache=None):
     """Tutte polynomial of the graphic matroid of a connected multigraph.
 
-    Memoized deletion-contraction on parallel classes; the memo cache is
-    keyed by canonical graph form and shared across the process by default.
+    Memoized deletion-contraction on parallel classes of the pair
+    multiplicities; the memo cache is keyed by canonical graph form and
+    shared across the process by default.
     """
-    g = _as_multigraph(graph)
-    if not g.is_connected():
+    if not graph.is_connected():
         raise ValueError("Tutte polynomial requires a connected graph")
     if cache is None:
         cache = DEFAULT_CACHE
-    return _tutte(g, cache)
-
-
-def tutte_polynomial_naive(graph):
-    """Single-edge deletion-contraction without memoization (oracle path)."""
-    g = _as_multigraph(graph)
-    if not g.is_connected():
-        raise ValueError("Tutte polynomial requires a connected graph")
-    if g.edge_count == 0:
-        return TuttePolynomial.one()
-    u, v = g.edges[0]
-    rest = g.without_edges([0])
-    if u == v:
-        return TuttePolynomial.monomial(0, 1) * tutte_polynomial_naive(rest)
-    contracted = _merge_vertices(rest, min(u, v), max(u, v))
-    if rest.is_connected():
-        return tutte_polynomial_naive(rest) + tutte_polynomial_naive(contracted)
-    return TuttePolynomial.monomial(1, 0) * tutte_polynomial_naive(contracted)
+    return _tutte(graph.vertex_count, graph.pair_multiplicities(), cache)
 
 
 def top_betti(graph, cache=None):
@@ -285,12 +254,11 @@ def top_betti(graph, cache=None):
     T(0, 1).  A graph with b1 = 0 has the one-point complex; by convention
     the count is 1 there, so the open stratum always carries multiplicity 1.
     """
-    g = _as_multigraph(graph)
-    if not g.is_connected():
+    if not graph.is_connected():
         raise ValueError("top_betti requires a connected graph")
-    if betti1(g) == 0:
+    if betti1(graph) == 0:
         return 1
-    return tutte_polynomial(g, cache=cache).evaluate(1, 0)
+    return tutte_polynomial(graph, cache=cache).evaluate(1, 0)
 
 
 def f_h_vectors(matroid, cache=None):

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 
 from ngostrings.graphs import MultiGraph
+from ngostrings.matroid import TuttePolynomial
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of
 
 
@@ -23,6 +24,33 @@ def random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=F
             v = (v + 1) % r
         edges.append((u, v))
     return MultiGraph(r, edges)
+
+
+def _merge_vertices(graph, a, b):
+    """Identify vertex b with a (b removed from the numbering)."""
+
+    def rename(v):
+        if v == b:
+            v = a
+        return v - 1 if v > b else v
+
+    return MultiGraph(graph.vertex_count - 1, [(rename(u), rename(v)) for u, v in graph.edges])
+
+
+def tutte_polynomial_naive(graph):
+    """Oracle: single-edge deletion-contraction on the edge list, without memoization."""
+    if not graph.is_connected():
+        raise ValueError("Tutte polynomial requires a connected graph")
+    if graph.edge_count == 0:
+        return TuttePolynomial.one()
+    u, v = graph.edges[0]
+    rest = graph.without_edges([0])
+    if u == v:
+        return TuttePolynomial.monomial(0, 1) * tutte_polynomial_naive(rest)
+    contracted = _merge_vertices(rest, min(u, v), max(u, v))
+    if rest.is_connected():
+        return tutte_polynomial_naive(rest) + tutte_polynomial_naive(contracted)
+    return TuttePolynomial.monomial(1, 0) * tutte_polynomial_naive(contracted)
 
 
 def multiplicity_data(n):

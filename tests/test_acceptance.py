@@ -27,12 +27,11 @@ from ngostrings.matroid import (
     f_h_vectors,
     top_betti,
     tutte_polynomial,
-    tutte_polynomial_naive,
 )
 from ngostrings.partitions import Partition, partitions_of
 from ngostrings.strings import stabilization_codim, string_table, stratum_dims, table_report
 
-from conftest import brute_force_stabilization_codim, random_connected_multigraph
+from conftest import brute_force_stabilization_codim, random_connected_multigraph, tutte_polynomial_naive
 from test_matroid import brute_force_f_h, spanning_tree_count
 
 

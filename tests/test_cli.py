@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,26 @@ class TestGraphCommands:
         assert status == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--dot", "--quiver", "HUGE"],
+            ["graph", "--dot", "--directed", "--quiver", "HUGE"],
+            ["graph", "--partition", "2,1,1", "--genus", "1000000"],
+            ["tutte", "--partition", "2,1,1", "--genus", "1000000"],
+        ],
+    )
+    def test_graph_over_size_limit(self, capture, tmp_path, argv):
+        path = tmp_path / "huge.json"
+        path.write_text('{"format": "graph/1", "vertices": 1000000000, "edges": [[0, 1], [1, 2]]}')
+        start = time.perf_counter()
+        status, out, err = capture(*[str(path) if a == "HUGE" else a for a in argv])
+        assert time.perf_counter() - start < 1.0
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_graph_needs_source(self, capture):
         status, _, err = capture("graph")
@@ -276,6 +297,28 @@ class TestCache:
         assert path.read_bytes() == before
         assert "warning: could not write cache" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_earlier_cache_file_still_hits(self, capture, tmp_path):
+        # entries as written by the edge-list Tutte recursion for a tree
+        # plus one loop; the keys of the pair-multiplicity recursion must
+        # equal them, or cache files written before it stop hitting
+        entries = {
+            "(1, (0,))": [[0, 0, "1"]],
+            "(2, (0, 0, 1))": [[1, 0, "1"]],
+            "(3, (0, 0, 0, 0, 1, 1))": [[2, 0, "1"]],
+            "(4, (0, 0, 0, 0, 1, 1, 1, 0, 0, 1))": [[3, 1, "1"]],
+        }
+        written = {"format": "ngostrings-cache/1", "entries": entries}
+        graph = tmp_path / "tree.json"
+        graph.write_text('{"format": "graph/1", "vertices": 4, "edges": [[0, 1], [1, 2], [1, 3], [3, 3]]}')
+        warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
+        warm.write_text(json.dumps(written, indent=1, sort_keys=True) + "\n")
+        before = warm.read_bytes()
+        args = ("tutte", "--quiver", str(graph), "--eval", "1", "0", "--cache")
+        assert capture(*args, str(warm)) == (0, "T = x^3*y\nT(1,0) = 0\n", "")
+        assert warm.read_bytes() == before
+        assert capture(*args, str(cold)) == (0, "T = x^3*y\nT(1,0) = 0\n", "")
+        assert json.loads(cold.read_text()) == written
 
     def test_warm_cold_identical_output(self, capture, tmp_path):
         path = str(tmp_path / "cache.json")

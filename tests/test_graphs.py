@@ -3,6 +3,8 @@ from itertools import permutations
 
 import pytest
 
+from ngostrings import graphs
+from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
     Quiver,
@@ -76,6 +78,16 @@ class TestMultiGraph:
         # enough edges, but loops: the search decides
         assert not MultiGraph(3, [(0, 1), (1, 1), (2, 2)]).is_connected()
 
+    def test_quiver_is_a_multigraph_never_equal_to_one(self):
+        q = Quiver(2, [(0, 1)])
+        g = MultiGraph(2, [(0, 1)])
+        assert isinstance(q, MultiGraph)
+        assert q != g
+        assert g != q
+        assert q.underlying() == g and Quiver.from_graph(g) == q
+        assert repr(q) == "Quiver(2, [(0, 1)])"
+        assert repr(g) == "MultiGraph(2, [(0, 1)])"
+
 
 class TestSpectralDualGraph:
     def test_two_two_genus_two(self):
@@ -109,6 +121,22 @@ class TestSpectralDualGraph:
     def test_genus_guard(self):
         with pytest.raises(ValueError):
             spectral_dual_graph(Partition([2, 1]), 1)
+
+    def test_size_limit_checked_before_building(self):
+        # about 10**13 edges: refused from the edge count alone
+        for build in (spectral_dual_graph, spectral_dual_quiver):
+            with pytest.raises(ResourceLimitError):
+                build(Partition([2, 1, 1]), 10**12)
+
+    def test_size_limit_bounds_vertices_plus_edges(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 10)
+        assert spectral_dual_graph(Partition([1, 1]), 5).edge_count == 8
+        for build in (spectral_dual_graph, spectral_dual_quiver):
+            with pytest.raises(ResourceLimitError):
+                build(Partition([1, 1]), 6)
+        assert to_dot(MultiGraph(2, [(0, 1)] * 8)).count(" -- ") == 8
+        with pytest.raises(ResourceLimitError):
+            to_dot(Quiver(10, [(0, 1)]))
 
 
 class TestBetti:

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from ngostrings.graphs import MultiGraph, spectral_dual_graph
+from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectral_dual_graph, spectral_dual_quiver
 from ngostrings.matroid import (
     CographicMatroid,
     TutteCache,
@@ -12,11 +12,10 @@ from ngostrings.matroid import (
     f_h_vectors,
     top_betti,
     tutte_polynomial,
-    tutte_polynomial_naive,
 )
 from ngostrings.partitions import Partition, partitions_of
 
-from conftest import random_connected_multigraph
+from conftest import random_connected_multigraph, tutte_polynomial_naive
 
 BANANA2 = MultiGraph(2, [(0, 1), (0, 1)])
 TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -197,6 +196,33 @@ class TestTutte:
             poly = tutte_polynomial(g, cache=TutteCache())
             assert poly == tutte_polynomial_naive(g)
             assert all(c > 0 for c in poly.coeffs.values())
+
+    @pytest.mark.parametrize("n, entries", [(6, 58), (7, 121), (8, 248)])
+    def test_memo_entries_on_spectral_graphs(self, n, entries):
+        # one entry per canonical form the recursion meets; the counts are
+        # those of the edge-list recursion, so a change of key or bundle
+        # order shows here, and cache files written earlier still hit
+        cache = TutteCache()
+        g = spectral_dual_graph(Partition([1] * n), 2)
+        tutte_polynomial(g, cache=cache)
+        assert len(cache) == entries
+        assert cache.get(canonical_key(g)) is not None
+
+    def test_quiver_same_as_underlying(self):
+        rng = random.Random(23)
+        quivers = [spectral_dual_quiver(Partition(p), 2) for p in ([1, 1, 1], [2, 1, 1], [1, 1, 1, 1])]
+        while len(quivers) < 23:
+            g = random_connected_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=True)
+            quivers.append(Quiver.from_graph(g))
+        for q in quivers:
+            g = q.underlying()
+            assert tutte_polynomial(q, cache=TutteCache()) == tutte_polynomial(g, cache=TutteCache())
+            assert top_betti(q, cache=TutteCache()) == top_betti(g, cache=TutteCache())
+            assert betti1(q) == betti1(g)
+            assert canonical_key(q) == canonical_key(g)
+            mq, mg = CographicMatroid(q), CographicMatroid(g)
+            assert (mq.rank, mq.size) == (mg.rank, mg.size)
+            assert f_h_vectors(mq, cache=TutteCache()) == f_h_vectors(mg, cache=TutteCache())
 
     def test_warm_cache_identical(self):
         cache = TutteCache()
