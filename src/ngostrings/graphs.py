@@ -19,7 +19,7 @@ import json
 from collections import Counter, deque
 
 from .errors import ResourceLimitError
-from .intlinalg import IntMatrix
+from .intlinalg import MAX_DENSE_ENTRIES, IntMatrix
 
 GRAPH_FORMAT = "graph/1"
 
@@ -283,10 +283,18 @@ def boundary_matrix(quiver):
 
     The result is an (r-1) x s integer matrix; column k encodes edge k, and
     loops give zero columns.  Requires a connected quiver with r >= 2.
+    Raises ResourceLimitError before building anything when (r-1)*s exceeds
+    MAX_DENSE_ENTRIES.
     """
     r = quiver.vertex_count
     if r < 2:
         raise ValueError("boundary matrix needs at least 2 vertices")
+    entries = (r - 1) * quiver.edge_count
+    if entries > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(
+            "the boundary matrix of %d vertices and %d edges has %d dense entries; the limit is %d"
+            % (r, quiver.edge_count, entries, MAX_DENSE_ENTRIES)
+        )
     if not quiver.is_connected():
         raise ValueError("boundary matrix requires a connected quiver")
     rows = [[0] * quiver.edge_count for _ in range(r - 1)]
@@ -430,8 +438,9 @@ def load_graph(text):
         raise ValueError("graph file needs 'vertices' and 'edges' fields") from None
     if not _is_int(vertices):
         raise ValueError("graph file: 'vertices' must be an integer, got %r" % (vertices,))
+    # json.loads yields exact ints and lists, and type(True) is bool, not int
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e) for e in edges
+        type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise ValueError("graph file: 'edges' must be a list of [u, v] integer pairs")
     return Quiver(vertices, edges)

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 
 from ngostrings.graphs import MultiGraph
+from ngostrings.intlinalg import IntMatrix, NotBoundaryMapError, row_hermite_form, smith_normal_form
 from ngostrings.matroid import TuttePolynomial
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of
 
@@ -51,6 +52,24 @@ def tutte_polynomial_naive(graph):
     if rest.is_connected():
         return tutte_polynomial_naive(rest) + tutte_polynomial_naive(contracted)
     return TuttePolynomial.monomial(1, 0) * tutte_polynomial_naive(contracted)
+
+
+def gale_dual_via_smith(A):
+    """Oracle: Gale dual from the Smith transform V, whose columns past the rank span ker(A).
+
+    Surjectivity is read off the Smith invariants, and the kernel columns of
+    V are put in row Hermite form, so the result is the Hermite basis of
+    ker(A), as in gale_dual.
+    """
+    dec = smith_normal_form(A)
+    if dec.rank < A.rows or any(d != 1 for d in dec.invariants):
+        raise NotBoundaryMapError(
+            "matrix is not surjective over Z (Smith invariants %r)" % (dec.invariants,)
+        )
+    n = A.cols
+    kernel_rows = [dec.V.column(j) for j in range(dec.rank, n)]
+    basis = row_hermite_form(kernel_rows, n) if kernel_rows else []
+    return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
 
 
 def multiplicity_data(n):

@@ -181,6 +181,27 @@ class TestGale:
         assert payload["B"] == [["1"], ["-1"]]
         assert payload["exact"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gale", "--partition", "2,1,1", "--genus", "20000"],
+            ["gale", "--quiver", "PATH"],
+        ],
+    )
+    def test_over_dense_size_limit(self, capture, tmp_path, argv):
+        if "PATH" in argv:
+            path = tmp_path / "path.json"
+            edges = ", ".join("[%d, %d]" % (v, v + 1) for v in range(299999))
+            path.write_text('{"format": "graph/1", "vertices": 300000, "edges": [%s]}' % edges)
+            argv = [str(path) if a == "PATH" else a for a in argv]
+        start = time.perf_counter()
+        status, out, err = capture(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and "dense entries" in err
+        assert "Traceback" not in err
+
 
 class TestTutteCommand:
     def test_polynomial_and_eval(self, capture):

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from ngostrings.graphs import Quiver, boundary_matrix
+from ngostrings import intlinalg
+from ngostrings.errors import ResourceLimitError
+from ngostrings.graphs import Quiver, boundary_matrix, spectral_edge_count
 from ngostrings.intlinalg import (
+    MAX_DENSE_ENTRIES,
     IntMatrix,
     NotBoundaryMapError,
     gale_dual,
@@ -15,7 +18,7 @@ from ngostrings.intlinalg import (
 from ngostrings.partitions import Partition, partitions_of
 from ngostrings.graphs import spectral_dual_quiver
 
-from conftest import random_connected_multigraph
+from conftest import gale_dual_via_smith, random_connected_multigraph
 
 
 def det_bareiss(data):
@@ -108,6 +111,48 @@ class TestSmithNormalForm:
                 if i != j:
                     assert dec.S.data[i][j] == 0
 
+    # U, S, V as recorded before the unit-pivot short cuts; the last matrix has
+    # a 2 before the first unit in row-major order at some step
+    @pytest.mark.parametrize(
+        "data, U, S, V",
+        [
+            (
+                [[1, -1, 0], [0, 1, -1]],
+                [[1, 0], [0, 1]],
+                [[1, 0, 0], [0, 1, 0]],
+                [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+            ),
+            (
+                [[1, -1, 2, 0, -1], [1, 0, 2, -1, 1], [0, 1, 2, 2, -1], [0, 2, 0, 2, -2]],
+                [[1, 0, 0, 0], [-1, 1, 0, 0], [1, -1, 1, 0], [-2, 2, -4, 1]],
+                [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0]],
+                [
+                    [1, 1, 3, 0, 8],
+                    [0, 1, 1, 1, -2],
+                    [0, 0, -1, 0, -3],
+                    [0, 0, 1, -1, 6],
+                    [0, 0, 0, -1, 4],
+                ],
+            ),
+            (
+                [[-1, 1, -1, 2, -1], [1, -2, 0, 1, 1], [-2, -1, 0, 1, 0], [0, -1, 0, 1, 1]],
+                [[-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, 0, 1], [0, -2, -1, 5]],
+                [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+                [
+                    [1, 1, -2, 0, 1],
+                    [0, 1, -1, 0, 1],
+                    [0, 0, 1, -3, 8],
+                    [0, 0, 0, -1, 3],
+                    [0, 0, 0, 1, -2],
+                ],
+            ),
+        ],
+        ids=["triangle", "random-4x5-invariant-2", "random-4x5-unit-after-2"],
+    )
+    def test_frozen_transforms(self, data, U, S, V):
+        dec = smith_normal_form(IntMatrix(data))
+        assert (dec.U.data, dec.S.data, dec.V.data) == (U, S, V)
+
 
 class TestRank:
     def test_known_ranks(self):
@@ -155,10 +200,60 @@ class TestGaleDual:
         assert B.rows == 1 and B.cols == 0
 
     def test_not_surjective_rejected(self):
-        with pytest.raises(NotBoundaryMapError):
+        with pytest.raises(NotBoundaryMapError, match=r"Hermite diagonal \(2,\)"):
             gale_dual(IntMatrix([[2]]))
-        with pytest.raises(NotBoundaryMapError):
+        with pytest.raises(NotBoundaryMapError, match=r"Hermite diagonal \(1, 0\)"):
             gale_dual(IntMatrix([[1, 0], [1, 0]]))
+
+    def test_kernel_hermite_pivot_above_one(self):
+        A = IntMatrix([[3, -2]])
+        B = gale_dual(A)
+        assert B.data == [[2], [3]]
+        assert verify_exact(A, B).ok
+
+    def test_no_smith_form(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("gale_dual called smith_normal_form")
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+        assert gale_dual(boundary_matrix(TRIANGLE)).data == [[1], [1], [1]]
+
+    def test_same_as_smith_oracle_on_random_matrices(self):
+        rng = random.Random(20)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2400):
+            A = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 8), bound=rng.choice([1, 2, 6]))
+            try:
+                expected = gale_dual_via_smith(A)
+            except NotBoundaryMapError:
+                with pytest.raises(NotBoundaryMapError):
+                    gale_dual(A)
+                outcomes[False] += 1
+                continue
+            assert gale_dual(A) == expected, A
+            outcomes[True] += 1
+        assert min(outcomes.values()) > 500
+
+    def test_same_as_smith_oracle_on_random_multigraphs(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
+            if g.vertex_count < 2:
+                continue
+            A = boundary_matrix(Quiver.from_graph(g))
+            assert gale_dual(A) == gale_dual_via_smith(A), g
+
+    def test_size_limit(self):
+        with pytest.raises(ResourceLimitError, match="dense entries"):
+            gale_dual(IntMatrix([[1] * 1000]))
+        path = Quiver(1002, [(v, v + 1) for v in range(1001)])
+        with pytest.raises(ResourceLimitError, match="dense entries"):
+            boundary_matrix(path)
+
+    def test_size_limit_admits_genus_60(self):
+        s = spectral_edge_count(Partition((2, 1, 1)), 60)
+        assert s == 590
+        assert s * (2 + s) <= MAX_DENSE_ENTRIES
 
 
 class TestVerifyExact:
