@@ -51,6 +51,7 @@ from .matroid import (
     TutteCache,
     TuttePolynomial,
     f_h_vectors,
+    spectral_tutte_polynomial,
     top_betti,
     tutte_polynomial,
 )

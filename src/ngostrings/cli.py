@@ -25,6 +25,7 @@ from .graphs import (
     dump_graph,
     load_graph,
     spectral_dual_quiver,
+    spectral_edge_count,
     to_dot,
 )
 from .homology import matroid_complex, reduced_homology_ranks
@@ -34,7 +35,9 @@ from .matroid import (
     CographicMatroid,
     TutteCache,
     TuttePolynomial,
+    _f_h_vectors,
     f_h_vectors,
+    spectral_tutte_polynomial,
     tutte_polynomial,
 )
 from .partitions import Partition, admissible_partitions, local_system_rank, partitions_of, stabilizer_order
@@ -118,13 +121,21 @@ def _parse_partition(text):
     return Partition.from_string(text)
 
 
-def _resolve_quiver(args):
+def _spectral_input(args):
+    """(partition, genus) of a --partition/--genus input; None for --quiver FILE."""
     if getattr(args, "quiver", None):
-        with open(args.quiver, "r", encoding="utf-8") as handle:
-            return load_graph(handle.read())
+        return None
     if getattr(args, "partition", None) is None or getattr(args, "genus", None) is None:
         raise ValueError("provide either --quiver FILE or --partition P with --genus G")
-    return spectral_dual_quiver(_parse_partition(args.partition), args.genus)
+    return _parse_partition(args.partition), args.genus
+
+
+def _resolve_quiver(args):
+    spectral = _spectral_input(args)
+    if spectral is None:
+        with open(args.quiver, "r", encoding="utf-8") as handle:
+            return load_graph(handle.read())
+    return spectral_dual_quiver(*spectral)
 
 
 def _cache_path(args):
@@ -273,12 +284,14 @@ def cmd_gale(args):
 
 
 def cmd_tutte(args):
-    quiver = _resolve_quiver(args)
-
-    def work(cache):
-        return tutte_polynomial(quiver, cache=cache)
-
-    poly = _with_cache(args, work)
+    # partition inputs take the exponential-formula engine, which builds no
+    # graph and leaves the cache entries as they are
+    spectral = _spectral_input(args)
+    if spectral is None:
+        quiver = _resolve_quiver(args)
+        poly = _with_cache(args, lambda cache: tutte_polynomial(quiver, cache=cache))
+    else:
+        poly = _with_cache(args, lambda cache: spectral_tutte_polynomial(*spectral))
     value = poly.evaluate(args.eval[0], args.eval[1]) if args.eval else None
     if args.json:
         payload = {
@@ -297,28 +310,33 @@ def cmd_tutte(args):
 
 
 def cmd_matroid(args):
-    quiver = _resolve_quiver(args)
-    matroid = CographicMatroid(quiver)
-
-    def work(cache):
-        return f_h_vectors(matroid, cache=cache)
-
-    f, h = _with_cache(args, work)
+    spectral = _spectral_input(args)
+    if spectral is None:
+        matroid = CographicMatroid(_resolve_quiver(args))
+        edges, rank = matroid.size, matroid.rank
+        f, h = _with_cache(args, lambda cache: f_h_vectors(matroid, cache=cache))
+    else:
+        partition, genus = spectral
+        edges = spectral_edge_count(partition, genus)
+        rank = edges - partition.r + 1
+        f, h = _with_cache(
+            args, lambda cache: _f_h_vectors(rank, lambda: spectral_tutte_polynomial(partition, genus))
+        )
     spheres = h[-1]  # T_graphic(1, 0), the top_betti sphere count
     if args.json:
         _print_json(
             {
                 "command": "matroid",
-                "edges": matroid.size,
-                "rank": matroid.rank,
+                "edges": edges,
+                "rank": rank,
                 "f": list(f),
                 "h": list(h),
                 "top_betti": spheres,
             }
         )
         return 0
-    print("edges: %d" % matroid.size)
-    print("rank: %d" % matroid.rank)
+    print("edges: %d" % edges)
+    print("rank: %d" % rank)
     print("f: %s" % ", ".join(str(v) for v in f))
     print("h: %s" % ", ".join(str(v) for v in h))
     print("top_betti: %d" % spheres)

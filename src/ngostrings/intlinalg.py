@@ -104,14 +104,10 @@ class IntMatrix:
     def __str__(self):
         if not self.data:
             return "[]"
-        if self.cols == 0:
-            return "\n".join("[]" for _ in self.data)
-        widths = [max(len(str(self.data[i][j])) for i in range(self.rows)) for j in range(self.cols)]
-        lines = []
-        for row in self.data:
-            cells = [str(v).rjust(widths[j]) for j, v in enumerate(row)]
-            lines.append("[" + " ".join(cells) + "]")
-        return "\n".join(lines)
+        # a column's widest entry is its largest or its smallest one
+        widths = [max(len(str(max(column))), len(str(min(column)))) for column in zip(*self.data)]
+        line = "[" + " ".join("%%%dd" % w for w in widths) + "]"
+        return "\n".join(line % tuple(row) for row in self.data)
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.data,)

@@ -1,4 +1,4 @@
-"""Cographic matroids and Tutte polynomials by memoized deletion-contraction.
+"""Cographic matroids and Tutte polynomials, by two algorithms.
 
 The cographic matroid of a connected multigraph has the edges as ground set;
 a subset is independent when deleting it leaves the graph connected, so the
@@ -9,21 +9,31 @@ in every semismall decomposition downstream) is T_graphic(1, 0), and the
 f- and h-vectors of the complex are read off T_graphic(1, y).  Independent
 sets are enumerated only by the brute-force homology oracle.
 
-Deletion-contraction processes a whole parallel class at a time: a bundle of
-k parallel edges contributes x + y + ... + y^(k-1) when it is a cut and
-splits into a full deletion plus a geometric-series-weighted contraction
-otherwise.  The spectral dual graphs are dense with large multiplicities, so
-bundling (plus a process-wide memo cache keyed by canonical graph form) is
-what keeps the recursion shallow.  The recursion runs on the pair
-multiplicities {(u, v): k} alone; no edge list is built below the top.
+tutte_polynomial takes any connected multigraph (the `--quiver` inputs, and
+every graph that top_betti and the strata see).  It is memoized
+deletion-contraction on a whole parallel class at a time: a bundle of k
+parallel edges contributes x + y + ... + y^(k-1) when it is a cut and splits
+into a full deletion plus a geometric-series-weighted contraction otherwise.
+Bundling plus a process-wide memo cache keyed by canonical graph form keeps
+the recursion shallow; it runs on the pair multiplicities {(u, v): k} alone.
+
+spectral_tutte_polynomial takes a partition and a genus (the `--partition`
+inputs of `tutte` and `matroid`) and never builds the graph.  Vertices with
+equal parts are twins, so a vertex set is a sub-multiset of the partition,
+and the random-cluster expansion is summed by the exponential formula over
+sub-multisets (Sokal, arXiv:math/0503607; Bjorklund-Husfeldt-Kaski-Koivisto,
+arXiv:0711.2585).  It reads and writes no memo cache.
 """
 
 from __future__ import annotations
 
 import threading
-from math import comb
+from collections import Counter
+from itertools import accumulate, product
+from math import comb, prod
 
-from .graphs import betti1, pairs_canonical_key, pairs_connected
+from .errors import ResourceLimitError
+from .graphs import betti1, pairs_canonical_key, pairs_connected, spectral_edge_count
 
 
 class TuttePolynomial:
@@ -247,6 +257,141 @@ def tutte_polynomial(graph, cache=None):
     return _tutte(graph.vertex_count, graph.pair_multiplicities(), cache)
 
 
+# Bound on the work estimate of spectral_tutte_polynomial, checked before
+# anything is allocated.  The estimate is P * r * L^2: P = prod_k C(m_k+2, 2)
+# pairs of nested sub-multisets of the partition (m_k the multiplicities of its
+# distinct parts), r the number of x-coefficients each pair multiplies, and
+# L = K * (b1 + 1) the bit length of one polynomial in y packed into an
+# integer, with K an upper bound on the bit length of the spanning-tree count.
+# L^2, the schoolbook cost of one product of L-bit integers, overstates
+# CPython's Karatsuba product, but it grows with the genus fast enough to
+# bound the output of r * (b1 + 1) terms as well.  Near the bound (2-core
+# Xeon, Python 3.11, one fresh process each), `tutte --json` answers 1^33 at
+# genus 2 in 1.0 s (1^34 is refused), 2,1,1 at genus 16 384 in 1.5 s and
+# 230 MiB, and 1,1 at genus 293 408 in 4.8 s and 550 MiB; 10,9,...,1 at genus
+# 2 would take 18 s.
+MAX_SPECTRAL_WORK = 2 * 10**15
+
+# f_h_vectors refuses a matroid of larger rank before any work.  The f-vector
+# has rank + 1 entries of up to s bits, and the Taylor shift that computes it
+# adds about rank^2 / 2 of them: `matroid --partition 2,1,1 --genus 501`
+# (rank 4998) answers in about 3 s, and rank 10 000 would take about 20 s.
+MAX_F_VECTOR_RANK = 5000
+
+
+def _spectral_work(partition, genus):
+    """Work estimate of spectral_tutte_polynomial, from the partition and genus alone."""
+    parts = partition.parts
+    r, n = len(parts), partition.n
+    b1 = spectral_edge_count(partition, genus) - r + 1
+    bits = (
+        (r - 1) * (2 * genus - 2).bit_length()
+        + (r - 2) * n.bit_length()
+        + sum(p.bit_length() for p in parts)
+    )
+    length = bits * (b1 + 1)
+    pairs = prod(comb(m + 2, 2) for m in Counter(parts).values())
+    return pairs * r * length * length
+
+
+def spectral_tutte_polynomial(partition, genus):
+    """Tutte polynomial of spectral_dual_graph(partition, genus), without building the graph.
+
+    Equal to tutte_polynomial of that graph, coefficient for coefficient.  A
+    vertex set of the graph is a sub-multiset a of the partition, with
+    e(a) = (g-1)(N(a)^2 - Q(a)) internal edges, N the sum and Q the sum of
+    squares of its parts.  With v* a vertex of the first nonempty class of a,
+    and c(a, b) the number of vertex sets of type b that contain v* inside
+    one of type a:
+
+    - Chat(a) = y^e(a) - sum over v* in b < a of c(a, b) Chat(b) y^e(a-b)
+      sums (y-1)^|A| over the connected spanning edge sets A of a;
+    - C(a) = Chat(a) / (y-1)^(|a|-1), an exact division;
+    - P(a) = sum over v* in b <= a of c(a, b) (x-1) C(b) P(a-b), P(0) = 1;
+    - T = P(partition) / (x-1).
+
+    A polynomial in y is held as its value at y = 2^K, one integer, where
+    2^K exceeds the spanning-tree count (2g-2)^(r-1) n^(r-2) prod n_i =
+    T(1, 1).  That bounds every coefficient of T, so they are the base-2^K
+    digits of the values.  Raises ResourceLimitError before any work when
+    the work estimate exceeds MAX_SPECTRAL_WORK.
+    """
+    if genus < 2:
+        raise ValueError("genus must be at least 2, got %r" % genus)
+    r = partition.r
+    if r == 1:
+        return TuttePolynomial.one()
+    work = _spectral_work(partition, genus)
+    if work > MAX_SPECTRAL_WORK:
+        raise ResourceLimitError(
+            "the Tutte polynomial of the spectral dual graph of %s at genus %d needs about "
+            "2^%d units of work; the limit is about 2^%d"
+            % (partition, genus, work.bit_length(), MAX_SPECTRAL_WORK.bit_length())
+        )
+
+    n = partition.n
+    trees = (2 * genus - 2) ** (r - 1) * n ** (r - 2) * prod(partition.parts)
+    K = -(-trees.bit_length() // 4) * 4  # whole hex digits
+    counts = Counter(partition.parts)
+    values = sorted(counts, reverse=True)
+    mults = [counts[v] for v in values]
+    # every sub-multiset in lexicographic order: a sits at position
+    # sum_k a_k * strides[k], so every b <= a comes before it
+    states = list(product(*[range(m + 1) for m in mults]))
+    strides = [prod(m + 1 for m in mults[k + 1 :]) for k in range(len(mults))]
+    shift = []
+    for a in states:
+        total = sum(k * v for k, v in zip(a, values))
+        squares = sum(k * v * v for k, v in zip(a, values))
+        shift.append(K * (genus - 1) * (total * total - squares))
+    powers = [1]
+    for _ in range(r - 1):
+        powers.append(powers[-1] * ((1 << K) - 1))
+
+    chat = [0] * len(states)
+    conn = [0] * len(states)
+    cluster = [[1]] + [None] * (len(states) - 1)  # P(a) as coefficients of (x-1)^d
+    for i in range(1, len(states)):
+        a = states[i]
+        # every b <= a with b_first >= 1, as (position, c(a, b)) factors per class
+        first = next(k for k, x in enumerate(a) if x)
+        choices = [[(0, 1)]] * first
+        choices.append([(b * strides[first], comb(a[first] - 1, b - 1)) for b in range(1, a[first] + 1)])
+        for k in range(first + 1, len(a)):
+            choices.append([(b * strides[k], comb(a[k], b)) for b in range(a[k] + 1)])
+        subsets = [(sum(j for j, _ in pick), prod(c for _, c in pick)) for pick in product(*choices)]
+
+        value = 1 << shift[i]
+        for j, c in subsets:
+            if j != i:
+                value -= (c * chat[j]) << shift[i - j]
+        chat[i] = value
+        conn[i] = value // powers[sum(a) - 1]
+
+        out = [0] * (sum(a) + 1)
+        for j, c in subsets:
+            weight = c * conn[j]
+            for d, v in enumerate(cluster[i - j]):
+                if v:
+                    out[d + 1] += weight * v
+        cluster[i] = out
+
+    # T = sum_d P_d (x-1)^(d-1) over the whole partition, expanded in powers of x
+    last = cluster[-1]
+    digits = K // 4
+    coeffs = {}
+    for i in range(r):
+        value = sum(comb(d - 1, i) * (-1) ** (d - 1 - i) * last[d] for d in range(i + 1, r + 1))
+        text = format(value, "x")
+        text = "0" * (-len(text) % digits) + text
+        degree = len(text) // digits - 1
+        for k in range(degree + 1):
+            c = int(text[k * digits : (k + 1) * digits], 16)
+            if c:
+                coeffs[(i, degree - k)] = c
+    return TuttePolynomial(coeffs)
+
+
 def top_betti(graph, cache=None):
     """Number of top-dimensional spheres in the matroid complex of the cographic matroid.
 
@@ -269,10 +414,24 @@ def f_h_vectors(matroid, cache=None):
     T_graphic(1, x) (Bjorner, "Homology and shellability of matroids and
     geometric lattices", 1992), so its top entry is the sphere count
     T_graphic(1, 0).  f follows by f[k] = sum_{i<=k} C(rank-i, k-i) h[i].
+    Raises ResourceLimitError before any work when the rank exceeds
+    MAX_F_VECTOR_RANK.
     """
-    rank = matroid.rank
+    return _f_h_vectors(matroid.rank, lambda: tutte_polynomial(matroid.graph, cache=cache))
+
+
+def _f_h_vectors(rank, tutte):
+    """f_h_vectors of a cographic matroid of the given rank; tutte() is its graphic Tutte polynomial."""
+    if rank > MAX_F_VECTOR_RANK:
+        raise ResourceLimitError(
+            "the f-vector of a matroid of rank %d is past the limit of rank %d" % (rank, MAX_F_VECTOR_RANK)
+        )
     h = [0] * (rank + 1)
-    for (_, j), c in tutte_polynomial(matroid.graph, cache=cache).coeffs.items():
+    for (_, j), c in tutte().coeffs.items():
         h[rank - j] += c
-    f = [sum(comb(rank - i, k - i) * h[i] for i in range(k + 1)) for k in range(rank + 1)]
+    # sum_k f[k] t^(rank-k) = sum_i h[i] (t+1)^(rank-i): a Taylor shift by
+    # one, done as rank passes of prefix sums
+    f = h[:]
+    for m in range(rank + 1, 1, -1):
+        f[:m] = accumulate(f[:m])
     return tuple(f), tuple(h)

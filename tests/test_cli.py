@@ -1,5 +1,6 @@
 import json
 import time
+from math import factorial
 
 import pytest
 
@@ -228,6 +229,33 @@ class TestTutteCommand:
         assert "spheres: 2" in out
         assert "wedge: ok" in out
 
+    @pytest.mark.parametrize(
+        "argv, answer",
+        [
+            (["tutte", "--partition", ",".join(["1"] * 16), "--genus", "2", "--eval", "1", "0"],
+             "T(1,0) = %d\n" % factorial(15)),
+            (["tutte", "--partition", "13,12,11,10,9,8,7,6,5,4,3,2,1", "--genus", "2"], None),
+            (["matroid", "--partition", "13,12,11,10,9,8,7,6,5,4,3,2,1", "--genus", "2"], None),
+            (["tutte", "--partition", ",".join(["1"] * 200), "--genus", "2"], None),
+            (["matroid", "--partition", ",".join(["1"] * 200), "--genus", "2"], None),
+            (["matroid", "--partition", "2,1,1", "--genus", "10000"], None),
+        ],
+    )
+    def test_answer_or_quick_refusal(self, capture, argv, answer):
+        # partition inputs that deletion-contraction did not finish: each one
+        # answers, or is refused before any work
+        start = time.perf_counter()
+        status, out, err = capture(*argv)
+        if answer is not None:
+            assert (status, err) == (0, "")
+            assert out.endswith(answer)
+            return
+        assert time.perf_counter() - start < 1.0
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_threads_option_is_a_usage_error(self, capture):
         status, _, _ = capture("tutte", "--partition", "2,1,1", "--genus", "2", "--threads", "4")
         assert status == 2
@@ -340,6 +368,17 @@ class TestCache:
         assert warm.read_bytes() == before
         assert capture(*args, str(cold)) == (0, "T = x^3*y\nT(1,0) = 0\n", "")
         assert json.loads(cold.read_text()) == written
+
+    @pytest.mark.parametrize("command", ["tutte", "matroid"])
+    def test_partition_runs_leave_entries(self, capture, tmp_path, command):
+        path = tmp_path / "cache.json"
+        cache = TutteCache()
+        cache.put(b"(2, (0, 0, 2))", TuttePolynomial({(1, 0): 1, (0, 1): 1}))
+        cache_store(str(path), cache)
+        before = path.read_bytes()
+        status, _, _ = capture(command, "--partition", "2,1,1", "--genus", "2", "--cache", str(path))
+        assert status == 0
+        assert path.read_bytes() == before
 
     def test_warm_cold_identical_output(self, capture, tmp_path):
         path = str(tmp_path / "cache.json")

@@ -66,6 +66,21 @@ class TestIntMatrix:
         text = str(IntMatrix([[1, -1, 0], [0, 1, -1]]))
         assert text == "[1 -1  0]\n[0  1 -1]"
 
+    @pytest.mark.parametrize(
+        "rows, text",
+        [
+            (
+                [[-12, 3, 100, 0], [5, -1000, 0, 7], [0, 7, -8, 123456]],
+                "[-12     3 100      0]\n[  5 -1000   0      7]\n[  0     7  -8 123456]",
+            ),
+            ([], "[]"),
+            ([[], []], "[]\n[]"),
+        ],
+    )
+    def test_str_frozen(self, rows, text):
+        # each column is right-aligned to its own widest entry, signs included
+        assert str(IntMatrix(rows)) == text
+
     def test_entries_row_major(self):
         assert IntMatrix([[1, 2], [3, 4]]).entries == (1, 2, 3, 4)
 

@@ -1,15 +1,19 @@
 import random
+import time
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
+from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectral_dual_graph, spectral_dual_quiver
 from ngostrings.matroid import (
+    MAX_F_VECTOR_RANK,
     CographicMatroid,
     TutteCache,
     TuttePolynomial,
     f_h_vectors,
+    spectral_tutte_polynomial,
     top_betti,
     tutte_polynomial,
 )
@@ -299,6 +303,13 @@ class TestFHVectors:
         assert f == (1, 4, 6, 4)
         assert h == (1, 1, 1, 1)
 
+    def test_rank_limit_before_work(self):
+        g = MultiGraph(2, [(0, 1)] * (MAX_F_VECTOR_RANK + 2))
+        cache = TutteCache()
+        with pytest.raises(ResourceLimitError):
+            f_h_vectors(CographicMatroid(g), cache=cache)
+        assert len(cache) == 0
+
     def test_top_h_equals_sphere_count(self):
         for n in range(2, 5):
             for p in partitions_of(n):
@@ -308,3 +319,56 @@ class TestFHVectors:
                 m = CographicMatroid(g)
                 _, h = f_h_vectors(m)
                 assert h[-1] == top_betti(g)
+
+
+class TestSpectralTutte:
+    ORACLE_INPUTS = (
+        [(p, g) for n in range(1, 7) for p in partitions_of(n) for g in (2, 3)]
+        + [(Partition([1] * r), 2) for r in (7, 8, 9)]
+        + [(Partition([2, 1, 1, 1]), 4)]
+    )
+
+    def test_equals_deletion_contraction(self):
+        # the memoized deletion-contraction of the built graph is the oracle
+        cache = TutteCache()
+        for p, g in self.ORACLE_INPUTS:
+            expected = tutte_polynomial(spectral_dual_graph(p, g), cache=cache)
+            assert spectral_tutte_polynomial(p, g) == expected, (p, g)
+
+    def test_single_part_is_one(self):
+        for n in (1, 2, 5):
+            assert spectral_tutte_polynomial(Partition([n]), 2) == TuttePolynomial.one()
+
+    @pytest.mark.parametrize("parts, genus", [([2, 1], 1), ([3], 0), ([1, 1, 1], -4)])
+    def test_genus_below_two_same_error(self, parts, genus):
+        with pytest.raises(ValueError) as built:
+            spectral_dual_graph(Partition(parts), genus)
+        with pytest.raises(ValueError) as engine:
+            spectral_tutte_polynomial(Partition(parts), genus)
+        assert str(engine.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "parts, genus",
+        [([1] * 20, 2), ([2, 1, 1], 1000), ([4, 3, 3, 2, 2, 1, 1, 1, 1], 2)],
+    )
+    def test_closed_forms(self, parts, genus):
+        p = Partition(parts)
+        r, n = p.r, p.n
+        s = (genus - 1) * (n * n - sum(v * v for v in parts))
+        poly = spectral_tutte_polynomial(p, genus)
+        # weighted Cayley formula for the edge weights (2g-2) n_i n_j
+        assert poly.evaluate(1, 1) == (2 * genus - 2) ** (r - 1) * n ** (r - 2) * prod(parts)
+        assert poly.evaluate(2, 2) == 2**s
+        assert poly.evaluate(1, 0) == factorial(r - 1)
+        assert max(i for i, _ in poly.coeffs) == r - 1
+        assert max(j for _, j in poly.coeffs) == s - r + 1
+
+    @pytest.mark.parametrize(
+        "parts, genus",
+        [(range(13, 0, -1), 2), ([1] * 200, 2), ([2, 1, 1], 10**6), ([1, 1], 10**4000)],
+    )
+    def test_refused_before_work(self, parts, genus):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            spectral_tutte_polynomial(Partition(parts), genus)
+        assert time.perf_counter() - start < 1.0

@@ -20,5 +20,5 @@ def test_library_example():
             expected.append(int(lines[node.end_lineno - 1].split("#", 1)[1].split()[0]))
         else:
             exec(code, namespace)
-    assert expected == [80, 8, 2]
+    assert expected == [80, 8, 2, 2]
     assert got == expected
