@@ -17,11 +17,10 @@ constant are asserted against each other on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimitError
 from .graphs import (
-    Quiver,
     VertexPartition,
     betti1,
     boundary_matrix,
@@ -33,12 +32,10 @@ from .matroid import top_betti
 from .partitions import set_partitions
 
 
-@dataclass(frozen=True)
-class CircuitRelation:
+class CircuitRelation(namedtuple("CircuitRelation", "index coefficients")):
     """One circuit relation sum_e a[e] * z_e * w_e, for a row index i in 2..r."""
 
-    index: int
-    coefficients: tuple
+    __slots__ = ()
 
     def __str__(self):
         pieces = []
@@ -61,31 +58,30 @@ class CircuitRelation:
         return " ".join(pieces) if pieces else "0"
 
 
-@dataclass(frozen=True)
-class StratumRecord:
-    """One stratum of the vertex-partition stratification."""
+class StratumRecord(
+    namedtuple(
+        "StratumRecord",
+        "vp contracted deleted_loops b1_contracted codim_in_X codim_in_Y fiber_dim multiplicity",
+    )
+):
+    """One stratum of the vertex-partition stratification.
 
-    vp: VertexPartition
-    contracted: Quiver
-    deleted_loops: int
-    b1_contracted: int
-    codim_in_X: int
-    codim_in_Y: int
-    fiber_dim: int
-    multiplicity: int
+    vp is the VertexPartition and contracted the Quiver contracted along it.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SmallnessCertificate:
-    passed: bool
-    violations: tuple
+class SmallnessCertificate(namedtuple("SmallnessCertificate", "passed violations")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed
 
 
-@dataclass(frozen=True)
-class LocalModelDims:
+class LocalModelDims(
+    namedtuple("LocalModelDims", "n g partition s b1 d_dim c_dim dim_M dim_Y dim_X dim_Jbar")
+):
     """Dimension constants of the local model of the moduli embedding.
 
     dim_M = 2*(n^2*(g-1)+1) is the moduli dimension, dim_Y = 2*b1 and
@@ -94,19 +90,10 @@ class LocalModelDims:
     and d_dim, c_dim the two smooth-factor dimensions.
     """
 
-    n: int
-    g: int
-    partition: object
-    s: int
-    b1: int
-    d_dim: int
-    c_dim: int
-    dim_M: int
-    dim_Y: int
-    dim_X: int
-    dim_Jbar: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dim_M != self.dim_Y + 2 * self.d_dim + 2 * self.g + 2:
             raise RuntimeError(
                 "internal consistency failure: dim_M != dim_Y + 2*d + 2g + 2 for %s" % (self.partition,)
@@ -115,6 +102,7 @@ class LocalModelDims:
             raise RuntimeError(
                 "internal consistency failure: dim_Jbar != dim_X + c for %s" % (self.partition,)
             )
+        return self
 
 
 def lawrence_dims(quiver):

@@ -13,7 +13,7 @@ position) so decompositions reproduce bit for bit across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimitError
 
@@ -113,13 +113,10 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.data,)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U S V")):
     """Unimodular U, V with U*A*V = S, S diagonal with divisibility chain."""
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    __slots__ = ()
 
     @property
     def invariants(self):
@@ -394,17 +391,15 @@ def gale_dual(A):
     return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(
+    namedtuple(
+        "ExactnessReport",
+        "ok product_is_zero b_injective a_surjective_over_z spans_kernel saturated failures",
+    )
+):
     """Condition-by-condition certificate for 0 -> Z^b1 -B-> Z^s -A-> Z^(r-1) -> 0."""
 
-    ok: bool
-    product_is_zero: bool
-    b_injective: bool
-    a_surjective_over_z: bool
-    spans_kernel: bool
-    saturated: bool
-    failures: tuple
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -38,7 +38,7 @@ ranks binom(2*dim_S, l) * (r-1)! of a string.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import groupby
 
 from .graphs import spectral_edge_count
@@ -60,30 +60,26 @@ class ModelInconsistencyError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class StratumDims:
+class StratumDims(
+    namedtuple(
+        "StratumDims",
+        "partition g dim_A dim_S codim_S component_genera genus_sum delta spectral_genus psi",
+    )
+):
     """Dimension data of the stratum of a partition at genus g.
 
     dim_A is the full base dimension n^2*(g-1)+1, dim_S the stratum
     dimension (the sum of the component base dimensions, which are also the
     genera of the normalized spectral curve components), delta the first
-    Betti number of the spectral dual graph.  codim_S = delta is asserted on
-    construction, as is the arithmetic-genus identity for the nodal spectral
-    curve.
+    Betti number of the spectral dual graph.  codim_S = delta and dim_S =
+    genus_sum are asserted on construction; stratum_dims also asserts the
+    arithmetic-genus identity for the nodal spectral curve.
     """
 
-    partition: object
-    g: int
-    dim_A: int
-    dim_S: int
-    codim_S: int
-    component_genera: tuple
-    genus_sum: int
-    delta: int
-    spectral_genus: int
-    psi: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.codim_S != self.delta:
             raise RuntimeError(
                 "internal consistency failure: codim %d != b1 %d for %s"
@@ -91,17 +87,13 @@ class StratumDims:
             )
         if self.dim_S != self.genus_sum:
             raise RuntimeError("internal consistency failure: dim_S != genus sum")
+        return self
 
 
-@dataclass(frozen=True)
-class StringTable:
+class StringTable(namedtuple("StringTable", "n d q ranks multiplier_partitions", defaults=((),))):
     """Rank table partition -> leading local-system rank for one (n, d)."""
 
-    n: int
-    d: int
-    q: int
-    ranks: dict
-    multiplier_partitions: tuple = field(default=())
+    __slots__ = ()
 
     def rank(self, partition):
         return self.ranks[partition]

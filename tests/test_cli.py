@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 import time
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +421,18 @@ class TestTextDetails:
         assert out.strip().endswith("# contributions weighted by local-system rank > 1: 2,2,2")
         _, out4, _ = capture("strings", "--n", "4", "--d", "2")
         assert "#" not in out4
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_heavy_stdlib_modules(self):
+        # Every CLI run pays for what `import ngostrings.cli` loads. These
+        # modules come in with `dataclasses` and cost about 12 ms a process.
+        # -S keeps out the site-packages imports, which are not this package's.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys; sys.path.insert(0, %r); import ngostrings.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules])"
+        ) % src
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

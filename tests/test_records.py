@@ -1,0 +1,159 @@
+"""The result records: construction, field access, immutability and equality.
+
+These tests hold for any immutable record design (frozen dataclasses or
+named tuples), so they pin the behaviour callers rely on, not the
+implementation.  Fields are copied through explicit name lists for the
+same reason.
+"""
+
+import pytest
+
+from ngostrings.graphs import Quiver, VertexPartition
+from ngostrings.hypertoric import (
+    CircuitRelation,
+    LocalModelDims,
+    SmallnessCertificate,
+    StratumRecord,
+    local_model_dims,
+)
+from ngostrings.intlinalg import ExactnessReport, IntMatrix, SmithDecomposition, smith_normal_form
+from ngostrings.partitions import Partition
+from ngostrings.strings import StratumDims, StringTable, stratum_dims
+
+STRATUM_DIMS_FIELDS = (
+    "partition", "g", "dim_A", "dim_S", "codim_S", "component_genera",
+    "genus_sum", "delta", "spectral_genus", "psi",
+)
+LOCAL_MODEL_FIELDS = (
+    "n", "g", "partition", "s", "b1", "d_dim", "c_dim", "dim_M", "dim_Y", "dim_X", "dim_Jbar",
+)
+
+
+def _fields(record, names):
+    return {name: getattr(record, name) for name in names}
+
+
+def _stratum_record_fields(multiplicity=2):
+    return dict(
+        vp=VertexPartition([[0, 1], [2]]),
+        contracted=Quiver(2, [(0, 1), (0, 1)]),
+        deleted_loops=1,
+        b1_contracted=1,
+        codim_in_X=3,
+        codim_in_Y=2,
+        fiber_dim=1,
+        multiplicity=multiplicity,
+    )
+
+
+# (record class, keyword arguments) for one valid record of each class;
+# every call builds new field objects
+def _examples():
+    dims = stratum_dims(Partition([2, 1, 1]), 3)
+    local = local_model_dims(Partition([2, 1, 1]), 3)
+    eye = IntMatrix([[1, 0], [0, 1]])
+    return [
+        (SmithDecomposition, dict(U=eye, S=IntMatrix([[1, 0], [0, 2]]), V=eye)),
+        (
+            ExactnessReport,
+            dict(
+                ok=False, product_is_zero=True, b_injective=True, a_surjective_over_z=False,
+                spans_kernel=True, saturated=True, failures=("A not surjective over Z",),
+            ),
+        ),
+        (StratumDims, _fields(dims, STRATUM_DIMS_FIELDS)),
+        (StringTable, dict(n=4, d=2, q=2, ranks={Partition([4]): 0}, multiplier_partitions=())),
+        (CircuitRelation, dict(index=2, coefficients=(1, -1))),
+        (StratumRecord, _stratum_record_fields()),
+        (SmallnessCertificate, dict(passed=False, violations=(StratumRecord(**_stratum_record_fields(-1)),))),
+        (LocalModelDims, _fields(local, LOCAL_MODEL_FIELDS)),
+    ]
+
+
+EXAMPLES = _examples()
+IDS = [cls.__name__ for cls, _ in EXAMPLES]
+
+
+@pytest.mark.parametrize("cls, kwargs", EXAMPLES, ids=IDS)
+def test_keyword_construction_and_field_access(cls, kwargs):
+    record = cls(**kwargs)
+    for name, value in kwargs.items():
+        assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize("cls, kwargs", EXAMPLES, ids=IDS)
+def test_fields_cannot_be_assigned(cls, kwargs):
+    record = cls(**kwargs)
+    for name, value in kwargs.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, twin", [(cls, kwargs, twin) for (cls, kwargs), (_, twin) in zip(EXAMPLES, _examples())], ids=IDS
+)
+def test_equal_records_compare_and_hash_equal(cls, kwargs, twin):
+    a, b = cls(**kwargs), cls(**twin)
+    assert a == b
+    if cls in (StringTable, SmithDecomposition):
+        # a dict or an IntMatrix field is unhashable, so the record is too
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_circuit_relation_repr_and_str():
+    relation = CircuitRelation(index=2, coefficients=(1, -1))
+    assert repr(relation) == "CircuitRelation(index=2, coefficients=(1, -1))"
+    assert str(relation) == "z1*w1 - z2*w2"
+
+
+def test_bool_follows_ok_and_passed():
+    kwargs = dict(
+        product_is_zero=True, b_injective=True, a_surjective_over_z=True,
+        spans_kernel=True, saturated=True, failures=(),
+    )
+    assert bool(ExactnessReport(ok=True, **kwargs)) is True
+    assert bool(ExactnessReport(ok=False, **kwargs)) is False
+    assert bool(SmallnessCertificate(passed=True, violations=())) is True
+    violation = StratumRecord(**_stratum_record_fields(-1))
+    assert bool(SmallnessCertificate(passed=False, violations=(violation,))) is False
+
+
+def test_string_table_multiplier_partitions_default():
+    table = StringTable(n=4, d=1, q=1, ranks={Partition([4]): 1})
+    assert table.multiplier_partitions == ()
+    assert table.rank(Partition([4])) == 1
+
+
+def test_smith_decomposition_invariants_and_rank():
+    dec = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    assert dec.invariants == (2, 6, 12)
+    assert dec.rank == 3
+    dec = smith_normal_form(IntMatrix([[1, 2], [2, 4], [3, 6]]))
+    assert dec.invariants == (1,)
+    assert dec.rank == 1
+    assert SmithDecomposition(U=dec.U, S=dec.S, V=dec.V) == dec
+
+
+class TestConsistencyChecks:
+    """Each dimension identity checked on construction, broken one at a time."""
+
+    # codim_S = delta; dim_S = genus_sum
+    @pytest.mark.parametrize("name", ["codim_S", "dim_S"])
+    def test_stratum_dims(self, name):
+        fields = _fields(stratum_dims(Partition([2, 1, 1]), 3), STRATUM_DIMS_FIELDS)
+        StratumDims(**fields)
+        fields[name] += 1
+        with pytest.raises(RuntimeError, match="^internal consistency failure"):
+            StratumDims(**fields)
+
+    # dim_M = dim_Y + 2*d + 2g + 2; dim_Jbar = dim_X + c
+    @pytest.mark.parametrize("name", ["dim_M", "dim_Jbar"])
+    def test_local_model_dims(self, name):
+        fields = _fields(local_model_dims(Partition([2, 1, 1]), 3), LOCAL_MODEL_FIELDS)
+        LocalModelDims(**fields)
+        fields[name] += 1
+        with pytest.raises(RuntimeError, match="^internal consistency failure"):
+            LocalModelDims(**fields)
