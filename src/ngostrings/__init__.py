@@ -9,9 +9,6 @@ from .graphs import (
     betti1,
     boundary_matrix,
     canonical_key,
-    contract,
-    contract_counting_loops,
-    double,
     dump_graph,
     load_graph,
     spectral_dual_graph,

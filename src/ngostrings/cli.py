@@ -385,7 +385,7 @@ def cmd_strata(args):
                 "strata": [
                     {
                         "blocks": str(rec.vp),
-                        "s": rec.contracted.edge_count,
+                        "s": rec.s_contracted,
                         "b1": rec.b1_contracted,
                         "codim_X": rec.codim_in_X,
                         "codim_Y": rec.codim_in_Y,
@@ -402,7 +402,7 @@ def cmd_strata(args):
     rows = [
         [
             str(rec.vp),
-            str(rec.contracted.edge_count),
+            str(rec.s_contracted),
             str(rec.b1_contracted),
             str(rec.codim_in_X),
             str(rec.codim_in_Y),

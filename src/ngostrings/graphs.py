@@ -53,9 +53,6 @@ class MultiGraph:
     def edge_count(self):
         return len(self.edges)
 
-    def loop_count(self):
-        return sum(1 for u, v in self.edges if u == v)
-
     def pair_multiplicities(self):
         """Counter mapping unordered pairs (min,max) to multiplicities; loops as (v,v)."""
         return Counter(e if e[0] <= e[1] else (e[1], e[0]) for e in self.edges)
@@ -161,9 +158,6 @@ class VertexPartition:
     def one_block(cls, r):
         return cls([tuple(range(r))])
 
-    def vertex_set(self):
-        return set(v for b in self.blocks for v in b)
-
     def block_of(self):
         """Map vertex -> index of its block (blocks sorted by minimum element)."""
         out = {}
@@ -237,45 +231,6 @@ def betti1(graph):
     if not graph.is_connected():
         raise ValueError("betti1 requires a connected graph")
     return graph.edge_count - graph.vertex_count + 1
-
-
-def contract_counting_loops(quiver, vp):
-    """Contract each block of ``vp`` to a point; drop loops, count them.
-
-    Edges joining distinct blocks survive with the induced orientation and
-    in the input order; edges internal to a block would become loops and are
-    deleted.  Returns (contracted quiver, number of deleted loops).
-    """
-    if not isinstance(vp, VertexPartition):
-        vp = VertexPartition(vp)
-    if vp.vertex_set() != set(range(quiver.vertex_count)):
-        raise ValueError(
-            "vertex partition %s does not cover vertices 0..%d" % (vp, quiver.vertex_count - 1)
-        )
-    index = vp.block_of()
-    edges = []
-    dropped = 0
-    for u, v in quiver.edges:
-        bu, bv = index[u], index[v]
-        if bu == bv:
-            dropped += 1
-        else:
-            edges.append((bu, bv))
-    return Quiver(len(vp.blocks), edges), dropped
-
-
-def contract(quiver, vp):
-    """Contract each block of ``vp`` to a point, deleting the resulting loops."""
-    return contract_counting_loops(quiver, vp)[0]
-
-
-def double(quiver):
-    """The doubled quiver: edge k becomes edges 2k (same direction) and 2k+1 (reversed)."""
-    edges = []
-    for u, v in quiver.edges:
-        edges.append((u, v))
-        edges.append((v, u))
-    return Quiver(quiver.vertex_count, edges)
 
 
 def boundary_matrix(quiver):

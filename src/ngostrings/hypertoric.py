@@ -24,11 +24,10 @@ from .graphs import (
     VertexPartition,
     betti1,
     boundary_matrix,
-    canonical_key,
-    contract_counting_loops,
+    pairs_canonical_key,
     spectral_edge_count,
 )
-from .matroid import top_betti
+from .matroid import DEFAULT_CACHE, _tutte
 from .partitions import set_partitions
 
 
@@ -61,12 +60,14 @@ class CircuitRelation(namedtuple("CircuitRelation", "index coefficients")):
 class StratumRecord(
     namedtuple(
         "StratumRecord",
-        "vp contracted deleted_loops b1_contracted codim_in_X codim_in_Y fiber_dim multiplicity",
+        "vp s_contracted deleted_loops b1_contracted codim_in_X codim_in_Y fiber_dim multiplicity",
     )
 ):
     """One stratum of the vertex-partition stratification.
 
-    vp is the VertexPartition and contracted the Quiver contracted along it.
+    vp is the VertexPartition.  Contracting each of its blocks to a point
+    and deleting the edges inside blocks leaves s_contracted edges and first
+    Betti number b1_contracted; deleted_loops counts the deleted edges.
     """
 
     __slots__ = ()
@@ -127,7 +128,11 @@ def circuit_relations(quiver):
 
 
 def _stratum_geometry(quiver):
-    """Yield (vp, contracted, deleted_loops, b1_contracted, s_contracted) per vertex partition."""
+    """Yield (vp, contracted, deleted_loops, b1_contracted, s_contracted) per vertex partition.
+
+    contracted holds the pair multiplicities {(a, b): k}, a < b, of the
+    contraction along vp, with the blocks numbered as in vp.block_of().
+    """
     r = quiver.vertex_count
     if r > 12:
         raise ResourceLimitError(
@@ -135,10 +140,35 @@ def _stratum_geometry(quiver):
         )
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
+    # contracting a connected quiver leaves it connected, so b1 = s - blocks + 1
+    pairs = quiver.pair_multiplicities()
     for blocks in set_partitions(range(r)):
         vp = VertexPartition(blocks)
-        contracted, dropped = contract_counting_loops(quiver, vp)
-        yield vp, contracted, dropped, betti1(contracted), contracted.edge_count
+        index = vp.block_of()
+        contracted = {}
+        dropped = 0
+        for (u, v), k in pairs.items():
+            a, b = index[u], index[v]
+            if a == b:
+                dropped += k
+            else:
+                pair = (a, b) if a < b else (b, a)
+                contracted[pair] = contracted.get(pair, 0) + k
+        s = quiver.edge_count - dropped
+        yield vp, contracted, dropped, s - len(blocks) + 1, s
+
+
+def _record(vp, dropped, b1c, sc, multiplicity):
+    return StratumRecord(
+        vp=vp,
+        s_contracted=sc,
+        deleted_loops=dropped,
+        b1_contracted=b1c,
+        codim_in_X=b1c + sc,
+        codim_in_Y=2 * b1c,
+        fiber_dim=b1c,
+        multiplicity=multiplicity,
+    )
 
 
 def enumerate_strata(quiver, cache=None):
@@ -149,22 +179,16 @@ def enumerate_strata(quiver, cache=None):
     counts of the contracted cographic matroid complexes.  Output is sorted
     by (codimension, canonical key of the contraction, blocks).
     """
-    records = []
+    if cache is None:
+        cache = DEFAULT_CACHE
+    keyed = []
     for vp, contracted, dropped, b1c, sc in _stratum_geometry(quiver):
-        records.append(
-            StratumRecord(
-                vp=vp,
-                contracted=contracted,
-                deleted_loops=dropped,
-                b1_contracted=b1c,
-                codim_in_X=b1c + sc,
-                codim_in_Y=2 * b1c,
-                fiber_dim=b1c,
-                multiplicity=top_betti(contracted, cache=cache),
-            )
-        )
-    records.sort(key=lambda rec: (rec.codim_in_Y, rec.codim_in_X, canonical_key(rec.contracted), rec.vp.blocks))
-    return records
+        key = pairs_canonical_key(len(vp), contracted)
+        # the sphere count T(1, 0); the one-point complex of b1 = 0 counts 1
+        multiplicity = _tutte(len(vp), contracted, cache, key).evaluate(1, 0) if b1c else 1
+        keyed.append(((2 * b1c, b1c + sc, key, vp.blocks), _record(vp, dropped, b1c, sc, multiplicity)))
+    keyed.sort(key=lambda item: item[0])
+    return [rec for _, rec in keyed]
 
 
 def certify_small(quiver):
@@ -176,22 +200,10 @@ def certify_small(quiver):
     s(contraction).  Returns a certificate carrying any violating strata.
     """
     violations = []
-    for vp, contracted, dropped, b1c, sc in _stratum_geometry(quiver):
-        if len(vp.blocks) < 2:
-            continue
-        if not b1c < sc:
-            violations.append(
-                StratumRecord(
-                    vp=vp,
-                    contracted=contracted,
-                    deleted_loops=dropped,
-                    b1_contracted=b1c,
-                    codim_in_X=b1c + sc,
-                    codim_in_Y=2 * b1c,
-                    fiber_dim=b1c,
-                    multiplicity=-1,  # not computed for violating strata
-                )
-            )
+    for vp, _, dropped, b1c, sc in _stratum_geometry(quiver):
+        if len(vp.blocks) >= 2 and not b1c < sc:
+            # the multiplicity is not computed for violating strata
+            violations.append(_record(vp, dropped, b1c, sc, -1))
     return SmallnessCertificate(passed=not violations, violations=tuple(violations))
 
 

@@ -9,8 +9,9 @@ in every semismall decomposition downstream) is T_graphic(1, 0), and the
 f- and h-vectors of the complex are read off T_graphic(1, y).  Independent
 sets are enumerated only by the brute-force homology oracle.
 
-tutte_polynomial takes any connected multigraph (the `--quiver` inputs, and
-every graph that top_betti and the strata see).  It is memoized
+tutte_polynomial takes any connected multigraph (the `--quiver` inputs and
+every graph that top_betti sees; the strata hand their contractions to the
+same engine as pair multiplicities, with no graph built).  It is memoized
 deletion-contraction on a whole parallel class at a time: a bundle of k
 parallel edges contributes x + y + ... + y^(k-1) when it is a cut and splits
 into a full deletion plus a geometric-series-weighted contraction otherwise.
@@ -214,9 +215,14 @@ def _merge(pairs, a, b):
     return out
 
 
-def _tutte(r, pairs, cache):
-    """Tutte polynomial of the connected multigraph with the given pair multiplicities."""
-    key = pairs_canonical_key(r, pairs)
+def _tutte(r, pairs, cache, key=None):
+    """Tutte polynomial of the connected multigraph with the given pair multiplicities.
+
+    key, when given, must be pairs_canonical_key(r, pairs); a caller that
+    already holds it saves recomputing it for the memo lookup.
+    """
+    if key is None:
+        key = pairs_canonical_key(r, pairs)
     hit = cache.get(key)
     if hit is not None:
         return hit

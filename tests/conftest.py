@@ -3,7 +3,7 @@
 import math
 from collections import Counter
 
-from ngostrings.graphs import MultiGraph
+from ngostrings.graphs import MultiGraph, Quiver, VertexPartition
 from ngostrings.intlinalg import IntMatrix, NotBoundaryMapError, row_hermite_form, smith_normal_form
 from ngostrings.matroid import TuttePolynomial
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of
@@ -36,6 +36,31 @@ def _merge_vertices(graph, a, b):
         return v - 1 if v > b else v
 
     return MultiGraph(graph.vertex_count - 1, [(rename(u), rename(v)) for u, v in graph.edges])
+
+
+def contract_counting_loops(quiver, vp):
+    """Oracle: contract each block of ``vp`` to a point on the edge list; drop loops, count them.
+
+    Edges joining distinct blocks survive with the induced orientation and
+    in the input order; edges internal to a block would become loops and are
+    deleted.  Returns (contracted quiver, number of deleted loops).
+    """
+    if not isinstance(vp, VertexPartition):
+        vp = VertexPartition(vp)
+    if {v for b in vp.blocks for v in b} != set(range(quiver.vertex_count)):
+        raise ValueError(
+            "vertex partition %s does not cover vertices 0..%d" % (vp, quiver.vertex_count - 1)
+        )
+    index = vp.block_of()
+    edges = []
+    dropped = 0
+    for u, v in quiver.edges:
+        bu, bv = index[u], index[v]
+        if bu == bv:
+            dropped += 1
+        else:
+            edges.append((bu, bv))
+    return Quiver(len(vp.blocks), edges), dropped
 
 
 def tutte_polynomial_naive(graph):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -272,6 +273,22 @@ class TestStrataAndDims:
         assert len(lines) == 6  # header + Bell(3)
         assert lines[1].split()[0] == "0,1,2"
         assert lines[-1].split() == ["0|1|2", "6", "4", "10", "8", "4", "2", "0"]
+
+    @pytest.mark.parametrize(
+        "label, argv",
+        [
+            ("strata 1,1,1,1,1,1 g=2", ["--partition", "1,1,1,1,1,1", "--genus", "2"]),
+            ("strata 1,1,1,1,1,1,1 g=2", ["--partition", "1,1,1,1,1,1,1", "--genus", "2"]),
+            ("strata 2,1,1,1 g=3", ["--partition", "2,1,1,1", "--genus", "3"]),
+        ],
+    )
+    def test_strata_matches_recorded_digest(self, capture, monkeypatch, label, argv):
+        # the stdout digests the bench records once and never re-records
+        digests = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        status, out, _ = capture("strata", *argv)
+        assert status == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digests[label]
 
     def test_local_model(self, capture):
         status, out, _ = capture("local-model", "--partition", "2", "--genus", "2")

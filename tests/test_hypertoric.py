@@ -1,7 +1,16 @@
+import random
+
 import pytest
 
 from ngostrings.errors import ResourceLimitError
-from ngostrings.graphs import Quiver, boundary_matrix, spectral_dual_quiver
+from ngostrings.graphs import (
+    Quiver,
+    VertexPartition,
+    betti1,
+    boundary_matrix,
+    canonical_key,
+    spectral_dual_quiver,
+)
 from ngostrings.hypertoric import (
     certify_small,
     circuit_relations,
@@ -10,7 +19,10 @@ from ngostrings.hypertoric import (
     local_decomposition,
     local_model_dims,
 )
-from ngostrings.partitions import Partition, partitions_of
+from ngostrings.matroid import TutteCache, top_betti
+from ngostrings.partitions import Partition, partitions_of, set_partitions
+
+from conftest import contract_counting_loops, random_connected_multigraph
 
 BANANA = Quiver(2, [(0, 1), (0, 1)])
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
@@ -94,11 +106,37 @@ class TestStrata:
             for rec in records:
                 assert rec.codim_in_Y == 2 * rec.b1_contracted
                 assert rec.fiber_dim == rec.b1_contracted
-                assert rec.codim_in_X == rec.b1_contracted + rec.contracted.edge_count
+                assert rec.codim_in_X == rec.b1_contracted + rec.s_contracted
                 assert 2 * rec.fiber_dim == rec.codim_in_Y
             assert records[0].multiplicity == 1
             codims = [rec.codim_in_Y for rec in records]
             assert codims == sorted(codims)
+
+    def test_records_match_edge_list_contraction(self):
+        rng = random.Random(2022)
+        quivers = [Quiver.from_graph(random_connected_multigraph(rng, allow_loops=True)) for _ in range(25)]
+        quivers += [spectral_dual_quiver(p, 2) for n in range(2, 5) for p in partitions_of(n)]
+        for quiver in quivers:
+            cache = TutteCache()
+            records = enumerate_strata(quiver, cache=cache)
+            oracle_cache = TutteCache()
+            expected = []
+            for blocks in set_partitions(range(quiver.vertex_count)):
+                vp = VertexPartition(blocks)
+                contracted, dropped = contract_counting_loops(quiver, vp)
+                b1 = betti1(contracted)
+                fields = (contracted.edge_count, dropped, b1, top_betti(contracted, cache=oracle_cache))
+                expected.append(((2 * b1, b1 + contracted.edge_count, canonical_key(contracted), vp.blocks), fields))
+            expected.sort(key=lambda item: item[0])
+            assert [rec.vp.blocks for rec in records] == [key[3] for key, _ in expected], quiver
+            for rec, (_, fields) in zip(records, expected):
+                assert (rec.s_contracted, rec.deleted_loops, rec.b1_contracted, rec.multiplicity) == fields, (
+                    quiver,
+                    rec.vp,
+                )
+            # the memo entries, and so the `strata --cache` files, are those
+            # of top_betti on the built contractions
+            assert dict(cache.items()) == dict(oracle_cache.items())
 
     def test_vertex_guard(self):
         path = Quiver(13, [(v, v + 1) for v in range(12)])
@@ -137,15 +175,16 @@ class TestLocalDecomposition:
         assert rec.codim_in_Y == 0 and mult == 1
 
     def test_deepest_multiplicity_matches_factorial(self):
+        # every contraction of a spectral quiver has a complete underlying
+        # graph, and T(1, 0) of a graph on k vertices with complete underlying
+        # graph counts its acyclic orientations with one fixed source: (k-1)!
         from math import factorial
 
         for n in range(2, 5):
             for p in partitions_of(n):
-                q = spectral_dual_quiver(p, 2)
-                records = enumerate_strata(q)
-                deepest = records[-1]
-                if len(deepest.vp.blocks) == q.vertex_count:
-                    assert deepest.multiplicity == factorial(p.r - 1)
+                for g in (2, 3):
+                    for rec in enumerate_strata(spectral_dual_quiver(p, g)):
+                        assert rec.multiplicity == factorial(len(rec.vp.blocks) - 1), (p, g, rec.vp)
 
 
 class TestLocalModelDims:

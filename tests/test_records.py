@@ -8,7 +8,7 @@ same reason.
 
 import pytest
 
-from ngostrings.graphs import Quiver, VertexPartition
+from ngostrings.graphs import VertexPartition
 from ngostrings.hypertoric import (
     CircuitRelation,
     LocalModelDims,
@@ -36,7 +36,7 @@ def _fields(record, names):
 def _stratum_record_fields(multiplicity=2):
     return dict(
         vp=VertexPartition([[0, 1], [2]]),
-        contracted=Quiver(2, [(0, 1), (0, 1)]),
+        s_contracted=2,
         deleted_loops=1,
         b1_contracted=1,
         codim_in_X=3,
