@@ -14,7 +14,6 @@ identical with a warm or cold cache.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -49,6 +48,8 @@ CACHE_ENV_VAR = "NGO_STRINGS_CACHE"
 
 def cache_load(path):
     """Load a Tutte cache file; any problem yields a warning and a cold cache."""
+    import json
+
     cache = TutteCache()
     try:
         with open(path, "r", encoding="ascii") as handle:
@@ -80,6 +81,8 @@ def cache_store(path, cache):
     over the old one, so a failed or concurrent write never leaves a
     truncated cache behind.
     """
+    import json
+
     entries = {}
     for key, poly in sorted(cache.items()):
         entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
@@ -114,6 +117,8 @@ def _stringify(obj):
 
 
 def _print_json(payload):
+    import json
+
     print(json.dumps(_stringify(payload), indent=2))
 
 

@@ -15,7 +15,6 @@ entirely adequate at the sizes arising here (at most a dozen vertices).
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 
 from .errors import ResourceLimitError
@@ -370,6 +369,8 @@ def to_dot(graph, name="G"):
 
 def dump_graph(graph):
     """Serialize a graph or quiver to the versioned text format."""
+    import json
+
     payload = {
         "format": GRAPH_FORMAT,
         "vertices": graph.vertex_count,
@@ -380,6 +381,8 @@ def dump_graph(graph):
 
 def load_graph(text):
     """Parse the versioned text format; returns a Quiver (pairs read as source, target)."""
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

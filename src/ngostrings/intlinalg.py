@@ -6,8 +6,12 @@ A: Z^s -> Z^(r-1): their saturated kernel bases (Gale duals) fit into the
 exact sequence 0 -> Z^b1 -B-> Z^s -A-> Z^(r-1) -> 0, which verify_exact
 certifies condition by condition.
 
-Pivot selection is deterministic everywhere (smallest magnitude, ties by
-position) so decompositions reproduce bit for bit across platforms.
+Pivot selection is deterministic everywhere, so decompositions reproduce
+bit for bit across platforms.  The Smith form pivots on the entry of
+smallest magnitude, ties by position.  The sparse rank elimination pivots in
+the shortest live row, on its entry of smallest magnitude, then fewest
+column rows, then lowest column; its unit pivots double as the exactness
+certificate of verify_exact.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from .errors import ResourceLimitError
 
 # Bound on the entries of a dense matrix built for a boundary map or a Gale
 # dual, checked before anything is allocated.  Each entry is a pointer in a
-# Python list, and the Hermite and Smith forms pass over the rows many times,
-# so time and memory grow faster than the entry count: near the bound, `gale`
-# on 2,1,1 at genus 100 (990 edges, n*(m+n) = 982 080) answers in about 2 s
-# and 80 MiB, while a 199 990-edge graph would need a 4*10^10-entry matrix.
+# Python list, and the Hermite form passes over the rows many times, so time
+# and memory grow faster than the entry count: near the bound, `gale` on
+# 2,1,1 at genus 100 (990 edges, n*(m+n) = 982 080) answers in about 1 s and
+# 55 MiB (fresh process, 2-core Xeon, Python 3.11), while a 199 990-edge
+# graph would need a 4*10^10-entry matrix.
 MAX_DENSE_ENTRIES = 10**6
 
 
@@ -237,51 +242,60 @@ def smith_normal_form(A):
     return SmithDecomposition(U=IntMatrix(U), S=IntMatrix(S), V=IntMatrix(V))
 
 
-def sparse_rank(rows):
-    """Rank over Q of a matrix given as sparse rows (dicts col -> value).
+def _eliminate(rows):
+    """Fraction-free elimination of sparse rows (dicts col -> value): (rank, unimodular).
 
-    Fraction-free: row combinations are integer cross-multiplications
-    followed by a gcd renormalization, which preserves the row space over Q.
-    Pivots are chosen deterministically: smallest magnitude first, then
-    smallest Markowitz fill estimate, then position.
+    Row combinations are integer cross-multiplications followed by a gcd
+    renormalization, which preserves the row space over Q.  The pivot is an
+    entry of the shortest live row (ties by index): the one of smallest
+    magnitude, then with the fewest live rows in its column, then in the
+    lowest column.  The rank does not depend on that choice.
+
+    ``unimodular`` stays true while every pivot is +-1 and no row is divided
+    by a gcd above 1.  Each step then replaces rows by +-row - a*pivot row,
+    so the pivot rows and pivot columns of the input form a minor of size
+    rank that equals +-1.  The gcd of those minors is the product of the
+    Smith invariants (Cohen, GTM 138, section 2.4), so every one of them is 1.
     """
+    from heapq import heapify, heappop, heappush
+
     work = {}
     col_rows = {}
+    unimodular = True
     for i, row in enumerate(rows):
         entries = {j: int(v) for j, v in row.items() if v}
         if not entries:
             continue
-        g = math.gcd(*entries.values()) if len(entries) > 1 else abs(next(iter(entries.values())))
+        g = math.gcd(*entries.values())
         if g > 1:
+            unimodular = False
             entries = {j: v // g for j, v in entries.items()}
         work[i] = entries
         for j in entries:
             col_rows.setdefault(j, set()).add(i)
 
+    # (length, index) of every live row, stale entries skipped when popped
+    queue = [(len(row), i) for i, row in work.items()]
+    heapify(queue)
     rank = 0
-    while work:
-        best = None
-        for i in sorted(work):
-            row = work[i]
-            rweight = len(row) - 1
-            for j in sorted(row):
-                v = abs(row[j])
-                cost = (v, rweight * (len(col_rows[j]) - 1), i, j)
-                if best is None or cost < best:
-                    best = cost
-        _, _, pi, pj = best
-        prow = work[pi]
+    while queue:
+        length, pi = heappop(queue)
+        prow = work.get(pi)
+        if prow is None or len(prow) != length:
+            continue
+        del work[pi]
+        pj = min(prow, key=lambda j: (abs(prow[j]), len(col_rows[j]), j))
         p = prow[pj]
-        for i in sorted(col_rows[pj]):
-            if i == pi:
-                continue
+        if p != 1 and p != -1:
+            unimodular = False
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in list(col_rows[pj]):
             row = work[i]
             a = row[pj]
             g = math.gcd(p, a)
             fr, fp = p // g, a // g
-            merged = {}
-            for j, v in row.items():
-                merged[j] = fr * v
+            merged = {j: fr * v for j, v in row.items()}
             for j, v in prow.items():
                 nv = merged.get(j, 0) - fp * v
                 if nv:
@@ -295,24 +309,34 @@ def sparse_rank(rows):
                 if j not in row:
                     col_rows.setdefault(j, set()).add(i)
             if merged:
-                g2 = math.gcd(*merged.values()) if len(merged) > 1 else abs(next(iter(merged.values())))
-                if g2 > 1:
-                    merged = {j: v // g2 for j, v in merged.items()}
+                g = math.gcd(*merged.values())
+                if g > 1:
+                    unimodular = False
+                    merged = {j: v // g for j, v in merged.items()}
                 work[i] = merged
+                heappush(queue, (len(merged), i))
             else:
                 del work[i]
-        for j in prow:
-            col_rows[j].discard(pi)
-        del work[pi]
         rank += 1
-    return rank
+    return rank, unimodular
+
+
+def sparse_rank(rows):
+    """Rank over Q of a matrix given as sparse rows (dicts col -> value).
+
+    Exact and fraction-free; see _eliminate for the deterministic pivot rule.
+    """
+    return _eliminate(rows)[0]
+
+
+def _sparse_rows(data):
+    return [{j: v for j, v in enumerate(row) if v} for row in data]
 
 
 def rational_rank(A):
     """Rank over Q of an IntMatrix (or nested integer lists)."""
     data = A.data if isinstance(A, IntMatrix) else A
-    rows = [{j: v for j, v in enumerate(row) if v} for row in data]
-    return sparse_rank(rows)
+    return sparse_rank(_sparse_rows(data))
 
 
 def row_hermite_form(rows, ncols):
@@ -412,24 +436,42 @@ def verify_exact(A, B):
     A surjective over Z, and that the column lattice of B is saturated; a
     saturated full-rank sublattice of ker(A) is all of ker(A), so the five
     conditions together certify exactness.
+
+    One elimination of the rows of A and one of the rows of B give the ranks
+    and, when every pivot is a unit, a minor of full rank equal to +-1, so
+    all Smith invariants are 1: A is onto Z^rows exactly when its rank is
+    its row count, and im(B) is saturated.  Boundary matrices and their
+    Gale duals are totally unimodular and always give this certificate.  A
+    matrix that does not falls back to its Smith invariants, so the report
+    is the same on every input.
     """
     if A.cols != B.rows:
         raise ValueError(
             "shapes do not compose: A is %dx%d, B is %dx%d"
             % (A.rows, A.cols, B.rows, B.cols)
         )
-    product_is_zero = (A * B).is_zero() if B.cols else True
-    rank_a = rational_rank(A)
-    rank_b = rational_rank(B) if B.cols else 0
+    b_rows = _sparse_rows(B.data)
+    product_is_zero = True
+    for row in A.data:
+        # row * B, summed over the nonzero entries of row and of B only
+        sums = {}
+        for k, a in enumerate(row):
+            if a:
+                for j, b in b_rows[k].items():
+                    sums[j] = sums.get(j, 0) + a * b
+        if any(sums.values()):
+            product_is_zero = False
+            break
+    rank_a, a_unimodular = _eliminate(_sparse_rows(A.data))
+    rank_b, b_unimodular = _eliminate(b_rows)
     b_injective = rank_b == B.cols
     spans_kernel = rank_b == A.cols - rank_a
-    a_dec = smith_normal_form(A)
-    a_surjective = a_dec.rank == A.rows and all(d == 1 for d in a_dec.invariants)
-    if B.cols:
-        b_dec = smith_normal_form(B)
-        saturated = all(d == 1 for d in b_dec.invariants)
-    else:
-        saturated = True
+    # a unit minor of full rank makes every Smith invariant 1; only a matrix
+    # whose elimination found none pays for a Smith form
+    a_surjective = rank_a == A.rows and (
+        a_unimodular or all(d == 1 for d in smith_normal_form(A).invariants)
+    )
+    saturated = b_unimodular or all(d == 1 for d in smith_normal_form(B).invariants)
 
     failures = []
     if not product_is_zero:

@@ -4,7 +4,13 @@ import math
 from collections import Counter
 
 from ngostrings.graphs import MultiGraph, Quiver, VertexPartition
-from ngostrings.intlinalg import IntMatrix, NotBoundaryMapError, row_hermite_form, smith_normal_form
+from ngostrings.intlinalg import (
+    ExactnessReport,
+    IntMatrix,
+    NotBoundaryMapError,
+    row_hermite_form,
+    smith_normal_form,
+)
 from ngostrings.matroid import TuttePolynomial
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of
 
@@ -95,6 +101,112 @@ def gale_dual_via_smith(A):
     kernel_rows = [dec.V.column(j) for j in range(dec.rank, n)]
     basis = row_hermite_form(kernel_rows, n) if kernel_rows else []
     return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
+
+
+def verify_exact_via_smith(A, B):
+    """Oracle: verify_exact with every rank and invariant read off the Smith forms of A and B."""
+    if A.cols != B.rows:
+        raise ValueError(
+            "shapes do not compose: A is %dx%d, B is %dx%d"
+            % (A.rows, A.cols, B.rows, B.cols)
+        )
+    product_is_zero = (A * B).is_zero() if B.cols else True
+    a_dec = smith_normal_form(A)
+    b_dec = smith_normal_form(B)
+    b_injective = b_dec.rank == B.cols
+    spans_kernel = b_dec.rank == A.cols - a_dec.rank
+    a_surjective = a_dec.rank == A.rows and all(d == 1 for d in a_dec.invariants)
+    saturated = all(d == 1 for d in b_dec.invariants)
+
+    failures = []
+    if not product_is_zero:
+        failures.append("product A*B nonzero")
+    if not b_injective:
+        failures.append("B not injective")
+    if not a_surjective:
+        failures.append("A not surjective over Z")
+    if not spans_kernel:
+        failures.append("not spanning")
+    if not saturated:
+        failures.append("kernel not saturated")
+    return ExactnessReport(
+        ok=not failures,
+        product_is_zero=product_is_zero,
+        b_injective=b_injective,
+        a_surjective_over_z=a_surjective,
+        spans_kernel=spans_kernel,
+        saturated=saturated,
+        failures=tuple(failures),
+    )
+
+
+def sparse_rank_reference(rows):
+    """Oracle: fraction-free rank over Q that re-sorts every live row and entry at each pivot.
+
+    The pivot is the entry of smallest magnitude, then of smallest Markowitz
+    fill estimate, then first by position.
+    """
+    work = {}
+    col_rows = {}
+    for i, row in enumerate(rows):
+        entries = {j: int(v) for j, v in row.items() if v}
+        if not entries:
+            continue
+        g = math.gcd(*entries.values())
+        if g > 1:
+            entries = {j: v // g for j, v in entries.items()}
+        work[i] = entries
+        for j in entries:
+            col_rows.setdefault(j, set()).add(i)
+
+    rank = 0
+    while work:
+        best = None
+        for i in sorted(work):
+            row = work[i]
+            rweight = len(row) - 1
+            for j in sorted(row):
+                v = abs(row[j])
+                cost = (v, rweight * (len(col_rows[j]) - 1), i, j)
+                if best is None or cost < best:
+                    best = cost
+        _, _, pi, pj = best
+        prow = work[pi]
+        p = prow[pj]
+        for i in sorted(col_rows[pj]):
+            if i == pi:
+                continue
+            row = work[i]
+            a = row[pj]
+            g = math.gcd(p, a)
+            fr, fp = p // g, a // g
+            merged = {}
+            for j, v in row.items():
+                merged[j] = fr * v
+            for j, v in prow.items():
+                nv = merged.get(j, 0) - fp * v
+                if nv:
+                    merged[j] = nv
+                elif j in merged:
+                    del merged[j]
+            for j in row:
+                if j not in merged:
+                    col_rows[j].discard(i)
+            for j in merged:
+                if j not in row:
+                    col_rows.setdefault(j, set()).add(i)
+            if merged:
+                g2 = math.gcd(*merged.values())
+                if g2 > 1:
+                    merged = {j: v // g2 for j, v in merged.items()}
+                work[i] = merged
+            else:
+                del work[i]
+        for j in prow:
+            col_rows[j].discard(pi)
+        del work[pi]
+        rank += 1
+    return rank
 
 
 def multiplicity_data(n):

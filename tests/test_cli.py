@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ngostrings import cli
 from ngostrings.cli import CACHE_ENV_VAR, cache_load, cache_store, run
-from ngostrings.graphs import Quiver, dump_graph
+from ngostrings.graphs import Quiver, dump_graph, spectral_edge_count
+from ngostrings.intlinalg import MAX_DENSE_ENTRIES
 from ngostrings.matroid import TutteCache, TuttePolynomial
+from ngostrings.partitions import Partition
 from ngostrings.strings import table_report
 
 
@@ -208,6 +209,15 @@ class TestGale:
         assert "Traceback" not in err
 
 
+    def test_largest_spectral_input_within_dense_limit(self, capture):
+        # genus 100 is the last genus of 2,1,1 whose Gale dual fits MAX_DENSE_ENTRIES
+        edges = {g: spectral_edge_count(Partition((2, 1, 1)), g) for g in (100, 101)}
+        assert edges[100] * (2 + edges[100]) <= MAX_DENSE_ENTRIES < edges[101] * (2 + edges[101])
+        status, out, _ = capture("gale", "--partition", "2,1,1", "--genus", "100")
+        assert status == 0
+        assert "\nexact: ok\n" in out
+
+
 class TestTutteCommand:
     def test_polynomial_and_eval(self, capture):
         status, out, _ = capture("tutte", "--partition", "1,1", "--genus", "2", "--eval", "1", "1")
@@ -360,7 +370,8 @@ class TestCache:
             handle.write('{"format": ')
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        # cache_store imports json when it runs, so patch the module itself
+        monkeypatch.setattr(json, "dump", failing_dump)
         cache.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
         cache_store(str(path), cache)
         assert path.read_bytes() == before
@@ -442,13 +453,14 @@ class TestTextDetails:
 
 class TestStartup:
     def test_cli_import_leaves_out_heavy_stdlib_modules(self):
-        # Every CLI run pays for what `import ngostrings.cli` loads. These
-        # modules come in with `dataclasses` and cost about 12 ms a process.
+        # Every CLI run pays for what `import ngostrings.cli` loads. The first
+        # five come in with `dataclasses` and cost about 12 ms a process;
+        # `json` (about 3 ms) is imported only by the functions that use it.
         # -S keeps out the site-packages imports, which are not this package's.
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys; sys.path.insert(0, %r); import ngostrings.cli; "
-            "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules])"
+            "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json') if m in sys.modules])"
         ) % src
         done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ngostrings import homology
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import MultiGraph, spectral_dual_graph
 from ngostrings.homology import (
@@ -10,10 +11,11 @@ from ngostrings.homology import (
     matroid_complex,
     reduced_homology_ranks,
 )
+from ngostrings.intlinalg import sparse_rank
 from ngostrings.matroid import CographicMatroid, top_betti
 from ngostrings.partitions import Partition, partitions_of
 
-from conftest import random_connected_multigraph
+from conftest import random_connected_multigraph, sparse_rank_reference
 
 BANANA2 = MultiGraph(2, [(0, 1), (0, 1)])
 BANANA3 = MultiGraph(2, [(0, 1)] * 3)
@@ -111,3 +113,21 @@ class TestReducedHomology:
             ranks = reduced_homology_ranks(matroid_complex(m))
             assert all(v == 0 for v in ranks[:-1])
             assert ranks[-1] == top_betti(g)
+
+
+class TestBoundaryRanks:
+    # the spectral matroid-homology inputs of the benchmark's oracles workload
+    @pytest.mark.parametrize("parts, genus", [((2, 1), 3), ((1, 1, 1), 2), ((2, 1, 1), 2)])
+    def test_every_boundary_map_matches_reference_rank(self, monkeypatch, parts, genus):
+        checked = []
+
+        def both(rows):
+            rank = sparse_rank(rows)
+            assert rank == sparse_rank_reference(rows)
+            checked.append(rank)
+            return rank
+
+        monkeypatch.setattr(homology, "sparse_rank", both)
+        complex_ = matroid_complex(CographicMatroid(spectral_dual_graph(Partition(parts), genus)))
+        ranks = reduced_homology_ranks(complex_)
+        assert len(checked) == len(ranks) - 1

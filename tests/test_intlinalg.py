@@ -13,12 +13,18 @@ from ngostrings.intlinalg import (
     rational_rank,
     row_hermite_form,
     smith_normal_form,
+    sparse_rank,
     verify_exact,
 )
 from ngostrings.partitions import Partition, partitions_of
 from ngostrings.graphs import spectral_dual_quiver
 
-from conftest import gale_dual_via_smith, random_connected_multigraph
+from conftest import (
+    gale_dual_via_smith,
+    random_connected_multigraph,
+    sparse_rank_reference,
+    verify_exact_via_smith,
+)
 
 
 def det_bareiss(data):
@@ -182,6 +188,19 @@ class TestRank:
         assert rational_rank(A) == smith_normal_form(A).rank
 
 
+class TestSparseRank:
+    def test_matches_reference_on_random_sparse_matrices(self):
+        rng = random.Random(30)
+        values = (-6, -4, -3, -2, -1, 1, 2, 3, 5)
+        for _ in range(800):
+            cols = rng.randint(1, 9)
+            rows = [
+                {j: rng.choice(values) for j in rng.sample(range(cols), rng.randint(0, cols))}
+                for _ in range(rng.randint(0, 9))
+            ]
+            assert sparse_rank(rows) == sparse_rank_reference(rows), rows
+
+
 class TestHermite:
     def test_canonical_sign(self):
         assert row_hermite_form([[-1, 1]], 2) == [[1, -1]]
@@ -298,6 +317,92 @@ class TestVerifyExact:
         report = verify_exact(A, IntMatrix([[1], [0], [0]]))
         assert not report.ok
         assert "product A*B nonzero" in report.failures
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_same_as_smith_oracle_on_spectral_gale_pairs(self, genus):
+        for n in range(2, 6):
+            for p in partitions_of(n):
+                if p.r < 2:
+                    continue
+                A = boundary_matrix(spectral_dual_quiver(p, genus))
+                B = gale_dual(A)
+                assert verify_exact(A, B) == verify_exact_via_smith(A, B), p
+
+    def test_same_as_smith_oracle_on_random_pairs(self, monkeypatch):
+        smith_calls = []
+
+        def counting(M):
+            smith_calls.append(M)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+        rng = random.Random(22)
+        paths = {"certificate": 0, "fallback": 0}
+        seen = set()
+        for _ in range(2000):
+            s = rng.randint(1, 6)
+            A = random_int_matrix(rng, rng.randint(1, 4), s, bound=rng.choice([1, 2, 6]))
+            kind = rng.choice(["dual", "scaled", "empty", "random"])
+            try:
+                B = gale_dual(A)
+            except NotBoundaryMapError:
+                kind = "random"
+            if kind == "random":
+                B = random_int_matrix(rng, s, rng.randint(1, 4), bound=rng.choice([1, 2, 6]))
+            elif kind == "scaled" and B.cols:
+                k = rng.randrange(B.cols)
+                factor = rng.choice([2, 3, -2])
+                B = IntMatrix([[v * factor if j == k else v for j, v in enumerate(row)] for row in B.data])
+            elif kind == "empty":
+                B = IntMatrix([[] for _ in range(s)])
+            smith_calls.clear()
+            report = verify_exact(A, B)
+            paths["fallback" if smith_calls else "certificate"] += 1
+            assert report == verify_exact_via_smith(A, B), (A, B)
+            if not report.a_surjective_over_z:
+                seen.add("A not onto")
+            if not report.saturated:
+                seen.add("B not saturated")
+            if B.cols == 0:
+                seen.add("B has no columns")
+        assert min(paths.values()) > 100, paths
+        assert seen == {"A not onto", "B not saturated", "B has no columns"}
+
+    def test_boundary_pairs_need_no_smith_form(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("verify_exact called smith_normal_form")
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+        quivers = [spectral_dual_quiver(p, 2) for n in range(2, 6) for p in partitions_of(n) if p.r > 1]
+        rng = random.Random(23)
+        while len(quivers) < 60:
+            g = random_connected_multigraph(rng, max_vertices=7, max_edges=14, allow_loops=True)
+            if g.vertex_count > 1:
+                quivers.append(Quiver.from_graph(g))
+        for quiver in quivers:
+            A = boundary_matrix(quiver)
+            assert verify_exact(A, gale_dual(A)).ok
+
+    @pytest.mark.parametrize(
+        "data, onto",
+        [([[2, 3]], True), ([[2, 4]], False), ([[6, 10, 15]], True)],
+    )
+    def test_smith_fallback_without_unit_pivot(self, monkeypatch, data, onto):
+        # no entry is +-1, so only the Smith invariants can tell whether A is onto Z
+        smith_calls = []
+
+        def counting(M):
+            smith_calls.append(M)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+        A = IntMatrix(data)
+        B = gale_dual(A) if onto else IntMatrix([[2], [-1]])
+        report = verify_exact(A, B)
+        assert A in smith_calls
+        assert report.a_surjective_over_z is onto
+        assert report.ok is onto
+        assert report == verify_exact_via_smith(A, B)
 
 
 class TestExactSequencesOnGraphs:
