@@ -8,7 +8,9 @@ usage errors exit 2.
 A persistent Tutte memo cache can be supplied with ``--cache PATH`` or the
 NGO_STRINGS_CACHE environment variable (the flag wins).  Corrupt or
 version-mismatched cache files are ignored with a warning, and outputs are
-identical with a warm or cold cache.
+identical with a warm or cold cache.  A run rewrites the file only when the
+memo gained entries or the file was not a valid cache with entries, so a run
+that added nothing never overwrites entries another process wrote meanwhile.
 """
 
 from __future__ import annotations
@@ -65,7 +67,12 @@ def cache_load(path):
     try:
         items = []
         for key_text, terms in payload["entries"].items():
-            poly = TuttePolynomial({(int(i), int(j)): int(c) for i, j, c in terms})
+            # the last duplicate (i, j) wins, then zero coefficients drop
+            coeffs = {(int(i), int(j)): int(c) for i, j, c in terms}
+            if 0 in coeffs.values():
+                coeffs = {k: c for k, c in coeffs.items() if c}
+            poly = TuttePolynomial()
+            poly.coeffs = coeffs  # already normalised: skip the per-term pass of __init__
             items.append((key_text.encode("ascii"), poly))
         cache.load(items)
     except (KeyError, TypeError, ValueError, AttributeError):
@@ -75,25 +82,26 @@ def cache_load(path):
 
 
 def cache_store(path, cache):
-    """Write the cache; failures warn rather than fail the command.
+    """Write the cache as one compact JSON line; failures warn rather than fail the command.
 
     The file is written to a temp file in the same directory and renamed
     over the old one, so a failed or concurrent write never leaves a
-    truncated cache behind.
+    truncated cache behind.  Concurrent writers still race: the last rename
+    wins, and the entries only the other process added are lost until they
+    are computed again.  ``dumps`` without ``indent`` takes the C encoder.
     """
     import json
 
     entries = {}
-    for key, poly in sorted(cache.items()):
+    for key, poly in cache.items():
         entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
-    payload = {"format": CACHE_FORMAT, "entries": entries}
+    text = json.dumps({"format": CACHE_FORMAT, "entries": entries}, sort_keys=True, separators=(",", ":"))
     tmp = "%s.%d.tmp" % (path, os.getpid())
     created = False
     try:
         with open(tmp, "x", encoding="ascii") as handle:
             created = True
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         if created:
@@ -150,11 +158,20 @@ def _cache_path(args):
 
 
 def _with_cache(args, work):
-    """Run work(cache) with an optional persistent cache around it."""
+    """Run work(cache) with an optional persistent cache around it.
+
+    The file is rewritten only when the memo gained entries, or when it held
+    none: a missing, unreadable, wrong-format, malformed or empty file.  The
+    memo only grows, by one entry per new key, so a longer memo means new
+    entries.
+    """
     path = _cache_path(args)
-    cache = cache_load(path) if path else None
+    if not path:
+        return work(None)
+    cache = cache_load(path)
+    loaded = len(cache)
     result = work(cache)
-    if path:
+    if loaded == 0 or len(cache) > loaded:
         cache_store(path, cache)
     return result
 

@@ -1,9 +1,13 @@
 """Shared test helpers: seeded random graph generation and brute-force oracles."""
 
+import json
 import math
+import sys
 from collections import Counter
 
-from ngostrings.graphs import MultiGraph, Quiver, VertexPartition
+from ngostrings.cli import CACHE_FORMAT
+from ngostrings.graphs import MultiGraph, Quiver, VertexPartition, betti1
+from ngostrings.hypertoric import SmallnessCertificate, StratumRecord
 from ngostrings.intlinalg import (
     ExactnessReport,
     IntMatrix,
@@ -11,8 +15,8 @@ from ngostrings.intlinalg import (
     row_hermite_form,
     smith_normal_form,
 )
-from ngostrings.matroid import TuttePolynomial
-from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of
+from ngostrings.matroid import TutteCache, TuttePolynomial
+from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of, set_partitions
 
 
 def random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=False):
@@ -67,6 +71,67 @@ def contract_counting_loops(quiver, vp):
         else:
             edges.append((bu, bv))
     return Quiver(len(vp.blocks), edges), dropped
+
+
+def certify_small_bell_walk(quiver):
+    """Oracle: test b1 < s on the edge-list contraction of every partition with at least two blocks."""
+    if not quiver.is_connected():
+        raise ValueError("stratum enumeration requires a connected quiver")
+    violations = []
+    for blocks in set_partitions(range(quiver.vertex_count)):
+        if len(blocks) < 2:
+            continue
+        vp = VertexPartition(blocks)
+        contracted, dropped = contract_counting_loops(quiver, vp)
+        b1c, sc = betti1(contracted), contracted.edge_count
+        if not b1c < sc:
+            violations.append(
+                StratumRecord(
+                    vp=vp,
+                    s_contracted=sc,
+                    deleted_loops=dropped,
+                    b1_contracted=b1c,
+                    codim_in_X=b1c + sc,
+                    codim_in_Y=2 * b1c,
+                    fiber_dim=b1c,
+                    multiplicity=-1,
+                )
+            )
+    return SmallnessCertificate(passed=not violations, violations=tuple(violations))
+
+
+def cache_load_reference(path):
+    """Oracle: the two-pass cache decoder, each term converted by a dict and again by TuttePolynomial."""
+    cache = TutteCache()
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        return cache
+    except (OSError, ValueError, UnicodeDecodeError) as exc:
+        print("warning: ignoring unreadable cache %s (%s)" % (path, exc), file=sys.stderr)
+        return cache
+    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
+        print("warning: ignoring cache %s with unsupported format" % path, file=sys.stderr)
+        return cache
+    try:
+        items = []
+        for key_text, terms in payload["entries"].items():
+            poly = TuttePolynomial({(int(i), int(j)): int(c) for i, j, c in terms})
+            items.append((key_text.encode("ascii"), poly))
+        cache.load(items)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        print("warning: ignoring malformed cache %s" % path, file=sys.stderr)
+        return TutteCache()
+    return cache
+
+
+def indented_cache_text(cache):
+    """The cache file text of the earlier writer: sorted keys, indent=1, a final newline."""
+    entries = {}
+    for key, poly in sorted(cache.items()):
+        entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
+    return json.dumps({"format": CACHE_FORMAT, "entries": entries}, indent=1, sort_keys=True) + "\n"
 
 
 def tutte_polynomial_naive(graph):

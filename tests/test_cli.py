@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from ngostrings.cli import CACHE_ENV_VAR, cache_load, cache_store, run
-from ngostrings.graphs import Quiver, dump_graph, spectral_edge_count
+from ngostrings import cli
+from ngostrings.cli import CACHE_ENV_VAR, CACHE_FORMAT, cache_load, cache_store, run
+from ngostrings.graphs import Quiver, dump_graph, pairs_canonical_key, spectral_edge_count
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES
 from ngostrings.matroid import TutteCache, TuttePolynomial
 from ngostrings.partitions import Partition
 from ngostrings.strings import table_report
+
+from conftest import cache_load_reference, indented_cache_text
 
 
 @pytest.fixture
@@ -366,12 +369,26 @@ class TestCache:
         cache_store(str(path), cache)
         before = path.read_bytes()
 
-        def failing_dump(payload, handle, **kwargs):
-            handle.write('{"format": ')
-            raise OSError("disk full")
+        class FullDisk:
+            """A file handle that writes part of the text, then fails as a full disk does."""
 
-        # cache_store imports json when it runs, so patch the module itself
-        monkeypatch.setattr(json, "dump", failing_dump)
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:10])
+                self.handle.flush()
+                raise OSError("disk full")
+
+        # cache_store opens the temp file with the builtin open; a module
+        # global of that name shadows it
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)), raising=False)
         cache.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
         cache_store(str(path), cache)
         assert path.read_bytes() == before
@@ -436,6 +453,188 @@ class TestCache:
         assert status == 0
         assert flag_path.exists()
         assert not env_path.exists()
+
+
+# every command that takes --cache, on a graph file and on a partition;
+# "{graph}" stands for the path of CACHED_GRAPH
+CACHED_COMMANDS = {
+    "tutte --quiver": ("tutte", "--quiver", "{graph}", "--eval", "1", "0"),
+    "matroid --quiver": ("matroid", "--quiver", "{graph}"),
+    "strata --quiver": ("strata", "--quiver", "{graph}"),
+    "strata --partition": ("strata", "--partition", "2,1,1", "--genus", "2"),
+    "tutte --partition": ("tutte", "--partition", "2,1,1", "--genus", "2", "--eval", "1", "0"),
+    "matroid --partition": ("matroid", "--partition", "2,1,1", "--genus", "2"),
+}
+# --partition runs of tutte and matroid take the exponential-formula engine,
+# which neither reads nor adds memo entries
+ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver", "strata --quiver", "strata --partition"}
+CACHED_GRAPH = Quiver(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])
+# a memo entry no command above reaches: the bundle of 30 parallel edges
+FOREIGN_KEY = pairs_canonical_key(2, {(0, 1): 30})
+FOREIGN_POLY = TuttePolynomial({(1, 0): 1, **{(0, j): 1 for j in range(1, 30)}})
+
+
+@pytest.fixture
+def cached_run(capture, tmp_path, monkeypatch):
+    """Run a CACHED_COMMANDS entry with --cache PATH; returns (status, out, err, cache_store calls)."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(dump_graph(CACHED_GRAPH))
+    stores = []
+    real_store = cli.cache_store
+
+    def counting_store(path, cache):
+        stores.append(path)
+        real_store(path, cache)
+
+    monkeypatch.setattr(cli, "cache_store", counting_store)
+
+    def invoke(label, path):
+        argv = [arg.format(graph=graph) for arg in CACHED_COMMANDS[label]]
+        before = len(stores)
+        status, out, err = capture(*argv, "--cache", str(path))
+        return status, out, err, len(stores) - before
+
+    return invoke
+
+
+def file_state(path):
+    stat = path.stat()
+    return path.read_bytes(), stat.st_mtime_ns, stat.st_ino
+
+
+class TestCacheStores:
+    """The cache file is rewritten only when the memo grew or the file held no valid entries."""
+
+    @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
+    def test_store_decisions(self, cached_run, tmp_path, label):
+        cold = tmp_path / "cold.json"
+        status, cold_out, err, stores = cached_run(label, cold)
+        assert (status, err, stores) == (0, "", 1)
+        new_entries = json.loads(cold.read_text())["entries"]
+        assert bool(new_entries) == (label in ADDS_ENTRIES)
+
+        path = tmp_path / "cache.json"
+        seeded = TutteCache()
+        seeded.put(FOREIGN_KEY, FOREIGN_POLY)
+        cache_store(str(path), seeded)
+        old_entries = json.loads(path.read_text())["entries"]
+        before = file_state(path)
+        status, out, err, stores = cached_run(label, path)
+        assert (status, out, err) == (0, cold_out, "")
+        if label in ADDS_ENTRIES:
+            assert stores == 1
+            assert json.loads(path.read_text()) == {
+                "format": CACHE_FORMAT,
+                "entries": {**old_entries, **new_entries},
+            }
+        else:
+            assert stores == 0
+            assert file_state(path) == before
+
+        # a second run on the same valid file adds nothing and leaves it alone
+        before = file_state(path)
+        assert cached_run(label, path) == (0, cold_out, "", 0)
+        assert file_state(path) == before
+
+    @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
+    @pytest.mark.parametrize(
+        "text, warning",
+        [
+            ("{{{{", "warning: ignoring unreadable cache {path} ("),
+            (
+                json.dumps({"format": "ngostrings-cache/0", "entries": {}}),
+                "warning: ignoring cache {path} with unsupported format\n",
+            ),
+            (
+                json.dumps({"format": CACHE_FORMAT, "entries": {"(1, (0,))": [[0, 0]]}}),
+                "warning: ignoring malformed cache {path}\n",
+            ),
+        ],
+    )
+    def test_invalid_file_is_replaced(self, cached_run, tmp_path, label, text, warning):
+        cold = tmp_path / "cold.json"
+        _, cold_out, _, _ = cached_run(label, cold)
+        path = tmp_path / "cache.json"
+        path.write_text(text)
+        status, out, err, stores = cached_run(label, path)
+        assert (status, out, stores) == (0, cold_out, 1)
+        assert err.startswith(warning.format(path=path))
+        assert path.read_bytes() == cold.read_bytes()
+
+    @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
+    def test_warm_cold_and_indented_file(self, cached_run, tmp_path, capsys, label):
+        path = tmp_path / "cache.json"
+        status, cold_out, _, _ = cached_run(label, path)
+        assert status == 0
+        assert cached_run(label, path)[:3] == (0, cold_out, "")
+
+        indented = tmp_path / "indented.json"
+        indented.write_text(indented_cache_text(cache_load(str(path))))
+        entries = dict(cache_load(str(path)).items())
+        assert dict(cache_load(str(indented)).items()) == entries
+        assert dict(cache_load_reference(str(indented)).items()) == entries
+        assert capsys.readouterr().err == ""
+        before = file_state(indented)
+        status, out, err, stores = cached_run(label, indented)
+        assert (status, out, err) == (0, cold_out, "")
+        if entries:
+            assert stores == 0
+            assert file_state(indented) == before
+
+    def test_file_is_one_compact_line(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = TutteCache()
+        cache.put(FOREIGN_KEY, FOREIGN_POLY)
+        cache.put(b"(1, (0,))", TuttePolynomial.one())
+        cache_store(str(path), cache)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C accelerator for json")
+    def test_writer_takes_the_c_encoder(self, tmp_path, monkeypatch):
+        # json.dump and any indent go through the pure-Python _make_iterencode
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("cache_store took the pure-Python JSON encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        cache = TutteCache()
+        cache.put(FOREIGN_KEY, FOREIGN_POLY)
+        cache_store(str(tmp_path / "cache.json"), cache)
+        assert dict(cache_load(str(tmp_path / "cache.json")).items()) == dict(cache.items())
+
+
+class TestCacheDecoder:
+    """cache_load decodes every file as the two-pass reference decoder does."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"(2, (0, 0, 2))": [[1, 0, "1"], [1, 0, "3"], [0, 1, "1"]]},
+            {"(2, (0, 0, 2))": [[1, 0, "0"], [0, 1, "2"]]},
+            {"(2, (0, 0, 2))": [[0, 1, "5"], [0, 1, "0"]]},
+            {"(2, (0, 0, 2))": [[0, 1, "0"], [1, 0, "1"], [0, 1, "4"]]},
+            {"(2, (0, 0, 2))": [[1, 0, 2], ["0", "1", "7"], [0, 2, 2.5], [0, 3, True]]},
+            {"(2, (0, 0, 2))": [], "(1, (0,))": [[0, 0, "1"]]},
+            {},
+            {"(2, (0, 0, 2))": [[1, 0]]},
+            {"(2, (0, 0, 2))": [[1, 0, "x"]]},
+            {"(2, (0, 0, 2))": [[1, 0, None]]},
+            {"(2, (0, 0, 2))": [[[1], 0, "1"]]},
+            {"(2, (0, 0, 2))": 7},
+            {"\u00e9": [[0, 0, "1"]]},
+            [["(1, (0,))", [[0, 0, "1"]]]],
+        ],
+    )
+    def test_same_as_reference_decoder(self, tmp_path, capsys, entries):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
+
+        def decoded(load):
+            cache = load(str(path))
+            return [(key, list(poly.coeffs.items())) for key, poly in cache.items()], capsys.readouterr().err
+
+        assert decoded(cache_load) == decoded(cache_load_reference)
 
 
 class TestTextDetails:

@@ -22,7 +22,7 @@ from ngostrings.hypertoric import (
 from ngostrings.matroid import TutteCache, top_betti
 from ngostrings.partitions import Partition, partitions_of, set_partitions
 
-from conftest import contract_counting_loops, random_connected_multigraph
+from conftest import certify_small_bell_walk, contract_counting_loops, random_connected_multigraph
 
 BANANA = Quiver(2, [(0, 1), (0, 1)])
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
@@ -161,6 +161,26 @@ class TestCertifySmall:
 
     def test_certificate_is_boolean(self):
         assert bool(certify_small(TRIANGLE))
+
+    def test_matches_bell_walk(self):
+        quivers = [spectral_dual_quiver(p, g) for n in range(2, 6) for p in partitions_of(n) for g in (2, 3)]
+        rng = random.Random(1019)
+        for _ in range(40):
+            graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
+            quivers.append(Quiver(graph.vertex_count, graph.edges))
+        for quiver in quivers:
+            assert certify_small(quiver) == certify_small_bell_walk(quiver)
+
+    def test_no_vertex_cap(self):
+        # no partition is visited, so the Bell-growth cap of the strata does not apply
+        path = Quiver(13, [(v, v + 1) for v in range(12)])
+        assert certify_small(path) == (True, ())
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError):
+            certify_small(Quiver(2, []))
+        with pytest.raises(ValueError):
+            certify_small_bell_walk(Quiver(2, []))
 
 
 class TestLocalDecomposition:
