@@ -23,6 +23,7 @@ from .errors import ResourceLimitError
 from .graphs import (
     betti1,
     boundary_matrix,
+    checked_spectral_edge_count,
     dump_graph,
     load_graph,
     spectral_dual_quiver,
@@ -250,6 +251,12 @@ def cmd_partition(args):
 
 
 def cmd_graph(args):
+    spectral = _spectral_input(args)
+    if spectral is not None and not (args.dot or args.emit or args.json):
+        # the statistics of a spectral dual graph need only its edge count
+        r, s = spectral[0].r, checked_spectral_edge_count(*spectral)
+        print("r=%d s=%d b1=%d" % (r, s, s - r + 1))
+        return 0
     quiver = _resolve_quiver(args)
     if args.dot:
         sys.stdout.write(to_dot(quiver if args.directed else quiver.underlying()))
@@ -394,12 +401,12 @@ def cmd_matroid_homology(args):
 
 
 def cmd_strata(args):
+    # partition inputs take the coarsening classes of enumerate_strata, which
+    # run no Tutte recursion and leave the cache entries as they are
+    spectral = _spectral_input(args)
     quiver = _resolve_quiver(args)
-
-    def work(cache):
-        return enumerate_strata(quiver, cache=cache)
-
-    records = _with_cache(args, work)
+    parts = None if spectral is None else spectral[0].parts
+    records = _with_cache(args, lambda cache: enumerate_strata(quiver, cache=cache, parts=parts))
     if args.json:
         _print_json(
             {

@@ -188,13 +188,23 @@ def _check_size(r, s, what):
         )
 
 
-def _spectral_edges(partition, genus):
+def checked_spectral_edge_count(partition, genus):
+    """spectral_edge_count after the checks that building the graph makes.
+
+    Raises ValueError when genus < 2, and ResourceLimitError when r + s
+    exceeds MAX_GRAPH_SIZE, with the same messages as spectral_dual_graph.
+    """
     if genus < 2:
         raise ValueError("genus must be at least 2, got %r" % genus)
+    s = spectral_edge_count(partition, genus)
+    _check_size(partition.r, s, "the spectral dual graph of %s at genus %d" % (partition, genus))
+    return s
+
+
+def _spectral_edges(partition, genus):
+    checked_spectral_edge_count(partition, genus)
     parts = partition.parts
     r = len(parts)
-    what = "the spectral dual graph of %s at genus %d" % (partition, genus)
-    _check_size(r, spectral_edge_count(partition, genus), what)
     edges = []
     for i in range(r):
         for j in range(i + 1, r):

@@ -10,6 +10,13 @@ the hypertoric variety, resolution fibers of dimension b1(contraction), and
 decomposition multiplicity equal to the sphere count of the contracted
 cographic matroid complex.
 
+For the spectral dual quiver of a partition, contracting along a vertex
+partition gives the spectral dual graph of the coarsened partition, whose
+parts are the block sums.  So every quantity of such a stratum but its
+vertex partition depends only on the multiset mu of block sums, the
+stratum's coarsening class, and the multiplicity is (blocks - 1)!: the
+strata are computed once per class, with no Tutte polynomial.
+
 local_model_dims records the dimension ledger of the ambient moduli
 embedding for a partition at genus g: both defining expressions of each
 constant are asserted against each other on construction.
@@ -18,6 +25,7 @@ constant are asserted against each other on construction.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import factorial
 
 from .errors import ResourceLimitError
 from .graphs import (
@@ -127,11 +135,43 @@ def circuit_relations(quiver):
     ]
 
 
-def _stratum_geometry(quiver):
-    """Yield (vp, contracted, deleted_loops, b1_contracted, s_contracted) per vertex partition.
+def _contract(pairs, vp):
+    """(pair multiplicities {(a, b): k}, a < b, of the contraction along vp, deleted edge count).
 
-    contracted holds the pair multiplicities {(a, b): k}, a < b, of the
-    contraction along vp, with the blocks numbered as in vp.block_of().
+    The blocks are numbered as in vp.block_of().
+    """
+    index = vp.block_of()
+    contracted = {}
+    dropped = 0
+    for (u, v), k in pairs.items():
+        a, b = index[u], index[v]
+        if a == b:
+            dropped += k
+        else:
+            pair = (a, b) if a < b else (b, a)
+            contracted[pair] = contracted.get(pair, 0) + k
+    return contracted, dropped
+
+
+def enumerate_strata(quiver, cache=None, parts=None):
+    """All strata of the vertex-partition stratification, open stratum first.
+
+    One record per vertex partition; the open stratum is the one-block
+    partition (its contraction is a point).  Multiplicities are sphere
+    counts T_graphic(1, 0) of the contracted cographic matroid complexes.
+    Output is sorted by (codimension, canonical key of the contraction,
+    blocks).
+
+    Records with isomorphic contractions agree in every field but vp, so
+    each class of them is computed once.  By default a class is a canonical
+    key, and its T(1, 0) comes from the memoized Tutte recursion.  parts,
+    when given, says that quiver is the spectral dual quiver of a partition
+    whose vertex i stands for the part parts[i].  Blocks A and B are then
+    joined by N_A N_B (2g - 2) edges, N the block sums, so the contraction
+    is the spectral dual graph of the coarsened partition.  A class is then
+    the sorted tuple mu of block sums, and the multiplicity is (blocks - 1)!,
+    the T(1, 0) of any graph whose underlying simple graph is complete; that
+    path never runs the Tutte recursion and leaves the cache as it is.
     """
     r = quiver.vertex_count
     if r > 12:
@@ -140,53 +180,36 @@ def _stratum_geometry(quiver):
         )
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
-    # contracting a connected quiver leaves it connected, so b1 = s - blocks + 1
-    pairs = quiver.pair_multiplicities()
-    for blocks in set_partitions(range(r)):
-        vp = VertexPartition(blocks)
-        index = vp.block_of()
-        contracted = {}
-        dropped = 0
-        for (u, v), k in pairs.items():
-            a, b = index[u], index[v]
-            if a == b:
-                dropped += k
-            else:
-                pair = (a, b) if a < b else (b, a)
-                contracted[pair] = contracted.get(pair, 0) + k
-        s = quiver.edge_count - dropped
-        yield vp, contracted, dropped, s - len(blocks) + 1, s
-
-
-def _record(vp, dropped, b1c, sc, multiplicity):
-    return StratumRecord(
-        vp=vp,
-        s_contracted=sc,
-        deleted_loops=dropped,
-        b1_contracted=b1c,
-        codim_in_X=b1c + sc,
-        codim_in_Y=2 * b1c,
-        fiber_dim=b1c,
-        multiplicity=multiplicity,
-    )
-
-
-def enumerate_strata(quiver, cache=None):
-    """All strata of the vertex-partition stratification, open stratum first.
-
-    One record per vertex partition; the open stratum is the one-block
-    partition (its contraction is a point).  Multiplicities are sphere
-    counts of the contracted cographic matroid complexes.  Output is sorted
-    by (codimension, canonical key of the contraction, blocks).
-    """
     if cache is None:
         cache = DEFAULT_CACHE
+    pairs = quiver.pair_multiplicities()
+    classes = {}  # mu or canonical key -> (sort key head, record fields after vp)
     keyed = []
-    for vp, contracted, dropped, b1c, sc in _stratum_geometry(quiver):
-        key = pairs_canonical_key(len(vp), contracted)
-        # the sphere count T(1, 0); the one-point complex of b1 = 0 counts 1
-        multiplicity = _tutte(len(vp), contracted, cache, key).evaluate(1, 0) if b1c else 1
-        keyed.append(((2 * b1c, b1c + sc, key, vp.blocks), _record(vp, dropped, b1c, sc, multiplicity)))
+    for blocks in set_partitions(range(r)):
+        vp = VertexPartition(blocks)
+        if parts is None:
+            contracted, dropped = _contract(pairs, vp)
+            label = pairs_canonical_key(len(vp), contracted)
+        else:
+            label = tuple(sorted(sum(parts[v] for v in b) for b in vp.blocks))
+        stratum = classes.get(label)
+        if stratum is None:
+            if parts is not None:
+                contracted, dropped = _contract(pairs, vp)
+            k = len(vp)
+            key = label if parts is None else pairs_canonical_key(k, contracted)
+            s = quiver.edge_count - dropped
+            b1 = s - k + 1  # contracting a connected quiver leaves it connected
+            if parts is not None:
+                multiplicity = factorial(k - 1)
+            elif b1:
+                multiplicity = _tutte(k, contracted, cache, key).evaluate(1, 0)
+            else:
+                multiplicity = 1  # the one-point complex of b1 = 0 counts 1
+            fields = (s, dropped, b1, b1 + s, 2 * b1, b1, multiplicity)
+            stratum = classes[label] = ((2 * b1, b1 + s, key), fields)
+        head, fields = stratum
+        keyed.append((head + (vp.blocks,), StratumRecord(vp, *fields)))
     keyed.sort(key=lambda item: item[0])
     return [rec for _, rec in keyed]
 

@@ -10,8 +10,9 @@ f- and h-vectors of the complex are read off T_graphic(1, y).  Independent
 sets are enumerated only by the brute-force homology oracle.
 
 tutte_polynomial takes any connected multigraph (the `--quiver` inputs and
-every graph that top_betti sees; the strata hand their contractions to the
-same engine as pair multiplicities, with no graph built).  It is memoized
+every graph that top_betti sees; of the strata, only `strata --quiver` hands
+its contractions to the same engine, through _tutte, as pair multiplicities
+with no graph built).  It is memoized
 deletion-contraction on a whole parallel class at a time: a bundle of k
 parallel edges contributes x + y + ... + y^(k-1) when it is a cut and splits
 into a full deletion plus a geometric-series-weighted contraction otherwise.
@@ -28,7 +29,6 @@ arXiv:0711.2585).  It reads and writes no memo cache.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from itertools import accumulate, product
 from math import comb, prod
@@ -117,39 +117,28 @@ class TuttePolynomial:
 
 
 class TutteCache:
-    """Thread-safe memo map canonical graph key -> Tutte polynomial.
-
-    Writes for the same key always carry the same value, so last-write-wins
-    updates are harmless when several threads share one cache.
-    """
+    """Memo map canonical graph key -> Tutte polynomial."""
 
     def __init__(self):
         self._data = {}
-        self._lock = threading.Lock()
 
     def get(self, key):
-        with self._lock:
-            return self._data.get(key)
+        return self._data.get(key)
 
     def put(self, key, poly):
-        with self._lock:
-            self._data[key] = poly
+        self._data[key] = poly
 
     def __len__(self):
         return len(self._data)
 
     def items(self):
-        with self._lock:
-            return list(self._data.items())
+        return list(self._data.items())
 
     def load(self, items):
-        with self._lock:
-            for key, poly in items:
-                self._data[key] = poly
+        self._data.update(items)
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
 
 DEFAULT_CACHE = TutteCache()

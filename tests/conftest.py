@@ -6,7 +6,8 @@ import sys
 from collections import Counter
 
 from ngostrings.cli import CACHE_FORMAT
-from ngostrings.graphs import MultiGraph, Quiver, VertexPartition, betti1
+from ngostrings.errors import ResourceLimitError
+from ngostrings.graphs import MultiGraph, Quiver, VertexPartition, betti1, pairs_canonical_key
 from ngostrings.hypertoric import SmallnessCertificate, StratumRecord
 from ngostrings.intlinalg import (
     ExactnessReport,
@@ -15,7 +16,7 @@ from ngostrings.intlinalg import (
     row_hermite_form,
     smith_normal_form,
 )
-from ngostrings.matroid import TutteCache, TuttePolynomial
+from ngostrings.matroid import TutteCache, TuttePolynomial, _tutte
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of, set_partitions
 
 
@@ -98,6 +99,52 @@ def certify_small_bell_walk(quiver):
                 )
             )
     return SmallnessCertificate(passed=not violations, violations=tuple(violations))
+
+
+def enumerate_strata_reference(quiver, cache=None):
+    """Oracle: the strata with a canonical key and a memoized T(1, 0) computed for every record.
+
+    Contracts the pair multiplicities along each vertex partition, whatever
+    the quiver, and sorts by (codimension, canonical key, blocks).
+    """
+    r = quiver.vertex_count
+    if r > 12:
+        raise ResourceLimitError("stratum enumeration is capped at 12 vertices (Bell growth); got %d" % r)
+    if not quiver.is_connected():
+        raise ValueError("stratum enumeration requires a connected quiver")
+    if cache is None:
+        cache = TutteCache()
+    pairs = quiver.pair_multiplicities()
+    keyed = []
+    for blocks in set_partitions(range(r)):
+        vp = VertexPartition(blocks)
+        index = vp.block_of()
+        contracted = {}
+        dropped = 0
+        for (u, v), k in pairs.items():
+            a, b = index[u], index[v]
+            if a == b:
+                dropped += k
+            else:
+                pair = (a, b) if a < b else (b, a)
+                contracted[pair] = contracted.get(pair, 0) + k
+        sc = quiver.edge_count - dropped
+        b1c = sc - len(vp) + 1
+        key = pairs_canonical_key(len(vp), contracted)
+        multiplicity = _tutte(len(vp), contracted, cache, key).evaluate(1, 0) if b1c else 1
+        record = StratumRecord(
+            vp=vp,
+            s_contracted=sc,
+            deleted_loops=dropped,
+            b1_contracted=b1c,
+            codim_in_X=b1c + sc,
+            codim_in_Y=2 * b1c,
+            fiber_dim=b1c,
+            multiplicity=multiplicity,
+        )
+        keyed.append(((2 * b1c, b1c + sc, key, vp.blocks), record))
+    keyed.sort(key=lambda item: item[0])
+    return [rec for _, rec in keyed]
 
 
 def cache_load_reference(path):

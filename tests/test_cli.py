@@ -10,13 +10,20 @@ import pytest
 
 from ngostrings import cli
 from ngostrings.cli import CACHE_ENV_VAR, CACHE_FORMAT, cache_load, cache_store, run
-from ngostrings.graphs import Quiver, dump_graph, pairs_canonical_key, spectral_edge_count
+from ngostrings.graphs import (
+    Quiver,
+    canonical_key,
+    dump_graph,
+    pairs_canonical_key,
+    spectral_dual_quiver,
+    spectral_edge_count,
+)
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES
 from ngostrings.matroid import TutteCache, TuttePolynomial
-from ngostrings.partitions import Partition
+from ngostrings.partitions import Partition, set_partitions
 from ngostrings.strings import table_report
 
-from conftest import cache_load_reference, indented_cache_text
+from conftest import cache_load_reference, contract_counting_loops, enumerate_strata_reference, indented_cache_text
 
 
 @pytest.fixture
@@ -91,6 +98,22 @@ class TestGraphCommands:
         status, out, _ = capture("graph", "--partition", "2,1,1", "--genus", "2")
         assert status == 0
         assert out == "r=3 s=10 b1=8\n"
+
+    def test_graph_statistics_build_no_graph(self, capture, monkeypatch):
+        # --json builds the graph, so its refusals are the ones to keep
+        refusals = {
+            genus: capture("graph", "--partition", "1,1", "--genus", genus, "--json") for genus in ("500001", "1")
+        }
+
+        def no_graph(*args):
+            raise AssertionError("built the spectral dual graph")
+
+        monkeypatch.setattr(cli, "spectral_dual_quiver", no_graph)
+        assert capture("graph", "--partition", "1,1", "--genus", "500000") == (0, "r=2 s=999998 b1=999997\n", "")
+        assert capture("graph", "--partition", "3", "--genus", "5") == (0, "r=1 s=0 b1=0\n", "")
+        for genus, (status, out, err) in refusals.items():
+            assert (status, out) == (1, "")
+            assert capture("graph", "--partition", "1,1", "--genus", genus) == (1, "", err)
 
     def test_graph_dot(self, capture):
         status, out, _ = capture("graph", "--partition", "1,1", "--genus", "2", "--dot")
@@ -466,8 +489,9 @@ CACHED_COMMANDS = {
     "matroid --partition": ("matroid", "--partition", "2,1,1", "--genus", "2"),
 }
 # --partition runs of tutte and matroid take the exponential-formula engine,
-# which neither reads nor adds memo entries
-ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver", "strata --quiver", "strata --partition"}
+# and those of strata the coarsening classes of enumerate_strata; none of them
+# reads or adds memo entries
+ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver", "strata --quiver"}
 CACHED_GRAPH = Quiver(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])
 # a memo entry no command above reaches: the bundle of 30 parallel edges
 FOREIGN_KEY = pairs_canonical_key(2, {(0, 1): 30})
@@ -580,6 +604,30 @@ class TestCacheStores:
         if entries:
             assert stores == 0
             assert file_state(indented) == before
+
+    def test_strata_partition_ignores_a_poisoned_cache(self, capture, tmp_path):
+        # every contraction key of the quiver mapped to T = 999: the spectral
+        # strata read no memo entry, so the table is the cold one and the
+        # valid file is left as it is
+        partition = Partition.from_string("2,1,1,1")
+        quiver = spectral_dual_quiver(partition, 3)
+        keys = {
+            canonical_key(contract_counting_loops(quiver, blocks)[0])
+            for blocks in set_partitions(range(quiver.vertex_count))
+        }
+        path = tmp_path / "poisoned.json"
+        entries = {key.decode("ascii"): [[0, 0, "999"]] for key in keys}
+        path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
+        # the poison bites the Tutte-per-record strata
+        poisoned = enumerate_strata_reference(quiver, cache=cache_load(str(path)))
+        assert {rec.multiplicity for rec in poisoned} == {1, 999}
+        before = file_state(path)
+        argv = ("strata", "--partition", "2,1,1,1", "--genus", "3")
+        for extra in ((), ("--json",)):
+            status, cold_out, _ = capture(*argv, *extra)
+            assert status == 0
+            assert capture(*argv, *extra, "--cache", str(path)) == (0, cold_out, "")
+        assert file_state(path) == before
 
     def test_file_is_one_compact_line(self, tmp_path):
         path = tmp_path / "cache.json"

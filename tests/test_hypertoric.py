@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ngostrings import hypertoric
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     Quiver,
@@ -22,7 +23,12 @@ from ngostrings.hypertoric import (
 from ngostrings.matroid import TutteCache, top_betti
 from ngostrings.partitions import Partition, partitions_of, set_partitions
 
-from conftest import certify_small_bell_walk, contract_counting_loops, random_connected_multigraph
+from conftest import (
+    certify_small_bell_walk,
+    contract_counting_loops,
+    enumerate_strata_reference,
+    random_connected_multigraph,
+)
 
 BANANA = Quiver(2, [(0, 1), (0, 1)])
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
@@ -137,6 +143,37 @@ class TestStrata:
             # the memo entries, and so the `strata --cache` files, are those
             # of top_betti on the built contractions
             assert dict(cache.items()) == dict(oracle_cache.items())
+
+    def test_coarsening_classes_match_reference(self):
+        for n in range(1, 8):
+            for p in partitions_of(n):
+                for g in (2, 3):
+                    quiver = spectral_dual_quiver(p, g)
+                    cache = TutteCache()
+                    records = enumerate_strata(quiver, cache=cache, parts=p.parts)
+                    assert records == enumerate_strata_reference(quiver), (p, g)
+                    assert len(cache) == 0
+
+    def test_quiver_path_matches_reference(self):
+        rng = random.Random(1103)
+        for _ in range(40):
+            graph = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
+            quiver = Quiver.from_graph(graph)
+            cache = TutteCache()
+            oracle_cache = TutteCache()
+            assert enumerate_strata(quiver, cache=cache) == enumerate_strata_reference(quiver, cache=oracle_cache)
+            assert dict(cache.items()) == dict(oracle_cache.items())
+
+    def test_coarsening_classes_run_no_tutte(self, monkeypatch):
+        def no_tutte(*args, **kwargs):
+            raise AssertionError("the spectral strata ran the Tutte recursion")
+
+        monkeypatch.setattr(hypertoric, "_tutte", no_tutte)
+        for p, g in [(Partition([2, 1, 1, 1]), 3), (Partition([1] * 6), 2), (Partition([3, 2]), 2)]:
+            records = enumerate_strata(spectral_dual_quiver(p, g), parts=p.parts)
+            assert len(records) == len(list(set_partitions(range(p.r))))
+        with pytest.raises(AssertionError):
+            enumerate_strata(BANANA, cache=TutteCache())
 
     def test_vertex_guard(self):
         path = Quiver(13, [(v, v + 1) for v in range(12)])
