@@ -49,22 +49,22 @@ CACHE_FORMAT = "ngostrings-cache/1"
 CACHE_ENV_VAR = "NGO_STRINGS_CACHE"
 
 
-def cache_load(path):
-    """Load a Tutte cache file; any problem yields a warning and a cold cache."""
+def _read_cache(path):
+    """(entries, warning) of a Tutte cache file: [(key bytes, poly)] and None, or [] and why not.
+
+    A missing file has no entries and needs no warning.
+    """
     import json
 
-    cache = TutteCache()
     try:
         with open(path, "r", encoding="ascii") as handle:
             payload = json.load(handle)
     except FileNotFoundError:
-        return cache
+        return [], None
     except (OSError, ValueError, UnicodeDecodeError) as exc:
-        print("warning: ignoring unreadable cache %s (%s)" % (path, exc), file=sys.stderr)
-        return cache
+        return [], "warning: ignoring unreadable cache %s (%s)" % (path, exc)
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        print("warning: ignoring cache %s with unsupported format" % path, file=sys.stderr)
-        return cache
+        return [], "warning: ignoring cache %s with unsupported format" % path
     try:
         items = []
         for key_text, terms in payload["entries"].items():
@@ -72,29 +72,40 @@ def cache_load(path):
             coeffs = {(int(i), int(j)): int(c) for i, j, c in terms}
             if 0 in coeffs.values():
                 coeffs = {k: c for k, c in coeffs.items() if c}
-            poly = TuttePolynomial()
-            poly.coeffs = coeffs  # already normalised: skip the per-term pass of __init__
-            items.append((key_text.encode("ascii"), poly))
-        cache.load(items)
+            items.append((key_text.encode("ascii"), TuttePolynomial._of(coeffs)))
     except (KeyError, TypeError, ValueError, AttributeError):
-        print("warning: ignoring malformed cache %s" % path, file=sys.stderr)
-        return TutteCache()
+        return [], "warning: ignoring malformed cache %s" % path
+    return items, None
+
+
+def cache_load(path):
+    """Load a Tutte cache file; any problem yields a warning and a cold cache."""
+    items, warning = _read_cache(path)
+    if warning:
+        print(warning, file=sys.stderr)
+    cache = TutteCache()
+    cache.load(items)
     return cache
 
 
 def cache_store(path, cache):
     """Write the cache as one compact JSON line; failures warn rather than fail the command.
 
-    The file is written to a temp file in the same directory and renamed
-    over the old one, so a failed or concurrent write never leaves a
-    truncated cache behind.  Concurrent writers still race: the last rename
-    wins, and the entries only the other process added are lost until they
-    are computed again.  ``dumps`` without ``indent`` takes the C encoder.
+    Just before writing, the file is read again and its entries are merged
+    in, the in-memory one winning for a key in both, so entries another
+    process stored since this one loaded the file are kept.  The text goes
+    to a temp file in the same directory, renamed over the old one, so a
+    failed or concurrent write never leaves a truncated cache behind.  Two
+    writers can still race between one's read and the other's rename; the
+    later rename then drops what only the earlier one added.  ``dumps``
+    without ``indent`` takes the C encoder.
     """
     import json
 
+    merged = dict(_read_cache(path)[0])
+    merged.update(cache.items())
     entries = {}
-    for key, poly in cache.items():
+    for key, poly in merged.items():
         entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
     text = json.dumps({"format": CACHE_FORMAT, "entries": entries}, sort_keys=True, separators=(",", ":"))
     tmp = "%s.%d.tmp" % (path, os.getpid())

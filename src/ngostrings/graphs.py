@@ -150,6 +150,13 @@ class VertexPartition:
         self.blocks = tuple(norm)
 
     @classmethod
+    def _from_sorted(cls, blocks):
+        """The partition of the given blocks, unchecked: disjoint, each sorted, in order of first vertex."""
+        vp = cls.__new__(cls)
+        vp.blocks = tuple(blocks)
+        return vp
+
+    @classmethod
     def singletons(cls, r):
         return cls([(v,) for v in range(r)])
 
@@ -274,28 +281,29 @@ def boundary_matrix(quiver):
 
 
 def _refined_colors(r, pairs):
-    """Stable 1-dimensional color refinement; returns vertex -> dense color id."""
-    neigh = {v: [] for v in range(r)}
+    """Stable 1-dimensional color refinement; returns the list of dense color ids by vertex."""
+    neigh = [[] for _ in range(r)]
+    loops = [0] * r
     for (u, v), k in pairs.items():
         if u != v:
             neigh[u].append((v, k))
             neigh[v].append((u, k))
-    initial = {
-        v: (pairs.get((v, v), 0), tuple(sorted(k for _, k in neigh[v])))
-        for v in range(r)
-    }
-    order = sorted(set(initial.values()))
-    colors = {v: order.index(initial[v]) for v in range(r)}
+        else:
+            loops[u] = k
+    keys = [(loops[v], tuple(sorted(k for _, k in neigh[v]))) for v in range(r)]
     while True:
-        keys = {
-            v: (colors[v], tuple(sorted((k, colors[u]) for u, k in neigh[v])))
-            for v in range(r)
-        }
-        order = sorted(set(keys.values()))
-        new = {v: order.index(keys[v]) for v in range(r)}
-        if new == colors:
+        ids = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [ids[key] for key in keys]
+        if len(ids) == r:
             return colors
-        colors = new
+        keys = [(colors[v], tuple(sorted([(k, colors[u]) for u, k in neigh[v]]))) for v in range(r)]
+        # each round refines the last, so an equal class count is a fixed point
+        if len(set(keys)) == len(ids):
+            return colors
+
+
+class _SearchBudgetExceeded(Exception):
+    pass
 
 
 def canonical_key(graph):
@@ -303,7 +311,7 @@ def canonical_key(graph):
     return pairs_canonical_key(graph.vertex_count, graph.pair_multiplicities())
 
 
-def pairs_canonical_key(r, pairs):
+def pairs_canonical_key(r, pairs, budget=None):
     """canonical_key of the multigraph on 0..r-1 with multiplicities {(u, v): k}, u <= v.
 
     Every k must be positive; loops are the (v, v) entries.  Minimizes the
@@ -311,54 +319,68 @@ def pairs_canonical_key(r, pairs):
     refined color classes, pruning lexicographically dominated prefixes,
     repeated (placed-set, prefix) states and twin vertices.  The encoding
     contains the full multiplicity matrix, so the key determines the graph
-    up to isomorphism.
+    up to isomorphism.  With a budget, the search gives up and returns None
+    once it has entered more than budget nodes.
     """
-
-    def m(u, v):
-        return pairs.get((u, v) if u <= v else (v, u), 0)
-
+    adj = [[0] * r for _ in range(r)]
+    for (u, v), k in pairs.items():
+        adj[u][v] = adj[v][u] = k
     colors = _refined_colors(r, pairs)
-    class_seq = sorted(colors.values())
+    classes = len(set(colors))
+    class_seq = sorted(colors)
+    members = [[] for _ in range(classes)]
+    for v in range(r):
+        members[colors[v]].append(v)
+    # twins: equal loops and equal multiplicities to every other vertex, so
+    # exchangeable by an automorphism; twin[v] is the least vertex of v's class
+    twin = list(range(r))
+    for v in range(r):
+        row = adj[v]
+        for w in members[colors[v]]:
+            if w == v:
+                break
+            if twin[w] != w or row[v] != adj[w][w]:
+                continue
+            other = adj[w]
+            if all(row[x] == other[x] for x in range(r) if x != v and x != w):
+                twin[v] = w
+                break
 
     best = None
     visited = set()
+    left = budget
 
-    def dfs(placed, prefix):
-        nonlocal best
+    def dfs(placed, mask, prefix):
+        nonlocal best, left
+        if budget is not None:
+            left -= 1
+            if left < 0:
+                raise _SearchBudgetExceeded
         k = len(placed)
-        if best is not None:
-            head = best[: len(prefix)]
-            if prefix > head:
-                return
+        if best is not None and prefix > best[: len(prefix)]:
+            return
         if k == r:
             if best is None or prefix < best:
                 best = prefix
             return
-        state = (frozenset(placed), prefix)
+        state = (mask, prefix)
         if state in visited:
             return
         if len(visited) < (1 << 18):
             visited.add(state)
-        want = class_seq[k]
-        candidates = [v for v in range(r) if v not in placed and colors[v] == want]
-        # twin pruning: vertices with identical multiplicities to everything
-        # else are exchangeable by an automorphism; keep one representative
-        reps = []
-        for v in candidates:
-            dup = False
-            for w in reps:
-                if m(v, v) != m(w, w):
-                    continue
-                if all(m(v, x) == m(w, x) for x in range(r) if x != v and x != w):
-                    dup = True
-                    break
-            if not dup:
-                reps.append(v)
-        for v in reps:
-            row = (m(v, v),) + tuple(m(v, u) for u in placed)
-            dfs(placed + (v,), prefix + row)
+        # one representative per twin class, the least unplaced vertex
+        tried = set()
+        for v in members[class_seq[k]]:
+            if mask >> v & 1 or twin[v] in tried:
+                continue
+            tried.add(twin[v])
+            row = adj[v]
+            dfs(placed + (v,), mask | 1 << v, prefix + (row[v],) + tuple(map(row.__getitem__, placed)))
 
-    dfs((), ())
+    try:
+        dfs((), 0, ())
+    except _SearchBudgetExceeded:
+        return None
     return repr((r, best)).encode("ascii")
 
 

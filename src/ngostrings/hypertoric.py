@@ -183,15 +183,18 @@ def enumerate_strata(quiver, cache=None, parts=None):
     if cache is None:
         cache = DEFAULT_CACHE
     pairs = quiver.pair_multiplicities()
+    part_of = None if parts is None else parts.__getitem__
     classes = {}  # mu or canonical key -> (sort key head, record fields after vp)
     keyed = []
     for blocks in set_partitions(range(r)):
-        vp = VertexPartition(blocks)
+        # the blocks of set_partitions are disjoint and each in order: only
+        # the block order needs sorting, and nothing needs checking
+        vp = VertexPartition._from_sorted(sorted(map(tuple, blocks)))
         if parts is None:
             contracted, dropped = _contract(pairs, vp)
             label = pairs_canonical_key(len(vp), contracted)
         else:
-            label = tuple(sorted(sum(parts[v] for v in b) for b in vp.blocks))
+            label = tuple(sorted([sum(map(part_of, b)) for b in vp.blocks]))
         stratum = classes.get(label)
         if stratum is None:
             if parts is not None:
@@ -203,7 +206,7 @@ def enumerate_strata(quiver, cache=None, parts=None):
             if parts is not None:
                 multiplicity = factorial(k - 1)
             elif b1:
-                multiplicity = _tutte(k, contracted, cache, key).evaluate(1, 0)
+                multiplicity = _tutte(k, contracted, cache).evaluate(1, 0)
             else:
                 multiplicity = 1  # the one-point complex of b1 = 0 counts 1
             fields = (s, dropped, b1, b1 + s, 2 * b1, b1, multiplicity)

@@ -1,13 +1,23 @@
 """Shared test helpers: seeded random graph generation and brute-force oracles."""
 
+import functools
+import importlib.util
 import json
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 from ngostrings.cli import CACHE_FORMAT
 from ngostrings.errors import ResourceLimitError
-from ngostrings.graphs import MultiGraph, Quiver, VertexPartition, betti1, pairs_canonical_key
+from ngostrings.graphs import (
+    MultiGraph,
+    Quiver,
+    VertexPartition,
+    betti1,
+    pairs_canonical_key,
+    pairs_connected,
+)
 from ngostrings.hypertoric import SmallnessCertificate, StratumRecord
 from ngostrings.intlinalg import (
     ExactnessReport,
@@ -36,6 +46,32 @@ def random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=F
             v = (v + 1) % r
         edges.append((u, v))
     return MultiGraph(r, edges)
+
+
+_BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's bench/workloads.py, loaded by path once, so tests draw the same inputs."""
+    sys.path.insert(0, str(_BENCH_DIR))  # workloads.py imports its sibling harness.py
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH_DIR / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(_BENCH_DIR))
+    return module
+
+
+def tutte_cold_pairs(seed):
+    """Pair multiplicities of the tutte_cold benchmark's random quivers for one seed, drawn by bench/."""
+    workloads = bench_workloads()
+    out = []
+    for slot, (r, s) in enumerate(workloads.TUTTE_RANDOM):
+        r, edges = workloads.random_multigraph(workloads._rng("tutte_cold", seed, slot), r, s)
+        out.append((r, dict(MultiGraph(r, edges).pair_multiplicities())))
+    return out
 
 
 def _merge_vertices(graph, a, b):
@@ -131,7 +167,7 @@ def enumerate_strata_reference(quiver, cache=None):
         sc = quiver.edge_count - dropped
         b1c = sc - len(vp) + 1
         key = pairs_canonical_key(len(vp), contracted)
-        multiplicity = _tutte(len(vp), contracted, cache, key).evaluate(1, 0) if b1c else 1
+        multiplicity = _tutte(len(vp), contracted, cache).evaluate(1, 0) if b1c else 1
         record = StratumRecord(
             vp=vp,
             s_contracted=sc,
@@ -145,6 +181,131 @@ def enumerate_strata_reference(quiver, cache=None):
         keyed.append(((2 * b1c, b1c + sc, key, vp.blocks), record))
     keyed.sort(key=lambda item: item[0])
     return [rec for _, rec in keyed]
+
+
+def _refined_colors_reference(r, pairs):
+    """Stable 1-dimensional color refinement; returns vertex -> dense color id."""
+    neigh = {v: [] for v in range(r)}
+    for (u, v), k in pairs.items():
+        if u != v:
+            neigh[u].append((v, k))
+            neigh[v].append((u, k))
+    initial = {
+        v: (pairs.get((v, v), 0), tuple(sorted(k for _, k in neigh[v])))
+        for v in range(r)
+    }
+    order = sorted(set(initial.values()))
+    colors = {v: order.index(initial[v]) for v in range(r)}
+    while True:
+        keys = {
+            v: (colors[v], tuple(sorted((k, colors[u]) for u, k in neigh[v])))
+            for v in range(r)
+        }
+        order = sorted(set(keys.values()))
+        new = {v: order.index(keys[v]) for v in range(r)}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def pairs_canonical_key_reference(r, pairs):
+    """Oracle: the canonical key by the first search, twin classes found again at every node.
+
+    Its bytes are the ones every cache file and strata sort was written
+    with, so pairs_canonical_key must reproduce them exactly.
+    """
+
+    def m(u, v):
+        return pairs.get((u, v) if u <= v else (v, u), 0)
+
+    colors = _refined_colors_reference(r, pairs)
+    class_seq = sorted(colors.values())
+
+    best = None
+    visited = set()
+
+    def dfs(placed, prefix):
+        nonlocal best
+        k = len(placed)
+        if best is not None:
+            head = best[: len(prefix)]
+            if prefix > head:
+                return
+        if k == r:
+            if best is None or prefix < best:
+                best = prefix
+            return
+        state = (frozenset(placed), prefix)
+        if state in visited:
+            return
+        if len(visited) < (1 << 18):
+            visited.add(state)
+        want = class_seq[k]
+        candidates = [v for v in range(r) if v not in placed and colors[v] == want]
+        reps = []
+        for v in candidates:
+            dup = False
+            for w in reps:
+                if m(v, v) != m(w, w):
+                    continue
+                if all(m(v, x) == m(w, x) for x in range(r) if x != v and x != w):
+                    dup = True
+                    break
+            if not dup:
+                reps.append(v)
+        for v in reps:
+            row = (m(v, v),) + tuple(m(v, u) for u in placed)
+            dfs(placed + (v,), prefix + row)
+
+    dfs((), ())
+    return repr((r, best)).encode("ascii")
+
+
+def _merge_pairs(pairs, a, b):
+    """Identify vertex b with a < b in a multiplicity map; b leaves the numbering."""
+
+    def rename(v):
+        if v == b:
+            v = a
+        return v - 1 if v > b else v
+
+    out = {}
+    for (u, v), k in pairs.items():
+        u, v = sorted((rename(u), rename(v)))
+        out[(u, v)] = out.get((u, v), 0) + k
+    return out
+
+
+def tutte_reference(r, pairs, cache, key=None):
+    """Oracle: bundle deletion-contraction with a canonical key, looked up and stored, at every node.
+
+    key, when given, must equal pairs_canonical_key_reference(r, pairs).
+    """
+    if key is None:
+        key = pairs_canonical_key_reference(r, pairs)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+
+    loops = sum(k for (u, v), k in pairs.items() if u == v)
+    core = {(u, v): k for (u, v), k in pairs.items() if u != v}
+    if not core:
+        poly = TuttePolynomial.one()
+    else:
+        (u, v), k = max(core.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
+        del core[(u, v)]
+        contracted = _merge_pairs(core, u, v)
+        geometric = TuttePolynomial({(0, j): 1 for j in range(k)})
+        if pairs_connected(r, core):
+            poly = tutte_reference(r, core, cache) + geometric * tutte_reference(r - 1, contracted, cache)
+        else:
+            # the bundle is a cut: the last surviving edge is a bridge
+            factor = TuttePolynomial.monomial(1, 0) + TuttePolynomial({(0, j): 1 for j in range(1, k)})
+            poly = factor * tutte_reference(r - 1, contracted, cache)
+    if loops:
+        poly = TuttePolynomial.monomial(0, loops) * poly
+    cache.put(key, poly)
+    return poly
 
 
 def cache_load_reference(path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -23,7 +24,13 @@ from ngostrings.matroid import TutteCache, TuttePolynomial
 from ngostrings.partitions import Partition, set_partitions
 from ngostrings.strings import table_report
 
-from conftest import cache_load_reference, contract_counting_loops, enumerate_strata_reference, indented_cache_text
+from conftest import (
+    cache_load_reference,
+    contract_counting_loops,
+    enumerate_strata_reference,
+    indented_cache_text,
+    tutte_reference,
+)
 
 
 @pytest.fixture
@@ -409,9 +416,13 @@ class TestCache:
                 self.handle.flush()
                 raise OSError("disk full")
 
-        # cache_store opens the temp file with the builtin open; a module
-        # global of that name shadows it
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)), raising=False)
+        # cache_store opens the temp file with the builtin open, mode "x"; a
+        # module global of that name shadows it, and passes reads through
+        def full_disk_open(file, mode="r", **kwargs):
+            handle = open(file, mode, **kwargs)
+            return FullDisk(handle) if mode == "x" else handle
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
         cache.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
         cache_store(str(path), cache)
         assert path.read_bytes() == before
@@ -419,26 +430,78 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
     def test_earlier_cache_file_still_hits(self, capture, tmp_path):
-        # entries as written by the edge-list Tutte recursion for a tree
-        # plus one loop; the keys of the pair-multiplicity recursion must
-        # equal them, or cache files written before it stop hitting
-        entries = {
-            "(1, (0,))": [[0, 0, "1"]],
-            "(2, (0, 0, 1))": [[1, 0, "1"]],
-            "(3, (0, 0, 0, 0, 1, 1))": [[2, 0, "1"]],
-            "(4, (0, 0, 0, 0, 1, 1, 1, 0, 0, 1))": [[3, 1, "1"]],
+        # a file as the earlier recursion and writer left it, with a key at
+        # every node.  K4 is 2-connected with no series vertex, so its key is
+        # the first one the recursion computes, on K4 and on K4 with a pendant
+        # edge and a loop alike: both runs hit it and add nothing
+        k4 = {(u, v): 1 for u in range(4) for v in range(u + 1, 4)}
+        earlier = TutteCache()
+        tutte_reference(4, k4, earlier)
+        top = pairs_canonical_key(4, k4)
+        # K4's key as the earlier key search wrote it into cache files
+        assert top == b"(4, (0, 0, 1, 0, 1, 1, 0, 1, 1, 1))"
+        assert earlier.get(top) is not None
+        graphs = {
+            "k4": (Quiver(4, list(k4)), "x^3 + 3*x^2 + 4*x*y + 2*x + y^3 + 3*y^2 + 2*y"),
+            "pendant": (
+                Quiver(5, list(k4) + [(4, 0), (4, 4)]),
+                "x^4*y + 3*x^3*y + 4*x^2*y^2 + 2*x^2*y + x*y^4 + 3*x*y^3 + 2*x*y^2",
+            ),
         }
-        written = {"format": "ngostrings-cache/1", "entries": entries}
-        graph = tmp_path / "tree.json"
-        graph.write_text('{"format": "graph/1", "vertices": 4, "edges": [[0, 1], [1, 2], [1, 3], [3, 3]]}')
-        warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
-        warm.write_text(json.dumps(written, indent=1, sort_keys=True) + "\n")
-        before = warm.read_bytes()
-        args = ("tutte", "--quiver", str(graph), "--eval", "1", "0", "--cache")
-        assert capture(*args, str(warm)) == (0, "T = x^3*y\nT(1,0) = 0\n", "")
-        assert warm.read_bytes() == before
-        assert capture(*args, str(cold)) == (0, "T = x^3*y\nT(1,0) = 0\n", "")
-        assert json.loads(cold.read_text()) == written
+        for name, (quiver, poly) in graphs.items():
+            graph = tmp_path / ("%s.json" % name)
+            graph.write_text(dump_graph(quiver))
+            warm, cold = tmp_path / ("%s-warm.json" % name), tmp_path / ("%s-cold.json" % name)
+            warm.write_text(indented_cache_text(earlier))
+            before = warm.read_bytes()
+            args = ("tutte", "--quiver", str(graph), "--eval", "1", "1", "--cache")
+            expected = (0, "T = %s\nT(1,1) = 16\n" % poly, "")
+            assert capture(*args, str(warm)) == expected
+            assert warm.read_bytes() == before
+            assert capture(*args, str(cold)) == expected
+            assert json.loads(cold.read_text())["entries"][top.decode("ascii")] == [
+                [i, j, str(c)] for (i, j), c in earlier.get(top).terms()
+            ]
+
+    def test_concurrent_writers_keep_both_entries(self, tmp_path):
+        # two runs load the same file, each adds a different key, and they
+        # store one after the other: the second store merges the first's
+        path = str(tmp_path / "cache.json")
+        seeded = TutteCache()
+        seeded.put(FOREIGN_KEY, FOREIGN_POLY)
+        cache_store(path, seeded)
+        first, second = cache_load(path), cache_load(path)
+        first.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
+        second.put(b"(1, (2,))", TuttePolynomial({(0, 2): 1}))
+        cache_store(path, first)
+        cache_store(path, second)
+        assert dict(cache_load(path).items()) == {
+            FOREIGN_KEY: FOREIGN_POLY,
+            b"(1, (1,))": TuttePolynomial({(0, 1): 1}),
+            b"(1, (2,))": TuttePolynomial({(0, 2): 1}),
+        }
+        # for a key in both, the entry in memory wins
+        second.put(FOREIGN_KEY, TuttePolynomial.one())
+        cache_store(path, second)
+        assert cache_load(path).get(FOREIGN_KEY) == TuttePolynomial.one()
+        assert len(cache_load(path)) == 3
+
+    def test_two_runs_same_output_and_file(self, capture, tmp_path):
+        # the 14-vertex prism's top key runs out of search budget, so it is
+        # computed without the memo; everything else is keyed as usual
+        m = 7
+        prism = [(v, (v + 1) % m) for v in range(m)] + [(m + v, m + (v + 1) % m) for v in range(m)]
+        prism += [(v, m + v) for v in range(m)]
+        for name, graph in (("prism", Quiver(2 * m, prism)), ("cached", CACHED_GRAPH)):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(dump_graph(graph))
+            runs = []
+            for i in range(2):
+                cache = tmp_path / ("%s-%d-cache.json" % (name, i))
+                runs.append((capture("tutte", "--quiver", str(path), "--cache", str(cache)), cache.read_bytes()))
+            assert runs[0] == runs[1]
+            assert runs[0][0][0] == 0
+            assert json.loads(runs[0][1])["entries"]
 
     @pytest.mark.parametrize("command", ["tutte", "matroid"])
     def test_partition_runs_leave_entries(self, capture, tmp_path, command):
@@ -696,6 +759,32 @@ class TestTextDetails:
         assert out.strip().endswith("# contributions weighted by local-system rank > 1: 2,2,2")
         _, out4, _ = capture("strings", "--n", "4", "--d", "2")
         assert "#" not in out4
+
+
+class TestSparseQuivers:
+    """Cycles and prisms leave colour refinement one class, where an exact key takes exponential search."""
+
+    def run_fresh(self, tmp_path, graph):
+        path = tmp_path / "graph.json"
+        path.write_text(dump_graph(graph))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop(CACHE_ENV_VAR, None)
+        argv = [sys.executable, "-m", "ngostrings", "tutte", "--quiver", str(path), "--eval", "1", "1"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+
+    def test_cycle_60(self, tmp_path):
+        out = self.run_fresh(tmp_path, Quiver(60, [(v, (v + 1) % 60) for v in range(60)]))
+        powers = " + ".join(["x^%d" % i for i in range(59, 1, -1)] + ["x", "y"])
+        assert out == "T = %s\nT(1,1) = 60\n" % powers
+
+    def test_prism_14(self, tmp_path):
+        m = 7
+        edges = [(v, (v + 1) % m) for v in range(m)] + [(m + v, m + (v + 1) % m) for v in range(m)]
+        out = self.run_fresh(tmp_path, Quiver(2 * m, edges + [(v, m + v) for v in range(m)]))
+        # Kirchhoff's count of the 7-prism's spanning trees
+        assert out.startswith("T = x^13 + ") and out.endswith("\nT(1,1) = 35287\n")
 
 
 class TestStartup:

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from ngostrings import graphs
+from ngostrings import graphs, matroid
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
@@ -14,14 +14,21 @@ from ngostrings.graphs import (
     canonical_key,
     dump_graph,
     load_graph,
+    pairs_canonical_key,
     spectral_dual_graph,
     spectral_dual_quiver,
     to_dot,
 )
 from ngostrings.intlinalg import rational_rank
-from ngostrings.partitions import Partition, set_partitions
+from ngostrings.matroid import TutteCache
+from ngostrings.partitions import Partition, partitions_of, set_partitions
 
-from conftest import contract_counting_loops, random_connected_multigraph
+from conftest import (
+    contract_counting_loops,
+    pairs_canonical_key_reference,
+    random_connected_multigraph,
+    tutte_cold_pairs,
+)
 
 
 def isomorphic_by_brute_force(g1, g2):
@@ -326,6 +333,60 @@ class TestCanonicalKey:
         a = Quiver(2, [(0, 1), (0, 1)])
         b = Quiver(2, [(0, 1), (1, 0)])
         assert canonical_key(a) == canonical_key(b)
+
+
+    def test_same_bytes_as_reference_on_random_multigraphs(self):
+        # the key bytes are cache-file keys and the strata sort key
+        rng = random.Random(1212)
+        graphs_ = [spectral_dual_graph(p, g) for n in range(2, 6) for p in partitions_of(n) for g in (2, 3)]
+        for _ in range(3000):
+            graphs_.append(
+                random_connected_multigraph(
+                    rng, max_vertices=rng.randint(1, 9), max_edges=rng.randint(0, 22), allow_loops=True
+                )
+            )
+        for g in graphs_:
+            pairs = g.pair_multiplicities()
+            assert pairs_canonical_key(g.vertex_count, pairs) == pairs_canonical_key_reference(g.vertex_count, pairs)
+
+    def test_same_bytes_as_reference_on_recursion_keys(self, monkeypatch):
+        # every key the Tutte recursion completes on the benchmark's random quivers
+        met = []
+        budgeted = matroid.pairs_canonical_key
+
+        def recording(r, pairs, budget=None):
+            key = budgeted(r, pairs, budget)
+            met.append((r, dict(pairs), key))
+            return key
+
+        monkeypatch.setattr(matroid, "pairs_canonical_key", recording)
+        for seed in (1, 2):
+            for r, pairs in tutte_cold_pairs(seed):
+                matroid._tutte(r, pairs, TutteCache())
+        done = [(r, pairs, key) for r, pairs, key in met if key is not None]
+        assert len(done) > 1000
+        for r, pairs, key in done:
+            assert key == pairs_canonical_key_reference(r, pairs)
+
+    def test_budget(self):
+        # a cycle leaves colour refinement one class and ties every
+        # independent vertex set: the search runs out and answers None
+        cycle = {(v, v + 1): 1 for v in range(9)}
+        cycle[(0, 9)] = 1
+        exact = pairs_canonical_key(10, cycle)
+        assert exact == pairs_canonical_key_reference(10, cycle)
+        assert pairs_canonical_key(10, cycle, 50) is None
+        assert pairs_canonical_key(10, cycle, 10**6) == exact
+        # colour refinement separates every vertex of this one: one path of r + 1 nodes
+        lopsided = {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 2): 4}
+        exact = pairs_canonical_key(4, lopsided)
+        assert exact == pairs_canonical_key_reference(4, lopsided)
+        assert pairs_canonical_key(4, lopsided, 5) == exact
+        assert pairs_canonical_key(4, lopsided, 4) is None
+        # twins collapse a complete graph to one path of r + 1 nodes
+        complete = {(u, v): 2 for u in range(12) for v in range(u + 1, 12)}
+        assert pairs_canonical_key(12, complete, 13) == pairs_canonical_key(12, complete)
+        assert pairs_canonical_key(12, complete, 12) is None
 
 
 class TestSerialization:

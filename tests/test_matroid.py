@@ -1,3 +1,4 @@
+import ast
 import random
 import time
 from itertools import combinations
@@ -7,19 +8,23 @@ import pytest
 
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectral_dual_graph, spectral_dual_quiver
+from ngostrings import matroid
 from ngostrings.matroid import (
+    KEY_SEARCH_NODES,
     MAX_F_VECTOR_RANK,
     CographicMatroid,
     TutteCache,
     TuttePolynomial,
     f_h_vectors,
     spectral_tutte_polynomial,
+    _times_y_geometric,
+    _tutte,
     top_betti,
     tutte_polynomial,
 )
 from ngostrings.partitions import Partition, partitions_of
 
-from conftest import random_connected_multigraph, tutte_polynomial_naive
+from conftest import random_connected_multigraph, tutte_cold_pairs, tutte_polynomial_naive, tutte_reference
 
 BANANA2 = MultiGraph(2, [(0, 1), (0, 1)])
 TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -130,6 +135,23 @@ class TestPolynomial:
         p = TuttePolynomial({(0, 1): 1, (2, 0): 1, (1, 0): 1})
         assert [t[0] for t in p.terms()] == [(2, 0), (1, 0), (0, 1)]
 
+    def test_cancelled_terms_drop(self):
+        x = TuttePolynomial.monomial(1, 0)
+        y = TuttePolynomial.monomial(0, 1)
+        minus_y = TuttePolynomial.monomial(0, 1, -1)
+        assert (x + y + minus_y).coeffs == {(1, 0): 1}
+        assert ((x + y) * (x + minus_y)).coeffs == {(2, 0): 1, (0, 2): -1}
+        assert (y + minus_y).coeffs == {}
+        assert TuttePolynomial.monomial(3, 3, 0) == TuttePolynomial.zero()
+
+    def test_y_geometric_product(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            p = TuttePolynomial({(rng.randrange(4), rng.randrange(6)): rng.randint(-3, 3) for _ in range(6)})
+            k = rng.randint(1, 5)
+            geometric = TuttePolynomial({(0, j): 1 for j in range(k)})
+            assert _times_y_geometric(p, k) == p * geometric
+
 
 class TestIndependence:
     def test_banana(self):
@@ -201,11 +223,12 @@ class TestTutte:
             assert poly == tutte_polynomial_naive(g)
             assert all(c > 0 for c in poly.coeffs.values())
 
-    @pytest.mark.parametrize("n, entries", [(6, 58), (7, 121), (8, 248)])
+    @pytest.mark.parametrize("n, entries", [(6, 42), (7, 99), (8, 219)])
     def test_memo_entries_on_spectral_graphs(self, n, entries):
-        # one entry per canonical form the recursion meets; the counts are
-        # those of the edge-list recursion, so a change of key or bundle
-        # order shows here, and cache files written earlier still hit
+        # one entry per reduced core (2-connected, three or more vertices, no
+        # series vertex) that the recursion keys; the counts pin which cores
+        # those are, so a change of key, reduction or bundle order shows here.
+        # The graph itself is such a core, and its key is stored
         cache = TutteCache()
         g = spectral_dual_graph(Partition([1] * n), 2)
         tutte_polynomial(g, cache=cache)
@@ -229,12 +252,16 @@ class TestTutte:
             assert f_h_vectors(mq, cache=TutteCache()) == f_h_vectors(mg, cache=TutteCache())
 
     def test_warm_cache_identical(self):
+        # 2,1,1 at genus 2 is a triangle of bundles 4, 4, 2: one reduced core,
+        # stored cold and hit warm
         cache = TutteCache()
-        g = spectral_dual_graph(Partition([2, 2]), 2)
+        g = spectral_dual_graph(Partition([2, 1, 1]), 2)
         cold = tutte_polynomial(g, cache=cache)
+        assert len(cache) > 0
+        stored = len(cache)
         warm = tutte_polynomial(g, cache=cache)
         assert cold == warm
-        assert len(cache) > 0
+        assert len(cache) == stored
 
     def test_cographic_duality_against_subset_oracle(self):
         graphs = [
@@ -262,6 +289,101 @@ class TestTutte:
             )
             swapped = TuttePolynomial({(j, i): c for (i, j), c in cographic.coeffs.items()})
             assert tutte_polynomial(g) == swapped
+
+
+def cycle(n):
+    return MultiGraph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def prism(n):
+    """Two n/2-cycles joined by a perfect matching: 3-regular and vertex-transitive."""
+    m = n // 2
+    edges = [(v, (v + 1) % m) for v in range(m)] + [(m + v, m + (v + 1) % m) for v in range(m)]
+    return MultiGraph(n, edges + [(v, m + v) for v in range(m)])
+
+
+def key_graph(key):
+    """(r, pair multiplicities) of the multigraph a canonical key encodes."""
+    r, rows = ast.literal_eval(key.decode("ascii"))
+    pairs = {}
+    at = 0
+    for k in range(r):
+        row = rows[at : at + k + 1]
+        at += k + 1
+        for i, m in enumerate(row):
+            if m:
+                # row k lists the loops of the k-th vertex, then its edges to the earlier ones
+                pairs[(i - 1, k) if i else (k, k)] = m
+    return r, pairs
+
+
+class TestReducedCores:
+    """The Tutte recursion keys only 2-connected loopless cores with no series vertex."""
+
+    def test_cycles(self):
+        for n in (3, 4, 10, 60, 200):
+            poly = tutte_polynomial(cycle(n), cache=TutteCache())
+            assert poly == TuttePolynomial({**{(i, 0): 1 for i in range(1, n)}, (0, 1): 1})
+            # Kirchhoff: an n-cycle has n spanning trees
+            assert poly.evaluate(1, 1) == n
+            assert poly.evaluate(2, 2) == 2**n
+        assert [spanning_tree_count(cycle(n)) for n in (3, 4, 10)] == [3, 4, 10]
+
+    def test_prisms(self):
+        for n in range(6, 15, 2):
+            g = prism(n)
+            poly = tutte_polynomial(g, cache=TutteCache())
+            assert poly.evaluate(1, 1) == spanning_tree_count(g)
+            assert poly.evaluate(2, 2) == 2**g.edge_count
+            if n <= 8:
+                assert poly == tutte_polynomial_naive(g)
+        # the 14-vertex prism's top key runs out of search budget
+        pairs = prism(14).pair_multiplicities()
+        assert matroid.pairs_canonical_key(14, pairs, KEY_SEARCH_NODES) is None
+
+    def test_same_as_reference_on_benchmark_graphs(self):
+        for r, pairs in tutte_cold_pairs(1) + tutte_cold_pairs(2)[:3]:
+            assert _tutte(r, pairs, TutteCache()) == tutte_reference(r, pairs, TutteCache())
+
+    def test_stored_keys_are_reduced_cores(self):
+        cache = TutteCache()
+        graphs = [prism(10), spectral_dual_graph(Partition([2, 1, 1, 1]), 2)]
+        for r, pairs in tutte_cold_pairs(4)[:3]:
+            graphs.append(MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)]))
+        for g in graphs:
+            tutte_polynomial(g, cache=cache)
+        assert len(cache) > 50
+        for key, poly in cache.items():
+            r, pairs = key_graph(key)
+            g = MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)])
+            assert matroid.pairs_canonical_key(r, pairs) == key
+            assert r >= 3 and all(u != v for u, v in pairs)
+            assert g.is_connected()
+            for v in range(r):
+                # no cut vertex, and no vertex joined to two others by one edge each
+                rest = [u for u in range(r) if u != v]
+                index = {u: i for i, u in enumerate(rest)}
+                minus = MultiGraph(r - 1, [(index[a], index[b]) for a, b in g.edges if v not in (a, b)])
+                assert minus.is_connected()
+                link = [(u if w == v else w, k) for (u, w), k in pairs.items() if v in (u, w)]
+                assert not (len(link) == 2 and link[0][1] == link[1][1] == 1)
+            assert poly == tutte_polynomial(g, cache=TutteCache())
+
+    def test_without_keys_same_answers(self, monkeypatch):
+        # a budget of no search node: no core is keyed, no entry stored
+        monkeypatch.setattr(matroid, "KEY_SEARCH_NODES", 0)
+        rng = random.Random(41)
+        for _ in range(30):
+            g = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
+            cache = TutteCache()
+            assert tutte_polynomial(g, cache=cache) == tutte_polynomial_naive(g)
+            assert len(cache) == 0
+
+    def test_deterministic_memo(self):
+        for g in (prism(14), prism(10), spectral_dual_graph(Partition([1] * 6), 2)):
+            first, second = TutteCache(), TutteCache()
+            assert tutte_polynomial(g, cache=first) == tutte_polynomial(g, cache=second)
+            assert first.items() == second.items()
 
 
 class TestTopBetti:
