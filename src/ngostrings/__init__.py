@@ -10,6 +10,7 @@ from .graphs import (
     boundary_matrix,
     canonical_key,
     dump_graph,
+    gale_dual,
     load_graph,
     spectral_dual_graph,
     spectral_dual_quiver,
@@ -36,9 +37,7 @@ from .hypertoric import (
 from .intlinalg import (
     ExactnessReport,
     IntMatrix,
-    NotBoundaryMapError,
     SmithDecomposition,
-    gale_dual,
     rational_rank,
     smith_normal_form,
     verify_exact,

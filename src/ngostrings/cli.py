@@ -25,6 +25,7 @@ from .graphs import (
     boundary_matrix,
     checked_spectral_edge_count,
     dump_graph,
+    gale_dual,
     load_graph,
     spectral_dual_quiver,
     spectral_edge_count,
@@ -32,7 +33,7 @@ from .graphs import (
 )
 from .homology import matroid_complex, reduced_homology_ranks
 from .hypertoric import circuit_relations, enumerate_strata, local_model_dims
-from .intlinalg import NotBoundaryMapError, gale_dual, verify_exact
+from .intlinalg import verify_exact
 from .matroid import (
     CographicMatroid,
     TutteCache,
@@ -124,22 +125,47 @@ def cache_store(path, cache):
         print("warning: could not write cache %s (%s)" % (path, exc), file=sys.stderr)
 
 
-def _stringify(obj):
-    if isinstance(obj, bool):
-        return obj
+def _json_text(obj, quote, newline):
+    """json.dumps(obj, indent=2) with every int (not bool) written as a decimal string.
+
+    ``newline`` is the line break plus the indent of the enclosing level.
+    Strings and keys take the C string encoder ``quote``, a list of plain
+    ints is joined in one go, and anything else (None, floats) goes to
+    json.dumps as it is.
+    """
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, int):
-        return str(obj)
+        return '"%d"' % obj
+    if isinstance(obj, str):
+        return quote(obj)
+    inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = '"' + ('",' + inner + '"').join(map(str, obj)) + '"'
+        else:
+            items = ("," + inner).join([_json_text(v, quote, inner) for v in obj])
+        return "[" + inner + items + newline + "]"
     if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    return obj
+        if not obj:
+            return "{}"
+        items = ("," + inner).join(
+            [quote(str(k)) + ": " + _json_text(v, quote, inner) for k, v in obj.items()]
+        )
+        return "{" + inner + items + newline + "}"
+    import json
+
+    return json.dumps(obj)
 
 
 def _print_json(payload):
-    import json
+    from json.encoder import encode_basestring_ascii
 
-    print(json.dumps(_stringify(payload), indent=2))
+    print(_json_text(payload, encode_basestring_ascii, "\n"))
 
 
 def _parse_partition(text):
@@ -281,7 +307,7 @@ def cmd_graph(args):
             {
                 "command": "graph",
                 "vertices": r,
-                "edges": [[u, v] for u, v in quiver.edges],
+                "edges": quiver.edges,
                 "r": r,
                 "s": s,
                 "b1": b1,
@@ -294,16 +320,17 @@ def cmd_graph(args):
 
 def cmd_gale(args):
     quiver = _resolve_quiver(args)
+    # gale_dual makes every refusal before a dense matrix is built
+    B = gale_dual(quiver)
     A = boundary_matrix(quiver)
-    B = gale_dual(A)
     report = verify_exact(A, B)
     circuits = circuit_relations(quiver)
     if args.json:
         _print_json(
             {
                 "command": "gale",
-                "A": [list(row) for row in A.data],
-                "B": [list(row) for row in B.data],
+                "A": A.data,
+                "B": B.data,
                 "exact": report.ok,
                 "circuits": [
                     {"index": rel.index, "coefficients": list(rel.coefficients)}
@@ -505,108 +532,84 @@ def cmd_dims(args):
     return 0
 
 
-def _add_graph_source(parser):
-    parser.add_argument("--partition", help="partition as comma-separated parts, e.g. 2,1,1")
-    parser.add_argument("--genus", type=int, help="genus of the base curve (>= 2)")
-    parser.add_argument("--quiver", help="path to a graph file (format graph/1)")
+# (flag, add_argument keywords) of the options the subcommands share
+_N = ("--n", {"type": int, "required": True})
+_GRAPH_SOURCE = [
+    ("--partition", {"help": "partition as comma-separated parts, e.g. 2,1,1"}),
+    ("--genus", {"type": int, "help": "genus of the base curve (>= 2)"}),
+    ("--quiver", {"help": "path to a graph file (format graph/1)"}),
+]
+_CACHE = ("--cache", {"help": "Tutte cache file (or set %s)" % CACHE_ENV_VAR})
+_STRATUM = [("--partition", {"required": True}), ("--genus", {"type": int, "required": True})]
+
+# name -> (help, handler, options before --json), in help order
+SUBCOMMANDS = {
+    "strings": ("rank table for one (n, d)", cmd_strings, [_N, ("--d", {"type": int, "required": True})]),
+    "report": ("full gcd-indexed rank table for one n", cmd_report, [_N]),
+    "partition": (
+        "list partitions and their constants",
+        cmd_partition,
+        [_N, ("--d", {"type": int, "default": None, "help": "restrict to the degree-admissible subset"})],
+    ),
+    "graph": (
+        "spectral dual graph statistics, DOT or file emission",
+        cmd_graph,
+        _GRAPH_SOURCE
+        + [
+            ("--dot", {"action": "store_true", "help": "emit DOT instead of statistics"}),
+            ("--directed", {"action": "store_true", "help": "DOT as a digraph with orientations"}),
+            ("--emit", {"action": "store_true", "help": "emit the graph file format (graph/1)"}),
+        ],
+    ),
+    "gale": ("boundary matrix, Gale dual and circuit relations", cmd_gale, _GRAPH_SOURCE),
+    "tutte": (
+        "Tutte polynomial, optionally evaluated",
+        cmd_tutte,
+        _GRAPH_SOURCE + [_CACHE, ("--eval", {"type": int, "nargs": 2, "metavar": ("X", "Y")})],
+    ),
+    "matroid": ("cographic f/h-vectors and sphere count", cmd_matroid, _GRAPH_SOURCE + [_CACHE]),
+    "matroid-homology": ("reduced homology of the matroid complex", cmd_matroid_homology, _GRAPH_SOURCE),
+    "strata": ("vertex-partition stratum table", cmd_strata, _GRAPH_SOURCE + [_CACHE]),
+    "local-model": ("dimension ledger of the local model", cmd_local_model, _STRATUM),
+    "dims": ("stratum dimensions and delta invariant", cmd_dims, _STRATUM),
+}
 
 
-def _add_cache_options(parser):
-    parser.add_argument("--cache", help="Tutte cache file (or set %s)" % CACHE_ENV_VAR)
-
-
-def build_parser():
+def build_parser(command=None):
+    """The argument parser: every subcommand, or only ``command`` with the same usage text."""
     parser = argparse.ArgumentParser(
         prog="ngostrings",
         description="Exact combinatorics of string ranks, spectral dual graphs and hypertoric strata.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("strings", help="rank table for one (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_strings)
-
-    p = sub.add_parser("report", help="full gcd-indexed rank table for one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("partition", help="list partitions and their constants")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=None, help="restrict to the degree-admissible subset")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("graph", help="spectral dual graph statistics, DOT or file emission")
-    _add_graph_source(p)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of statistics")
-    p.add_argument("--directed", action="store_true", help="DOT as a digraph with orientations")
-    p.add_argument("--emit", action="store_true", help="emit the graph file format (graph/1)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("gale", help="boundary matrix, Gale dual and circuit relations")
-    _add_graph_source(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gale)
-
-    p = sub.add_parser("tutte", help="Tutte polynomial, optionally evaluated")
-    _add_graph_source(p)
-    _add_cache_options(p)
-    p.add_argument("--eval", type=int, nargs=2, metavar=("X", "Y"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tutte)
-
-    p = sub.add_parser("matroid", help="cographic f/h-vectors and sphere count")
-    _add_graph_source(p)
-    _add_cache_options(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_matroid)
-
-    p = sub.add_parser("matroid-homology", help="reduced homology of the matroid complex")
-    _add_graph_source(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_matroid_homology)
-
-    p = sub.add_parser("strata", help="vertex-partition stratum table")
-    _add_graph_source(p)
-    _add_cache_options(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_strata)
-
-    p = sub.add_parser("local-model", help="dimension ledger of the local model")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_local_model)
-
-    p = sub.add_parser("dims", help="stratum dimensions and delta invariant")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dims)
-
+    if command is None:
+        names = list(SUBCOMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the metavar keeps the usage line that lists every subcommand; the
+        # full parser sets none, since its missing-command error names `command`
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(SUBCOMMANDS))
+    for name in names:
+        help_text, handler, options = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=handler)
     return parser
 
 
 def run(argv):
     """Dispatch a command line; returns the exit status."""
-    parser = build_parser()
+    # a command line that names its subcommand first builds only that subparser
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        ValueError,
-        NotBoundaryMapError,
-        ModelInconsistencyError,
-        ResourceLimitError,
-        OSError,
-    ) as exc:
+    except (ValueError, ModelInconsistencyError, ResourceLimitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

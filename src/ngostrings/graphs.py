@@ -23,10 +23,12 @@ from .intlinalg import MAX_DENSE_ENTRIES, IntMatrix
 GRAPH_FORMAT = "graph/1"
 
 # Bound on vertices + edges of a graph built or printed edge by edge, checked
-# before anything is allocated.  At the bound, `graph` prints its statistics in
-# about 1 s and 100 MiB and its costliest output, --json, in about 6 s and
-# 650 MiB.  The spectral dual graphs of interest stay well below it (2,1,1 at genus 20000 has 199 990 edges), and
-# quantities that need only the edge count never build a graph.
+# before anything is allocated.  At the bound (1,1 at genus 500 000), `graph`
+# prints its costliest outputs, --json in about 3-4 s and 200 MiB and --emit
+# in about 5 s and 430 MiB (fresh process, 2-core Xeon, Python 3.11).  The
+# spectral dual graphs of interest stay well below it (2,1,1 at genus 20000
+# has 199 990 edges), and quantities that need only the edge count, such as
+# the statistics of a spectral dual graph, never build a graph.
 MAX_GRAPH_SIZE = 10**6
 
 
@@ -249,6 +251,21 @@ def betti1(graph):
     return graph.edge_count - graph.vertex_count + 1
 
 
+def _boundary_shape(quiver):
+    """(r, s) of a connected quiver whose boundary matrix is at least 1 x s and fits MAX_DENSE_ENTRIES."""
+    r, s = quiver.vertex_count, quiver.edge_count
+    if r < 2:
+        raise ValueError("boundary matrix needs at least 2 vertices")
+    if (r - 1) * s > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(
+            "the boundary matrix of %d vertices and %d edges has %d dense entries; the limit is %d"
+            % (r, s, (r - 1) * s, MAX_DENSE_ENTRIES)
+        )
+    if not quiver.is_connected():
+        raise ValueError("boundary matrix requires a connected quiver")
+    return r, s
+
+
 def boundary_matrix(quiver):
     """Boundary map e -> source(e) - target(e) in the basis v1-v2, ..., v1-vr.
 
@@ -257,18 +274,9 @@ def boundary_matrix(quiver):
     Raises ResourceLimitError before building anything when (r-1)*s exceeds
     MAX_DENSE_ENTRIES.
     """
-    r = quiver.vertex_count
-    if r < 2:
-        raise ValueError("boundary matrix needs at least 2 vertices")
-    entries = (r - 1) * quiver.edge_count
-    if entries > MAX_DENSE_ENTRIES:
-        raise ResourceLimitError(
-            "the boundary matrix of %d vertices and %d edges has %d dense entries; the limit is %d"
-            % (r, quiver.edge_count, entries, MAX_DENSE_ENTRIES)
-        )
-    if not quiver.is_connected():
-        raise ValueError("boundary matrix requires a connected quiver")
-    rows = [[0] * quiver.edge_count for _ in range(r - 1)]
+    r, s = _boundary_shape(quiver)
+    A = IntMatrix.zeros(r - 1, s)
+    rows = A.data
     for col, (u, v) in enumerate(quiver.edges):
         if u == v:
             continue
@@ -277,7 +285,80 @@ def boundary_matrix(quiver):
             rows[v - 1][col] += 1
         if u >= 1:
             rows[u - 1][col] -= 1
-    return IntMatrix(rows)
+    return A
+
+
+def gale_dual(quiver):
+    """Gale dual B of the boundary matrix A of a connected quiver: an s x b1 matrix.
+
+    The columns of B are the fundamental cycles of the spanning tree that
+    Kruskal's greedy scan picks taking edges from the last index down, one
+    per non-tree edge in increasing order, with coefficient +1 on that edge
+    and +-1 on the tree path back, by orientation.  They are a basis of
+    ker(A) over Z, so A*B = 0 and Z^s/im(B) is torsion free.  A non-tree
+    edge was passed over because later edges already joined its ends, so it
+    is the smallest index on its cycle and on no other: the columns are in
+    reduced echelon form with unit pivots, which makes them the Hermite
+    basis of ker(A), canonical for the lattice (Oxley, Matroid Theory, on
+    fundamental circuits; Cohen, GTM 138, section 2.4).
+
+    Refuses, before anything dense is built, what boundary_matrix refuses
+    (in the same order) and then, with ResourceLimitError, an s*(r-1+s)
+    above MAX_DENSE_ENTRIES, which bounds the entries of A and B together.
+    """
+    r, s = _boundary_shape(quiver)
+    if s * (r - 1 + s) > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(
+            "the Gale dual of a %dx%d matrix needs %d dense entries; the limit is %d"
+            % (r - 1, s, s * (r - 1 + s), MAX_DENSE_ENTRIES)
+        )
+    edges = quiver.edges
+    root = list(range(r))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    adjacent = [[] for _ in range(r)]
+    chords = []
+    for k in reversed(range(s)):
+        u, v = edges[k]
+        a, b = find(u), find(v)
+        if a == b:
+            chords.append(k)
+        else:
+            root[a] = b
+            adjacent[u].append((v, k))
+            adjacent[v].append((u, k))
+    # root the tree at vertex 0: parent vertex, edge to the parent, depth
+    parent, up, depth = [0] * r, [0] * r, [-1] * r
+    depth[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, k in adjacent[x]:
+            if depth[y] < 0:
+                parent[y], up[y], depth[y] = x, k, depth[x] + 1
+                stack.append(y)
+    B = IntMatrix.zeros(s, len(chords))
+    rows = B.data
+    for j, k in enumerate(reversed(chords)):
+        # the cycle runs from u to v along edge k, then back through the
+        # tree: up from v, where an edge counts +1 if its source is the
+        # lower end, and down to u, where it counts +1 if its target is
+        rows[k][j] = 1
+        u, v = edges[k]
+        while u != v:
+            if depth[v] >= depth[u]:
+                e = up[v]
+                rows[e][j] = 1 if edges[e][0] == v else -1
+                v = parent[v]
+            else:
+                e = up[u]
+                rows[e][j] = 1 if edges[e][1] == u else -1
+                u = parent[u]
+    return B
 
 
 def _refined_colors(r, pairs):

@@ -1,10 +1,10 @@
-"""Exact integer linear algebra: Smith normal form, Gale duals, exactness checks.
+"""Exact integer linear algebra: Smith normal form, ranks, exactness checks.
 
 All arithmetic is arbitrary-precision integer arithmetic; nothing here ever
 touches floating point.  The central consumers are the quiver boundary maps
-A: Z^s -> Z^(r-1): their saturated kernel bases (Gale duals) fit into the
-exact sequence 0 -> Z^b1 -B-> Z^s -A-> Z^(r-1) -> 0, which verify_exact
-certifies condition by condition.
+A: Z^s -> Z^(r-1) and their Gale duals B (ngostrings.graphs.gale_dual), which
+fit into the exact sequence 0 -> Z^b1 -B-> Z^s -A-> Z^(r-1) -> 0 that
+verify_exact certifies condition by condition.
 
 Pivot selection is deterministic everywhere, so decompositions reproduce
 bit for bit across platforms.  The Smith form pivots on the entry of
@@ -19,20 +19,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import ResourceLimitError
-
 # Bound on the entries of a dense matrix built for a boundary map or a Gale
 # dual, checked before anything is allocated.  Each entry is a pointer in a
-# Python list, and the Hermite form passes over the rows many times, so time
-# and memory grow faster than the entry count: near the bound, `gale` on
-# 2,1,1 at genus 100 (990 edges, n*(m+n) = 982 080) answers in about 1 s and
-# 55 MiB (fresh process, 2-core Xeon, Python 3.11), while a 199 990-edge
+# Python list, and verify_exact and the printed output walk every entry of
+# B: near the bound, `gale` on 2,1,1 at genus 100 (990 edges, s*(r-1+s) =
+# 982 080) answers in about 0.35 s and 29 MiB, or 0.4-0.7 s and 55 MiB with
+# --json (fresh process, 2-core Xeon, Python 3.11), while a 199 990-edge
 # graph would need a 4*10^10-entry matrix.
 MAX_DENSE_ENTRIES = 10**6
-
-
-class NotBoundaryMapError(ValueError):
-    """The matrix is not surjective over Z, so it has no Gale dual."""
 
 
 class IntMatrix:
@@ -50,7 +44,10 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        """A rows x cols zero matrix, built without the conversion and checks of __init__."""
+        self = object.__new__(cls)
+        self.data = [[0] * cols for _ in range(rows)]
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -337,82 +334,6 @@ def rational_rank(A):
     """Rank over Q of an IntMatrix (or nested integer lists)."""
     data = A.data if isinstance(A, IntMatrix) else A
     return sparse_rank(_sparse_rows(data))
-
-
-def row_hermite_form(rows, ncols):
-    """Canonical basis of the lattice spanned by the given integer rows.
-
-    Row-style Hermite normal form: echelon shape, positive pivots, entries
-    above each pivot reduced into [0, pivot).  The output depends only on
-    the row lattice, which makes kernel bases reproducible.
-    """
-    work = [list(r) for r in rows]
-    pivot_row = 0
-    for col in range(ncols):
-        while True:
-            live = [i for i in range(pivot_row, len(work)) if work[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: (abs(work[i][col]), i))
-            i0 = live[0]
-            for i in live[1:]:
-                q = work[i][col] // work[i0][col]
-                work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
-        if not live:
-            continue
-        i0 = live[0]
-        work[pivot_row], work[i0] = work[i0], work[pivot_row]
-        if work[pivot_row][col] < 0:
-            work[pivot_row] = [-v for v in work[pivot_row]]
-        pivot = work[pivot_row][col]
-        for i in range(pivot_row):
-            q = work[i][col] // pivot
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
-        pivot_row += 1
-    return [row for row in work[:pivot_row]]
-
-
-def gale_dual(A):
-    """Integer matrix B whose columns are a canonical basis of the saturated kernel of A.
-
-    Requires A (m x n) to be surjective over Z, which holds for boundary
-    matrices of connected quivers; raises NotBoundaryMapError otherwise.
-
-    One Hermite form does both jobs (Cohen, GTM 138, section 2.4).  The rows
-    (A e_j | e_j) span the lattice {(Ax, x) : x in Z^n}; in its row Hermite
-    form H, the first m columns of the leading rows are the Hermite form of
-    the image A Z^n, and every later row is (0 | x) with x running through
-    the Hermite basis of ker(A).  So A is surjective exactly when the
-    diagonal H[0][0], ..., H[m-1][m-1] is all ones (the A-block is then
-    I_m), and the remaining rows, read as columns, are B.  A Hermite basis
-    depends only on its lattice, so B is deterministic and satisfies A*B = 0
-    with Z^n/im(B) torsion free.
-
-    The rows are fed last column first.  That changes only the amount of
-    work: on ties the earliest row becomes the pivot, so the pivots of the
-    A-block are late columns, and for a boundary matrix the kernel rows come
-    out as fundamental cycles already in echelon form.
-    """
-    m, n = A.rows, A.cols
-    if n * (m + n) > MAX_DENSE_ENTRIES:
-        raise ResourceLimitError(
-            "the Gale dual of a %dx%d matrix needs %d dense entries; the limit is %d"
-            % (m, n, n * (m + n), MAX_DENSE_ENTRIES)
-        )
-    rows = []
-    for j in reversed(range(n)):
-        row = [A.data[i][j] for i in range(m)] + [0] * n
-        row[m + j] = 1
-        rows.append(row)
-    H = row_hermite_form(rows, m + n)
-    diagonal = tuple(H[i][i] if i < len(H) else 0 for i in range(m))
-    if any(d != 1 for d in diagonal):
-        raise NotBoundaryMapError(
-            "matrix is not surjective over Z (Hermite diagonal %r)" % (diagonal,)
-        )
-    basis = [row[m:] for row in H[m:]]
-    return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
 
 
 class ExactnessReport(

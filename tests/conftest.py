@@ -19,13 +19,7 @@ from ngostrings.graphs import (
     pairs_connected,
 )
 from ngostrings.hypertoric import SmallnessCertificate, StratumRecord
-from ngostrings.intlinalg import (
-    ExactnessReport,
-    IntMatrix,
-    NotBoundaryMapError,
-    row_hermite_form,
-    smith_normal_form,
-)
+from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix, smith_normal_form
 from ngostrings.matroid import TutteCache, TuttePolynomial, _tutte
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of, set_partitions
 
@@ -358,12 +352,84 @@ def tutte_polynomial_naive(graph):
     return TuttePolynomial.monomial(1, 0) * tutte_polynomial_naive(contracted)
 
 
+class NotBoundaryMapError(ValueError):
+    """The matrix is not surjective over Z, so it has no Gale dual."""
+
+
+def row_hermite_form(rows, ncols):
+    """Oracle: canonical basis of the lattice spanned by the given integer rows.
+
+    Row-style Hermite normal form: echelon shape, positive pivots, entries
+    above each pivot reduced into [0, pivot).  The output depends only on
+    the row lattice, which makes kernel bases reproducible.
+    """
+    work = [list(r) for r in rows]
+    pivot_row = 0
+    for col in range(ncols):
+        while True:
+            live = [i for i in range(pivot_row, len(work)) if work[i][col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda i: (abs(work[i][col]), i))
+            i0 = live[0]
+            for i in live[1:]:
+                q = work[i][col] // work[i0][col]
+                work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
+        if not live:
+            continue
+        i0 = live[0]
+        work[pivot_row], work[i0] = work[i0], work[pivot_row]
+        if work[pivot_row][col] < 0:
+            work[pivot_row] = [-v for v in work[pivot_row]]
+        pivot = work[pivot_row][col]
+        for i in range(pivot_row):
+            q = work[i][col] // pivot
+            if q:
+                work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
+        pivot_row += 1
+    return [row for row in work[:pivot_row]]
+
+
+def gale_dual_hermite(A):
+    """Oracle: matrix B whose columns are the Hermite basis of the saturated kernel of any A.
+
+    Requires A (m x n) to be surjective over Z; raises NotBoundaryMapError
+    otherwise.  One Hermite form does both jobs (Cohen, GTM 138, section
+    2.4).  The rows (A e_j | e_j) span the lattice {(Ax, x) : x in Z^n}; in
+    its row Hermite form H, the first m columns of the leading rows are the
+    Hermite form of the image A Z^n, and every later row is (0 | x) with x
+    running through the Hermite basis of ker(A).  So A is surjective exactly
+    when the diagonal H[0][0], ..., H[m-1][m-1] is all ones, and the
+    remaining rows, read as columns, are B.  The rows are fed last column
+    first, which changes only the amount of work.
+    """
+    m, n = A.rows, A.cols
+    if n * (m + n) > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(
+            "the Gale dual of a %dx%d matrix needs %d dense entries; the limit is %d"
+            % (m, n, n * (m + n), MAX_DENSE_ENTRIES)
+        )
+    rows = []
+    for j in reversed(range(n)):
+        row = [A.data[i][j] for i in range(m)] + [0] * n
+        row[m + j] = 1
+        rows.append(row)
+    H = row_hermite_form(rows, m + n)
+    diagonal = tuple(H[i][i] if i < len(H) else 0 for i in range(m))
+    if any(d != 1 for d in diagonal):
+        raise NotBoundaryMapError(
+            "matrix is not surjective over Z (Hermite diagonal %r)" % (diagonal,)
+        )
+    basis = [row[m:] for row in H[m:]]
+    return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
+
+
 def gale_dual_via_smith(A):
     """Oracle: Gale dual from the Smith transform V, whose columns past the rank span ker(A).
 
     Surjectivity is read off the Smith invariants, and the kernel columns of
     V are put in row Hermite form, so the result is the Hermite basis of
-    ker(A), as in gale_dual.
+    ker(A), as in gale_dual_hermite.
     """
     dec = smith_normal_form(A)
     if dec.rank < A.rows or any(d != 1 for d in dec.invariants):
@@ -686,3 +752,20 @@ def grouping_string_ranks(n, q):
         result = (ranks, frozenset(flagged))
     _GROUPING_MEMO[key] = result
     return result
+
+
+def _stringify(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_stringify(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _stringify(v) for k, v in obj.items()}
+    return obj
+
+
+def json_text_reference(payload):
+    """Oracle: the --json text of a payload, every int (not bool) turned into a decimal string first."""
+    return json.dumps(_stringify(payload), indent=2)

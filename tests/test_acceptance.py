@@ -15,12 +15,13 @@ from ngostrings.graphs import (
     Quiver,
     betti1,
     boundary_matrix,
+    gale_dual,
     spectral_dual_graph,
     spectral_dual_quiver,
 )
 from ngostrings.homology import matroid_complex, reduced_homology_ranks
 from ngostrings.hypertoric import certify_small, circuit_relations, enumerate_strata, local_decomposition, local_model_dims
-from ngostrings.intlinalg import gale_dual, smith_normal_form, verify_exact
+from ngostrings.intlinalg import smith_normal_form, verify_exact
 from ngostrings.matroid import (
     CographicMatroid,
     TutteCache,
@@ -138,8 +139,7 @@ def test_criterion_07_gale_exactness():
                     if p.r < 2:
                         continue
                     quiver = spectral_dual_quiver(p, g)
-                    A = boundary_matrix(quiver)
-                    B = gale_dual(A)
+                    A, B = boundary_matrix(quiver), gale_dual(quiver)
                     assert B.cols == betti1(quiver)
                     assert verify_exact(A, B).ok
                     rels = circuit_relations(quiver)
@@ -150,9 +150,10 @@ def test_criterion_07_gale_exactness():
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
             if graph.vertex_count < 2:
                 continue
-            A = boundary_matrix(Quiver.from_graph(graph))
+            quiver = Quiver.from_graph(graph)
+            A = boundary_matrix(quiver)
             assert all(d == 1 for d in smith_normal_form(A).invariants)
-            assert verify_exact(A, gale_dual(A)).ok
+            assert verify_exact(A, gale_dual(quiver)).ok
             done += 1
 
 

@@ -19,16 +19,18 @@ from ngostrings.graphs import (
     spectral_dual_quiver,
     spectral_edge_count,
 )
-from ngostrings.intlinalg import MAX_DENSE_ENTRIES
+from ngostrings.intlinalg import MAX_DENSE_ENTRIES, IntMatrix
 from ngostrings.matroid import TutteCache, TuttePolynomial
 from ngostrings.partitions import Partition, set_partitions
 from ngostrings.strings import table_report
 
 from conftest import (
+    bench_workloads,
     cache_load_reference,
     contract_counting_loops,
     enumerate_strata_reference,
     indented_cache_text,
+    json_text_reference,
     tutte_reference,
 )
 
@@ -227,20 +229,33 @@ class TestGale:
             ["gale", "--quiver", "PATH"],
         ],
     )
-    def test_over_dense_size_limit(self, capture, tmp_path, argv):
+    def test_over_dense_size_limit(self, capture, tmp_path, monkeypatch, argv):
         if "PATH" in argv:
             path = tmp_path / "path.json"
             edges = ", ".join("[%d, %d]" % (v, v + 1) for v in range(299999))
             path.write_text('{"format": "graph/1", "vertices": 300000, "edges": [%s]}' % edges)
             argv = [str(path) if a == "PATH" else a for a in argv]
-        start = time.perf_counter()
+
+        # refused before any dense matrix is allocated: every builder raises
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix was built before the refusal")
+
+        monkeypatch.setattr(IntMatrix, "__init__", refuse)
+        monkeypatch.setattr(IntMatrix, "zeros", classmethod(refuse))
         status, out, err = capture(*argv)
-        assert time.perf_counter() - start < 1.0
         assert status == 1
         assert out == ""
         assert err.startswith("error: ") and "dense entries" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("label", ["gale 2,1,1,1 g=8", "gale 1,1,1,1,1 g=10"])
+    def test_matches_recorded_digest(self, capture, label):
+        # the stdout digests the bench records once and never re-records
+        workloads = bench_workloads()
+        status, out, _ = capture(*workloads.FIXED_OPS[label])
+        assert status == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == workloads.DIGESTS[label]
 
     def test_largest_spectral_input_within_dense_limit(self, capture):
         # genus 100 is the last genus of 2,1,1 whose Gale dual fits MAX_DENSE_ENTRIES
@@ -785,6 +800,91 @@ class TestSparseQuivers:
         out = self.run_fresh(tmp_path, Quiver(2 * m, edges + [(v, m + v) for v in range(m)]))
         # Kirchhoff's count of the 7-prism's spanning trees
         assert out.startswith("T = x^13 + ") and out.endswith("\nT(1,1) = 35287\n")
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv", [["--help"]] + [[name, flag] for name in cli.SUBCOMMANDS for flag in ("--help", "--bogus")]
+    )
+    def test_same_output_as_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = (exc.value.code, *capsys.readouterr())
+        status = run(argv)
+        assert (status, *capsys.readouterr()) == full
+
+    def test_named_subcommand_builds_one_subparser(self, capture, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert capture("dims", "--partition", "1,1", "--genus", "2")[0] == 0
+        for argv in (["--help"], ["frobnicate"], []):
+            assert capture(*argv)[0] in (0, 2)
+        assert built == ["dims", None, None, None]
+
+
+SOURCE = ["--partition", "2,1,1", "--genus", "2"]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strings", "--n", "6", "--d", "2"],
+            ["report", "--n", "5"],
+            ["partition", "--n", "5"],
+            ["partition", "--n", "6", "--d", "3"],
+            ["graph"] + SOURCE,
+            ["gale"] + SOURCE,
+            ["tutte", "--eval", "2", "-1"] + SOURCE,
+            ["matroid"] + SOURCE,
+            ["matroid-homology", "--partition", "1,1,1", "--genus", "2"],
+            ["strata"] + SOURCE,
+            ["local-model"] + SOURCE,
+            ["dims"] + SOURCE,
+        ],
+    )
+    def test_same_bytes_as_reference_on_every_subcommand(self, capture, monkeypatch, argv):
+        payloads = []
+        write = cli._print_json
+
+        def spy(payload):
+            payloads.append(payload)
+            write(payload)
+
+        monkeypatch.setattr(cli, "_print_json", spy)
+        status, out, _ = capture(*argv, "--json")
+        assert status == 0
+        assert out == json_text_reference(payloads[0]) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {},
+            {"a": [], "b": {}, "c": [[], {}, [[]]]},
+            [1, True, 2, False],
+            [True, False],
+            None,
+            {"none": None, "list": [None, "x", 1]},
+            [-7, 10**40, -(10**40), 0],
+            (1, (2, 3), ()),
+            {1: 2, True: "t", "k": (4,)},
+            ["caf\u00e9 \u2603 \U0001f600", "\n\t\x00\x1f\"\\/"],
+            {"\u00e9\n": "\x7f"},
+            "top",
+            12,
+            1.5,
+        ],
+    )
+    def test_same_bytes_as_reference_on_edge_cases(self, capsys, payload):
+        cli._print_json(payload)
+        assert capsys.readouterr().out == json_text_reference(payload) + "\n"
 
 
 class TestStartup:

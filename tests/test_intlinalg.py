@@ -4,24 +4,23 @@ import pytest
 
 from ngostrings import intlinalg
 from ngostrings.errors import ResourceLimitError
-from ngostrings.graphs import Quiver, boundary_matrix, spectral_edge_count
+from ngostrings.graphs import Quiver, boundary_matrix, gale_dual, spectral_dual_quiver, spectral_edge_count
 from ngostrings.intlinalg import (
     MAX_DENSE_ENTRIES,
     IntMatrix,
-    NotBoundaryMapError,
-    gale_dual,
     rational_rank,
-    row_hermite_form,
     smith_normal_form,
     sparse_rank,
     verify_exact,
 )
 from ngostrings.partitions import Partition, partitions_of
-from ngostrings.graphs import spectral_dual_quiver
 
 from conftest import (
+    NotBoundaryMapError,
+    gale_dual_hermite,
     gale_dual_via_smith,
     random_connected_multigraph,
+    row_hermite_form,
     sparse_rank_reference,
     verify_exact_via_smith,
 )
@@ -219,29 +218,33 @@ TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
 
 class TestGaleDual:
     def test_triangle(self):
-        B = gale_dual(boundary_matrix(TRIANGLE))
+        B = gale_dual(TRIANGLE)
         assert B.data == [[1], [1], [1]]
 
     def test_banana(self):
-        A = boundary_matrix(Quiver(2, [(0, 1), (0, 1)]))
-        assert A.data == [[1, 1]]
-        B = gale_dual(A)
+        banana = Quiver(2, [(0, 1), (0, 1)])
+        assert boundary_matrix(banana).data == [[1, 1]]
+        B = gale_dual(banana)
         assert B.data == [[1], [-1]]
 
     def test_single_edge_trivial_kernel(self):
-        A = boundary_matrix(Quiver(2, [(0, 1)]))
-        B = gale_dual(A)
+        B = gale_dual(Quiver(2, [(0, 1)]))
         assert B.rows == 1 and B.cols == 0
 
+    def test_loops_are_their_own_cycles(self):
+        B = gale_dual(Quiver(2, [(1, 1), (1, 0), (0, 0)]))
+        assert B.data == [[1, 0], [0, 0], [0, 1]]
+
     def test_not_surjective_rejected(self):
+        # the general-matrix oracle refuses what has no Gale dual
         with pytest.raises(NotBoundaryMapError, match=r"Hermite diagonal \(2,\)"):
-            gale_dual(IntMatrix([[2]]))
+            gale_dual_hermite(IntMatrix([[2]]))
         with pytest.raises(NotBoundaryMapError, match=r"Hermite diagonal \(1, 0\)"):
-            gale_dual(IntMatrix([[1, 0], [1, 0]]))
+            gale_dual_hermite(IntMatrix([[1, 0], [1, 0]]))
 
     def test_kernel_hermite_pivot_above_one(self):
         A = IntMatrix([[3, -2]])
-        B = gale_dual(A)
+        B = gale_dual_hermite(A)
         assert B.data == [[2], [3]]
         assert verify_exact(A, B).ok
 
@@ -250,9 +253,10 @@ class TestGaleDual:
             raise AssertionError("gale_dual called smith_normal_form")
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
-        assert gale_dual(boundary_matrix(TRIANGLE)).data == [[1], [1], [1]]
+        assert gale_dual(TRIANGLE).data == [[1], [1], [1]]
 
     def test_same_as_smith_oracle_on_random_matrices(self):
+        # the two oracles agree on general matrices, onto Z or not
         rng = random.Random(20)
         outcomes = {True: 0, False: 0}
         for _ in range(2400):
@@ -261,10 +265,10 @@ class TestGaleDual:
                 expected = gale_dual_via_smith(A)
             except NotBoundaryMapError:
                 with pytest.raises(NotBoundaryMapError):
-                    gale_dual(A)
+                    gale_dual_hermite(A)
                 outcomes[False] += 1
                 continue
-            assert gale_dual(A) == expected, A
+            assert gale_dual_hermite(A) == expected, A
             outcomes[True] += 1
         assert min(outcomes.values()) > 500
 
@@ -274,15 +278,41 @@ class TestGaleDual:
             g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
             if g.vertex_count < 2:
                 continue
-            A = boundary_matrix(Quiver.from_graph(g))
-            assert gale_dual(A) == gale_dual_via_smith(A), g
+            quiver = Quiver.from_graph(g)
+            assert gale_dual(quiver) == gale_dual_via_smith(boundary_matrix(quiver)), g
+
+    def test_same_as_hermite_oracle_on_random_quivers(self):
+        rng = random.Random(24)
+        done = 0
+        while done < 400:
+            g = random_connected_multigraph(rng, max_vertices=7, max_edges=20, allow_loops=True)
+            if g.vertex_count < 2:
+                continue
+            # reverse some edges, so orientations disagree along tree paths
+            quiver = Quiver(g.vertex_count, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
+            assert gale_dual(quiver) == gale_dual_hermite(boundary_matrix(quiver)), quiver
+            done += 1
+
+    @pytest.mark.parametrize("parts, genus", [((2, 1, 1), 100), ((1,) * 5, 10), ((2, 1, 1, 1), 8)])
+    def test_same_as_hermite_oracle_on_spectral_quivers(self, parts, genus):
+        quiver = spectral_dual_quiver(Partition(parts), genus)
+        assert gale_dual(quiver) == gale_dual_hermite(boundary_matrix(quiver))
 
     def test_size_limit(self):
-        with pytest.raises(ResourceLimitError, match="dense entries"):
-            gale_dual(IntMatrix([[1] * 1000]))
+        # (r-1)*s fits, the Gale dual's s*(r-1+s) does not
+        with pytest.raises(ResourceLimitError, match="Gale dual of a 1x1000 matrix needs 1001000 dense entries"):
+            gale_dual(Quiver(2, [(0, 1)] * 1000))
         path = Quiver(1002, [(v, v + 1) for v in range(1001)])
-        with pytest.raises(ResourceLimitError, match="dense entries"):
-            boundary_matrix(path)
+        for build in (boundary_matrix, gale_dual):
+            with pytest.raises(ResourceLimitError, match="boundary matrix of 1002 vertices .* dense entries"):
+                build(path)
+
+    def test_refusal_order(self):
+        # each refusal of gale_dual is the one boundary_matrix would give first
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            gale_dual(Quiver(1, [(0, 0)] * 2000))
+        with pytest.raises(ValueError, match="requires a connected quiver"):
+            gale_dual(Quiver(3, [(0, 1)] * 1000))
 
     def test_size_limit_admits_genus_60(self):
         s = spectral_edge_count(Partition((2, 1, 1)), 60)
@@ -324,8 +354,8 @@ class TestVerifyExact:
             for p in partitions_of(n):
                 if p.r < 2:
                     continue
-                A = boundary_matrix(spectral_dual_quiver(p, genus))
-                B = gale_dual(A)
+                quiver = spectral_dual_quiver(p, genus)
+                A, B = boundary_matrix(quiver), gale_dual(quiver)
                 assert verify_exact(A, B) == verify_exact_via_smith(A, B), p
 
     def test_same_as_smith_oracle_on_random_pairs(self, monkeypatch):
@@ -344,7 +374,7 @@ class TestVerifyExact:
             A = random_int_matrix(rng, rng.randint(1, 4), s, bound=rng.choice([1, 2, 6]))
             kind = rng.choice(["dual", "scaled", "empty", "random"])
             try:
-                B = gale_dual(A)
+                B = gale_dual_hermite(A)
             except NotBoundaryMapError:
                 kind = "random"
             if kind == "random":
@@ -380,8 +410,7 @@ class TestVerifyExact:
             if g.vertex_count > 1:
                 quivers.append(Quiver.from_graph(g))
         for quiver in quivers:
-            A = boundary_matrix(quiver)
-            assert verify_exact(A, gale_dual(A)).ok
+            assert verify_exact(boundary_matrix(quiver), gale_dual(quiver)).ok
 
     @pytest.mark.parametrize(
         "data, onto",
@@ -397,7 +426,7 @@ class TestVerifyExact:
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
         A = IntMatrix(data)
-        B = gale_dual(A) if onto else IntMatrix([[2], [-1]])
+        B = gale_dual_hermite(A) if onto else IntMatrix([[2], [-1]])
         report = verify_exact(A, B)
         assert A in smith_calls
         assert report.a_surjective_over_z is onto
@@ -413,8 +442,7 @@ class TestExactSequencesOnGraphs:
                 if p.r < 2:
                     continue
                 quiver = spectral_dual_quiver(p, genus)
-                A = boundary_matrix(quiver)
-                B = gale_dual(A)
+                A, B = boundary_matrix(quiver), gale_dual(quiver)
                 expected_b1 = quiver.edge_count - quiver.vertex_count + 1
                 assert B.cols == expected_b1
                 assert verify_exact(A, B).ok
@@ -427,8 +455,8 @@ class TestExactSequencesOnGraphs:
             g = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
             if g.vertex_count < 2:
                 continue
-            A = boundary_matrix(Quiver.from_graph(g))
-            B = gale_dual(A)
+            quiver = Quiver.from_graph(g)
+            A, B = boundary_matrix(quiver), gale_dual(quiver)
             assert verify_exact(A, B).ok
             assert B.cols == g.edge_count - g.vertex_count + 1
             done += 1
