@@ -5,6 +5,11 @@ to a structured mode in which every integer is a decimal string, so
 arbitrary-precision values survive any JSON parser.  Domain errors exit 1,
 usage errors exit 2.
 
+A command line in the strict form of _fast_args (the subcommand, then exact
+flags with plain values) is read without argparse, and each subcommand
+imports only the modules it uses.  Every other line goes to argparse, which
+alone writes usage, help and error text.
+
 A persistent Tutte memo cache can be supplied with ``--cache PATH`` or the
 NGO_STRINGS_CACHE environment variable (the flag wins).  Corrupt or
 version-mismatched cache files are ignored with a warning, and outputs are
@@ -13,38 +18,10 @@ memo gained entries or the file was not a valid cache with entries, so a run
 that added nothing never overwrites entries another process wrote meanwhile.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 
-from .errors import ResourceLimitError
-from .graphs import (
-    betti1,
-    boundary_matrix,
-    checked_spectral_edge_count,
-    dump_graph,
-    gale_dual,
-    load_graph,
-    spectral_dual_quiver,
-    spectral_edge_count,
-    to_dot,
-)
-from .homology import matroid_complex, reduced_homology_ranks
-from .hypertoric import circuit_relations, enumerate_strata, local_model_dims
-from .intlinalg import verify_exact
-from .matroid import (
-    CographicMatroid,
-    TutteCache,
-    TuttePolynomial,
-    _f_h_vectors,
-    f_h_vectors,
-    spectral_tutte_polynomial,
-    tutte_polynomial,
-)
-from .partitions import Partition, admissible_partitions, local_system_rank, partitions_of, stabilizer_order
-from .strings import ModelInconsistencyError, gcd_rows, string_table, stratum_dims, table_report
+from .errors import ModelInconsistencyError, ResourceLimitError
 
 CACHE_FORMAT = "ngostrings-cache/1"
 CACHE_ENV_VAR = "NGO_STRINGS_CACHE"
@@ -56,6 +33,8 @@ def _read_cache(path):
     A missing file has no entries and needs no warning.
     """
     import json
+
+    from .matroid import TuttePolynomial
 
     try:
         with open(path, "r", encoding="ascii") as handle:
@@ -81,6 +60,8 @@ def _read_cache(path):
 
 def cache_load(path):
     """Load a Tutte cache file; any problem yields a warning and a cold cache."""
+    from .matroid import TutteCache
+
     items, warning = _read_cache(path)
     if warning:
         print(warning, file=sys.stderr)
@@ -169,6 +150,8 @@ def _print_json(payload):
 
 
 def _parse_partition(text):
+    from .partitions import Partition
+
     return Partition.from_string(text)
 
 
@@ -182,6 +165,8 @@ def _spectral_input(args):
 
 
 def _resolve_quiver(args):
+    from .graphs import load_graph, spectral_dual_quiver
+
     spectral = _spectral_input(args)
     if spectral is None:
         with open(args.quiver, "r", encoding="utf-8") as handle:
@@ -215,6 +200,9 @@ def _with_cache(args, work):
 
 
 def cmd_strings(args):
+    from .partitions import partitions_of
+    from .strings import string_table
+
     table = string_table(args.n, args.d)
     if args.json:
         payload = {
@@ -241,6 +229,9 @@ def cmd_strings(args):
 
 
 def cmd_report(args):
+    from .partitions import partitions_of
+    from .strings import gcd_rows, string_table, table_report
+
     if args.json:
         parts = partitions_of(args.n)
         rows = []
@@ -259,6 +250,8 @@ def cmd_report(args):
 
 
 def cmd_partition(args):
+    from .partitions import admissible_partitions, local_system_rank, partitions_of, stabilizer_order
+
     parts = partitions_of(args.n) if args.d is None else admissible_partitions(args.n, args.d)
     if args.json:
         payload = {
@@ -288,6 +281,8 @@ def cmd_partition(args):
 
 
 def cmd_graph(args):
+    from .graphs import betti1, checked_spectral_edge_count, dump_graph, to_dot
+
     spectral = _spectral_input(args)
     if spectral is not None and not (args.dot or args.emit or args.json):
         # the statistics of a spectral dual graph need only its edge count
@@ -319,6 +314,10 @@ def cmd_graph(args):
 
 
 def cmd_gale(args):
+    from .graphs import boundary_matrix, gale_dual
+    from .hypertoric import circuit_relations
+    from .intlinalg import verify_exact
+
     quiver = _resolve_quiver(args)
     # gale_dual makes every refusal before a dense matrix is built
     B = gale_dual(quiver)
@@ -351,6 +350,8 @@ def cmd_gale(args):
 
 
 def cmd_tutte(args):
+    from .matroid import spectral_tutte_polynomial, tutte_polynomial
+
     # partition inputs take the exponential-formula engine, which builds no
     # graph and leaves the cache entries as they are
     spectral = _spectral_input(args)
@@ -377,6 +378,9 @@ def cmd_tutte(args):
 
 
 def cmd_matroid(args):
+    from .graphs import spectral_edge_count
+    from .matroid import CographicMatroid, _f_h_vectors, f_h_vectors, spectral_tutte_polynomial
+
     spectral = _spectral_input(args)
     if spectral is None:
         matroid = CographicMatroid(_resolve_quiver(args))
@@ -411,6 +415,9 @@ def cmd_matroid(args):
 
 
 def cmd_matroid_homology(args):
+    from .homology import matroid_complex, reduced_homology_ranks
+    from .matroid import CographicMatroid
+
     quiver = _resolve_quiver(args)
     matroid = CographicMatroid(quiver)
     complex_ = matroid_complex(matroid)
@@ -439,6 +446,8 @@ def cmd_matroid_homology(args):
 
 
 def cmd_strata(args):
+    from .hypertoric import enumerate_strata
+
     # partition inputs take the coarsening classes of enumerate_strata, which
     # run no Tutte recursion and leave the cache entries as they are
     spectral = _spectral_input(args)
@@ -487,6 +496,8 @@ def cmd_strata(args):
 
 
 def cmd_local_model(args):
+    from .hypertoric import local_model_dims
+
     dims = local_model_dims(_parse_partition(args.partition), args.genus)
     fields = [
         ("partition", str(dims.partition)),
@@ -510,6 +521,8 @@ def cmd_local_model(args):
 
 
 def cmd_dims(args):
+    from .strings import stratum_dims
+
     dims = stratum_dims(_parse_partition(args.partition), args.genus)
     fields = [
         ("partition", str(dims.partition)),
@@ -577,6 +590,8 @@ SUBCOMMANDS = {
 
 def build_parser(command=None):
     """The argument parser: every subcommand, or only ``command`` with the same usage text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ngostrings",
         description="Exact combinatorics of string ranks, spectral dual graphs and hypertoric strata.",
@@ -599,14 +614,66 @@ def build_parser(command=None):
     return parser
 
 
+def _fast_args(argv):
+    """The namespace of a command line in the one strict form, else None.
+
+    The strict form is a subcommand followed by exact flags of it, each at
+    most once, with every required option present, no value starting with
+    ``-`` and every ``type=int`` value taken by ``int``.  Such a line means
+    the same to argparse, which stays the reader of every other line and the
+    only writer of usage, help and error text.
+    """
+    from types import SimpleNamespace
+
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, handler, options = SUBCOMMANDS[argv[0]]
+    specs = dict(options)
+    specs["--json"] = {"action": "store_true"}
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag = argv[i]
+        keywords = specs.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        count = keywords.get("nargs", 1)
+        values = argv[i + 1 : i + 1 + count]
+        if len(values) < count or any(v.startswith("-") for v in values):
+            return None
+        if keywords.get("type") is int:
+            try:
+                values = [int(v) for v in values]
+            except ValueError:
+                return None
+        given[flag] = values if "nargs" in keywords else values[0]
+        i += 1 + count
+    args = SimpleNamespace(command=argv[0], func=handler)
+    for flag, keywords in specs.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def run(argv):
     """Dispatch a command line; returns the exit status."""
-    # a command line that names its subcommand first builds only that subparser
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _fast_args(argv)
+    if args is None:
+        # a command line that names its subcommand first builds only that subparser
+        parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except (ValueError, ModelInconsistencyError, ResourceLimitError, OSError) as exc:

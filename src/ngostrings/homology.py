@@ -11,8 +11,6 @@ empty face) is part of every chain complex, so the complex {emptyset}
 reports reduced homology rank 1 in degree -1.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 
 from .errors import ResourceLimitError

@@ -22,8 +22,6 @@ embedding for a partition at genus g: both defining expressions of each
 constant are asserted against each other on construction.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import factorial
 

@@ -14,8 +14,6 @@ column rows, then lowest column; its unit pivots double as the exactness
 certificate of verify_exact.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -242,14 +240,18 @@ def smith_normal_form(A):
 def _eliminate(rows):
     """Fraction-free elimination of sparse rows (dicts col -> value): (rank, unimodular).
 
-    Row combinations are integer cross-multiplications followed by a gcd
-    renormalization, which preserves the row space over Q.  The pivot is an
+    Row combinations are integer cross-multiplications fr*row - fp*pivot row
+    (fr, fp = p/g, a/g with g = gcd(p, a)) followed by a gcd renormalization,
+    which preserves the row space over Q.  Each row is updated in place on the
+    pivot row's columns only; when fr = +-1 it is not scaled and becomes
+    row - fp*fr*pivot row = +-(the cross-multiplied row), so the magnitudes,
+    and with them every pivot choice, are the same.  The pivot is an
     entry of the shortest live row (ties by index): the one of smallest
     magnitude, then with the fewest live rows in its column, then in the
     lowest column.  The rank does not depend on that choice.
 
     ``unimodular`` stays true while every pivot is +-1 and no row is divided
-    by a gcd above 1.  Each step then replaces rows by +-row - a*pivot row,
+    by a gcd above 1.  Each step then replaces rows by row - a*p*pivot row,
     so the pivot rows and pivot columns of the input form a minor of size
     rank that equals +-1.  The gcd of those minors is the product of the
     Smith invariants (Cohen, GTM 138, section 2.4), so every one of them is 1.
@@ -292,26 +294,27 @@ def _eliminate(rows):
             a = row[pj]
             g = math.gcd(p, a)
             fr, fp = p // g, a // g
-            merged = {j: fr * v for j, v in row.items()}
+            if fr == 1 or fr == -1:
+                c = fp * fr
+            else:
+                for j, v in row.items():
+                    row[j] = fr * v
+                c = fp
             for j, v in prow.items():
-                nv = merged.get(j, 0) - fp * v
+                nv = row.get(j, 0) - c * v
                 if nv:
-                    merged[j] = nv
-                elif j in merged:
-                    del merged[j]
-            for j in row:
-                if j not in merged:
+                    if j not in row:
+                        col_rows.setdefault(j, set()).add(i)
+                    row[j] = nv
+                else:
+                    del row[j]
                     col_rows[j].discard(i)
-            for j in merged:
-                if j not in row:
-                    col_rows.setdefault(j, set()).add(i)
-            if merged:
-                g = math.gcd(*merged.values())
+            if row:
+                g = math.gcd(*row.values())
                 if g > 1:
                     unimodular = False
-                    merged = {j: v // g for j, v in merged.items()}
-                work[i] = merged
-                heappush(queue, (len(merged), i))
+                    work[i] = {j: v // g for j, v in row.items()}
+                heappush(queue, (len(row), i))
             else:
                 del work[i]
         rank += 1

@@ -32,8 +32,6 @@ sub-multisets (Sokal, arXiv:math/0503607; Bjorklund-Husfeldt-Kaski-Koivisto,
 arXiv:0711.2585).  It reads and writes no memo cache.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import accumulate, product
 from math import comb, prod

@@ -8,8 +8,6 @@ evaluates the symmetric-group constants attached to a partition: the
 generic local-system rank (r-1)! and the stabilizer order prod_i alpha_i!.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from functools import lru_cache

@@ -35,29 +35,12 @@ codimension = b1 identity, the stabilization codimension, and the graded
 ranks binom(2*dim_S, l) * (r-1)! of a string.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import groupby
 
-from .graphs import spectral_edge_count
+from .errors import ModelInconsistencyError
 from .partitions import Partition, local_system_rank, partitions_of
-
-
-class ModelInconsistencyError(RuntimeError):
-    """The recursion produced a negative rank; the instance is recorded."""
-
-    def __init__(self, n, q, partition, base, contributions):
-        self.n = n
-        self.q = q
-        self.partition = partition
-        self.base = base
-        self.contributions = contributions
-        super().__init__(
-            "negative rank for partition %s at n=%d, gcd=%d: (r-1)! = %d, contributions %r"
-            % (partition, n, q, base, contributions)
-        )
 
 
 class StratumDims(
@@ -101,6 +84,8 @@ class StringTable(namedtuple("StringTable", "n d q ranks multiplier_partitions",
 
 def stratum_dims(partition, genus):
     """Stratum dimensions, delta invariant and spectral genus for a partition."""
+    from .graphs import spectral_edge_count
+
     if genus < 2:
         raise ValueError("genus must be at least 2, got %r" % genus)
     n = partition.n

@@ -548,6 +548,75 @@ def sparse_rank_reference(rows):
     return rank
 
 
+def eliminate_reference(rows):
+    """Oracle: intlinalg._eliminate with every row update a cross-multiplied copy.
+
+    (rank, unimodular) of sparse rows (dicts col -> value), with the same
+    pivot rule; a unit pivot is not special-cased.
+    """
+    from heapq import heapify, heappop, heappush
+
+    work = {}
+    col_rows = {}
+    unimodular = True
+    for i, row in enumerate(rows):
+        entries = {j: int(v) for j, v in row.items() if v}
+        if not entries:
+            continue
+        g = math.gcd(*entries.values())
+        if g > 1:
+            unimodular = False
+            entries = {j: v // g for j, v in entries.items()}
+        work[i] = entries
+        for j in entries:
+            col_rows.setdefault(j, set()).add(i)
+
+    queue = [(len(row), i) for i, row in work.items()]
+    heapify(queue)
+    rank = 0
+    while queue:
+        length, pi = heappop(queue)
+        prow = work.get(pi)
+        if prow is None or len(prow) != length:
+            continue
+        del work[pi]
+        pj = min(prow, key=lambda j: (abs(prow[j]), len(col_rows[j]), j))
+        p = prow[pj]
+        if p != 1 and p != -1:
+            unimodular = False
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in list(col_rows[pj]):
+            row = work[i]
+            a = row[pj]
+            g = math.gcd(p, a)
+            fr, fp = p // g, a // g
+            merged = {j: fr * v for j, v in row.items()}
+            for j, v in prow.items():
+                nv = merged.get(j, 0) - fp * v
+                if nv:
+                    merged[j] = nv
+                elif j in merged:
+                    del merged[j]
+            for j in row:
+                if j not in merged:
+                    col_rows[j].discard(i)
+            for j in merged:
+                if j not in row:
+                    col_rows.setdefault(j, set()).add(i)
+            if merged:
+                g = math.gcd(*merged.values())
+                if g > 1:
+                    unimodular = False
+                    merged = {j: v // g for j, v in merged.items()}
+                work[i] = merged
+                heappush(queue, (len(merged), i))
+            else:
+                del work[i]
+        rank += 1
+    return rank, unimodular
+
+
 def multiplicity_data(n):
     """All ways to write n = sum m_i * k_i as a multiset of pairs (m_i, k_i)."""
 

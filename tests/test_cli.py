@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ngostrings import cli
+from ngostrings import cli, graphs
 from ngostrings.cli import CACHE_ENV_VAR, CACHE_FORMAT, cache_load, cache_store, run
 from ngostrings.graphs import (
     Quiver,
@@ -117,7 +119,8 @@ class TestGraphCommands:
         def no_graph(*args):
             raise AssertionError("built the spectral dual graph")
 
-        monkeypatch.setattr(cli, "spectral_dual_quiver", no_graph)
+        # the CLI imports it from graphs when it builds a graph
+        monkeypatch.setattr(graphs, "spectral_dual_quiver", no_graph)
         assert capture("graph", "--partition", "1,1", "--genus", "500000") == (0, "r=2 s=999998 b1=999997\n", "")
         assert capture("graph", "--partition", "3", "--genus", "5") == (0, "r=1 s=0 b1=0\n", "")
         for genus, (status, out, err) in refusals.items():
@@ -822,10 +825,101 @@ class TestParser:
             return build(command)
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        assert capture("dims", "--partition", "1,1", "--genus", "2")[0] == 0
+        # a well-formed line builds no parser; one argparse must read builds
+        # the subparser it names, or the full parser if it names none
+        fast = capture("dims", "--partition", "1,1", "--genus", "2")
+        assert fast[0] == 0 and built == []
+        assert capture("dims", "--partition=1,1", "--genus", "2") == fast
         for argv in (["--help"], ["frobnicate"], []):
             assert capture(*argv)[0] in (0, 2)
         assert built == ["dims", None, None, None]
+
+
+def fast_reader_corpus():
+    """Command lines for every subcommand and option, well-formed or not."""
+    values = {int: ["5", "-1", "+3", " 4", "1_0", "\u0663", "x", "", "2.5"], None: ["2,1,1", "-1", "", "x", " 3", "--json"]}
+    good = {int: "3", None: "1,1"}
+    corpus = [[], ["--help"], ["frobnicate"], ["strings", "--n"]]
+    for name, (_, _, options) in cli.SUBCOMMANDS.items():
+        flags = [(flag, kw) for flag, kw in options if kw.get("action") != "store_true"]
+        switches = [flag for flag, kw in options if kw.get("action") == "store_true"] + ["--json"]
+        # flag -> [flag, value...] of each required option
+        required = {flag: [flag] + [good[kw.get("type")]] * kw.get("nargs", 1) for flag, kw in flags if kw.get("required")}
+        base = [token for group in required.values() for token in group]
+        corpus.append([name] + base)
+        corpus.append([name] + base + switches)
+        corpus.append([name] + switches[::-1] + [token for group in list(required.values())[::-1] for token in group])
+        for extra in (["-h"], ["--help"], ["--"], ["stray"], ["--json", "--json"], ["--js"], ["--json=1"]):
+            corpus.append([name] + base + extra)
+        for flag, kw in flags:
+            nargs = kw.get("nargs", 1)
+            rest = [token for other, group in required.items() if other != flag for token in group]
+            for value in values[kw.get("type")]:
+                corpus.append([name] + rest + [flag] + [value] * nargs)
+                if nargs == 1:
+                    corpus.append([name] + rest + ["%s=%s" % (flag, value)])
+                else:
+                    corpus.append([name] + rest + [flag, good[kw.get("type")], value])
+            one = [flag] + [good[kw.get("type")]] * nargs
+            corpus.append([name] + rest + one + one)  # repeated
+            corpus.append([name] + rest + [flag[:4]] + one[1:])  # abbreviated
+            corpus.append([name] + rest + [flag])  # no value
+            corpus.append([name] + rest)  # missing
+            if nargs == 2:
+                for pair in (["2", "-1"], ["2"], ["2", "3", "4"], ["-1", "2"], ["1", "0"]):
+                    corpus.append([name] + base + [flag] + pair)
+    return corpus
+
+
+class TestFastReader:
+    def test_same_namespace_as_argparse(self, capsys):
+        read = 0
+        for argv in fast_reader_corpus():
+            args = cli._fast_args(argv)
+            if args is None:
+                continue
+            read += 1
+            try:
+                expected = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail("argparse refuses a line the fast reader took: %r\n%s" % (argv, capsys.readouterr().err))
+            assert vars(args) == vars(expected), argv
+        assert read >= 100
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--partition=2,1", "--genus", "2"],
+            ["dims", "--part", "2,1", "--genus", "2"],
+            ["dims", "--partition", "2,1", "--partition", "2,1", "--genus", "2"],
+            ["dims", "--partition", "2,1"],
+            ["dims", "--partition", "2,1", "--genus", "-3"],
+            ["dims", "--partition", "2,1", "--genus", "x"],
+            ["dims", "--partition", "2,1", "--genus", "2", "-h"],
+            ["dims", "--", "--partition", "2,1", "--genus", "2"],
+            ["dims", "--partition", "2,1", "--genus", "2", "stray"],
+            ["tutte", "--partition", "2,1", "--genus", "2", "--eval", "2", "-1"],
+            ["tutte", "--partition", "2,1", "--genus", "2", "--eval", "2"],
+            ["strings", "--n", "4"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_leaves_every_other_line_to_argparse(self, argv):
+        assert cli._fast_args(argv) is None
+
+    def test_reads_values_as_argparse_converts_them(self):
+        args = cli._fast_args(["tutte", "--eval", "+3", " 4", "--genus", "1_0", "--partition", " 2,1", "--json"])
+        assert vars(args) == {
+            "command": "tutte",
+            "func": cli.cmd_tutte,
+            "partition": " 2,1",
+            "genus": 10,
+            "quiver": None,
+            "cache": None,
+            "eval": [3, 4],
+            "json": True,
+        }
 
 
 SOURCE = ["--partition", "2,1,1", "--genus", "2"]
@@ -887,17 +981,77 @@ class TestJsonWriter:
         assert capsys.readouterr().out == json_text_reference(payload) + "\n"
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def capture_run(argv):
+    """stdout of an in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(list(argv)) == 0
+    return out.getvalue()
+
+
 class TestStartup:
     def test_cli_import_leaves_out_heavy_stdlib_modules(self):
         # Every CLI run pays for what `import ngostrings.cli` loads. The first
         # five come in with `dataclasses` and cost about 12 ms a process;
         # `json` (about 3 ms) is imported only by the functions that use it.
         # -S keeps out the site-packages imports, which are not this package's.
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys; sys.path.insert(0, %r); import ngostrings.cli; "
             "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json') if m in sys.modules])"
-        ) % src
+        ) % SRC
         done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_package_import_loads_no_submodule(self):
+        code = (
+            "import sys; sys.path.insert(0, %r); import ngostrings; "
+            "print([m for m in sys.modules if m.startswith('ngostrings.')])"
+        ) % SRC
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_lazy_names_are_the_module_objects(self):
+        import importlib
+
+        import ngostrings
+
+        assert set(ngostrings.__all__) <= set(dir(ngostrings))
+        for name in ngostrings.__all__:
+            module = importlib.import_module("ngostrings." + ngostrings._EXPORTS[name])
+            assert getattr(ngostrings, name) is getattr(module, name)
+        with pytest.raises(AttributeError):
+            ngostrings.no_such_name
+
+    @pytest.mark.parametrize(
+        "argv, left_out",
+        [
+            (
+                ["strings", "--n", "6", "--d", "2"],
+                {"argparse", *("ngostrings." + m for m in ("graphs", "matroid", "homology", "hypertoric", "intlinalg"))},
+            ),
+            (
+                ["tutte", "--partition", "2,1,1", "--genus", "2", "--eval", "1", "0"],
+                {"argparse", "ngostrings.homology", "ngostrings.hypertoric"},
+            ),
+        ],
+    )
+    def test_well_formed_run_imports_only_what_it_uses(self, argv, left_out):
+        # -X importtime names every module the run imports, on stderr
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "ngostrings", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == capture_run(argv)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "ngostrings.cli" in imported
+        assert not imported & left_out

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -394,6 +395,20 @@ class TestSerialization:
         text = dump_graph(TRIANGLE)
         back = load_graph(text)
         assert back == TRIANGLE
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            MultiGraph(1, []),
+            MultiGraph(1, [(0, 0), (0, 0)]),
+            Quiver(3, [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)]),
+            Quiver(12, [(11, 10)] * 3 + [(0, 11)]),
+            spectral_dual_quiver(Partition([2, 1, 1]), 2),
+        ],
+    )
+    def test_same_bytes_as_indented_json(self, graph):
+        payload = {"format": "graph/1", "vertices": graph.vertex_count, "edges": [list(e) for e in graph.edges]}
+        assert dump_graph(graph) == json.dumps(payload, indent=2) + "\n"
 
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):

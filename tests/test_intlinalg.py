@@ -16,6 +16,7 @@ from ngostrings.intlinalg import (
 from ngostrings.partitions import Partition, partitions_of
 
 from conftest import (
+    eliminate_reference,
     NotBoundaryMapError,
     gale_dual_hermite,
     gale_dual_via_smith,
@@ -198,6 +199,34 @@ class TestSparseRank:
                 for _ in range(rng.randint(0, 9))
             ]
             assert sparse_rank(rows) == sparse_rank_reference(rows), rows
+
+    @pytest.mark.parametrize("values", [(-1, 1), (-3, -2, -1, 1, 1, 1, 2, 4), (-6, -4, 2, 3, 9)])
+    def test_elimination_matches_cross_multiplying_reference(self, values):
+        # rows are updated in place; rank, unimodularity and the input rows
+        # are as with a cross-multiplied copy per update
+        rng = random.Random(len(values))
+        for _ in range(600):
+            cols = rng.randint(1, 10)
+            rows = [
+                {j: rng.choice(values) for j in rng.sample(range(cols), rng.randint(0, cols))}
+                for _ in range(rng.randint(0, 10))
+            ]
+            before = [dict(row) for row in rows]
+            assert intlinalg._eliminate(rows) == eliminate_reference(rows), rows
+            assert rows == before
+
+    def test_elimination_of_gale_pairs_matches_reference(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            graph = random_connected_multigraph(rng, max_vertices=7, max_edges=14, allow_loops=True)
+            if graph.vertex_count < 2:
+                continue
+            quiver = Quiver.from_graph(graph)
+            for matrix in (boundary_matrix(quiver), gale_dual(quiver)):
+                rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.data]
+                result = intlinalg._eliminate(rows)
+                assert result == eliminate_reference(rows)
+                assert result[1]  # both are totally unimodular
 
 
 class TestHermite:
