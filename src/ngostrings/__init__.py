@@ -15,8 +15,8 @@ _MODULES = {
     ),
     "homology": "SimplicialComplex euler_characteristic matroid_complex reduced_homology_ranks",
     "hypertoric": (
-        "CircuitRelation LocalModelDims SmallnessCertificate StratumRecord certify_small circuit_relations "
-        "enumerate_strata lawrence_dims local_decomposition local_model_dims"
+        "CircuitRelation LocalModelDims SmallnessCertificate StratumRecord certify_small "
+        "circuit_relations enumerate_strata lawrence_dims local_decomposition local_model_dims spectral_strata"
     ),
     "intlinalg": "ExactnessReport IntMatrix SmithDecomposition rational_rank smith_normal_form verify_exact",
     "matroid": (

@@ -445,53 +445,38 @@ def cmd_matroid_homology(args):
     return 0
 
 
-def cmd_strata(args):
-    from .hypertoric import enumerate_strata
+# the strata table, one (JSON key, text header, StratumRecord field) per column
+_STRATA_COLUMNS = [
+    ("blocks", "stratum", "vp"),
+    ("s", "s", "s_contracted"),
+    ("b1", "b1", "b1_contracted"),
+    ("codim_X", "codimX", "codim_in_X"),
+    ("codim_Y", "codimY", "codim_in_Y"),
+    ("fiber_dim", "fiber", "fiber_dim"),
+    ("multiplicity", "mult", "multiplicity"),
+    ("deleted_loops", "loops", "deleted_loops"),
+]
 
-    # partition inputs take the coarsening classes of enumerate_strata, which
-    # run no Tutte recursion and leave the cache entries as they are
+
+def cmd_strata(args):
+    from .hypertoric import enumerate_strata, spectral_strata
+
+    # partition inputs take spectral_strata: no graph, no memo entry read or added
     spectral = _spectral_input(args)
-    quiver = _resolve_quiver(args)
-    parts = None if spectral is None else spectral[0].parts
-    records = _with_cache(args, lambda cache: enumerate_strata(quiver, cache=cache, parts=parts))
+    if spectral is None:
+        quiver = _resolve_quiver(args)
+        records = _with_cache(args, lambda cache: enumerate_strata(quiver, cache=cache))
+    else:
+        records = _with_cache(args, lambda cache: spectral_strata(*spectral))
+    keys, headers, fields = zip(*_STRATA_COLUMNS)
+    rows = [[str(getattr(rec, field)) for field in fields] for rec in records]
     if args.json:
-        _print_json(
-            {
-                "command": "strata",
-                "strata": [
-                    {
-                        "blocks": str(rec.vp),
-                        "s": rec.s_contracted,
-                        "b1": rec.b1_contracted,
-                        "codim_X": rec.codim_in_X,
-                        "codim_Y": rec.codim_in_Y,
-                        "fiber_dim": rec.fiber_dim,
-                        "multiplicity": rec.multiplicity,
-                        "deleted_loops": rec.deleted_loops,
-                    }
-                    for rec in records
-                ],
-            }
-        )
+        _print_json({"command": "strata", "strata": [dict(zip(keys, row)) for row in rows]})
         return 0
-    headers = ["stratum", "s", "b1", "codimX", "codimY", "fiber", "mult", "loops"]
-    rows = [
-        [
-            str(rec.vp),
-            str(rec.s_contracted),
-            str(rec.b1_contracted),
-            str(rec.codim_in_X),
-            str(rec.codim_in_Y),
-            str(rec.fiber_dim),
-            str(rec.multiplicity),
-            str(rec.deleted_loops),
-        ]
-        for rec in records
-    ]
-    widths = [max(len(headers[j]), max((len(r[j]) for r in rows), default=0)) for j in range(len(headers))]
-    print("  ".join(h.ljust(widths[j]) for j, h in enumerate(headers)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(widths[j]) for j, c in enumerate(row)).rstrip())
+    table = [headers] + rows
+    widths = [max(len(row[j]) for row in table) for j in range(len(headers))]
+    for row in table:
+        print("  ".join(map(str.ljust, row, widths)).rstrip())
     return 0
 
 

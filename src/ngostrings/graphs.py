@@ -25,8 +25,8 @@ GRAPH_FORMAT = "graph/1"
 # prints its costliest outputs, --json in about 3-4 s and 200 MiB and --emit
 # in about 1 s and 200 MiB (fresh process, 2-core Xeon, Python 3.11).  The
 # spectral dual graphs of interest stay well below it (2,1,1 at genus 20000
-# has 199 990 edges), and quantities that need only the edge count, such as
-# the statistics of a spectral dual graph, never build a graph.
+# has 199 990 edges).  Graph statistics on a partition check it but build no
+# graph; `tutte`, `matroid` and `strata` on a partition neither check nor build.
 MAX_GRAPH_SIZE = 10**6
 
 

@@ -14,8 +14,8 @@ For the spectral dual quiver of a partition, contracting along a vertex
 partition gives the spectral dual graph of the coarsened partition, whose
 parts are the block sums.  So every quantity of such a stratum but its
 vertex partition depends only on the multiset mu of block sums, the
-stratum's coarsening class, and the multiplicity is (blocks - 1)!: the
-strata are computed once per class, with no Tutte polynomial.
+stratum's coarsening class, and the multiplicity is (blocks - 1)!:
+spectral_strata takes them once per class, with no graph and no Tutte polynomial.
 
 local_model_dims records the dimension ledger of the ambient moduli
 embedding for a partition at genus g: both defining expressions of each
@@ -151,68 +151,83 @@ def _contract(pairs, vp):
     return contracted, dropped
 
 
-def enumerate_strata(quiver, cache=None, parts=None):
-    """All strata of the vertex-partition stratification, open stratum first.
+def _strata(r, label_of, stratum_of):
+    """Records of the vertex partitions of range(r), sorted by (codimension, key, blocks).
 
-    One record per vertex partition; the open stratum is the one-block
-    partition (its contraction is a point).  Multiplicities are sphere
-    counts T_graphic(1, 0) of the contracted cographic matroid complexes.
-    Output is sorted by (codimension, canonical key of the contraction,
-    blocks).
-
-    Records with isomorphic contractions agree in every field but vp, so
-    each class of them is computed once.  By default a class is a canonical
-    key, and its T(1, 0) comes from the memoized Tutte recursion.  parts,
-    when given, says that quiver is the spectral dual quiver of a partition
-    whose vertex i stands for the part parts[i].  Blocks A and B are then
-    joined by N_A N_B (2g - 2) edges, N the block sums, so the contraction
-    is the spectral dual graph of the coarsened partition.  A class is then
-    the sorted tuple mu of block sums, and the multiplicity is (blocks - 1)!,
-    the T(1, 0) of any graph whose underlying simple graph is complete; that
-    path never runs the Tutte recursion and leaves the cache as it is.
+    stratum_of(vp, label) -> (s, deleted loops, key, multiplicity) runs once per label.
     """
-    r = quiver.vertex_count
     if r > 12:
-        raise ResourceLimitError(
-            "stratum enumeration is capped at 12 vertices (Bell growth); got %d" % r
-        )
-    if not quiver.is_connected():
-        raise ValueError("stratum enumeration requires a connected quiver")
-    if cache is None:
-        cache = DEFAULT_CACHE
-    pairs = quiver.pair_multiplicities()
-    part_of = None if parts is None else parts.__getitem__
-    classes = {}  # mu or canonical key -> (sort key head, record fields after vp)
+        raise ResourceLimitError("stratum enumeration is capped at 12 vertices (Bell growth); got %d" % r)
+    classes = {}  # label -> (sort key head, record fields after vp)
     keyed = []
     for blocks in set_partitions(range(r)):
         # the blocks of set_partitions are disjoint and each in order: only
         # the block order needs sorting, and nothing needs checking
         vp = VertexPartition._from_sorted(sorted(map(tuple, blocks)))
-        if parts is None:
-            contracted, dropped = _contract(pairs, vp)
-            label = pairs_canonical_key(len(vp), contracted)
-        else:
-            label = tuple(sorted([sum(map(part_of, b)) for b in vp.blocks]))
+        label = label_of(vp)
         stratum = classes.get(label)
         if stratum is None:
-            if parts is not None:
-                contracted, dropped = _contract(pairs, vp)
-            k = len(vp)
-            key = label if parts is None else pairs_canonical_key(k, contracted)
-            s = quiver.edge_count - dropped
-            b1 = s - k + 1  # contracting a connected quiver leaves it connected
-            if parts is not None:
-                multiplicity = factorial(k - 1)
-            elif b1:
-                multiplicity = _tutte(k, contracted, cache).evaluate(1, 0)
-            else:
-                multiplicity = 1  # the one-point complex of b1 = 0 counts 1
+            s, dropped, key, multiplicity = stratum_of(vp, label)
+            b1 = s - len(vp) + 1  # contracting a connected quiver leaves it connected
             fields = (s, dropped, b1, b1 + s, 2 * b1, b1, multiplicity)
             stratum = classes[label] = ((2 * b1, b1 + s, key), fields)
         head, fields = stratum
         keyed.append((head + (vp.blocks,), StratumRecord(vp, *fields)))
     keyed.sort(key=lambda item: item[0])
     return [rec for _, rec in keyed]
+
+
+def enumerate_strata(quiver, cache=None):
+    """All strata of the vertex-partition stratification, open stratum first.
+
+    One record per vertex partition; the open stratum is the one-block
+    partition (its contraction is a point).  Multiplicities are sphere
+    counts T_graphic(1, 0) of the contracted cographic matroid complexes,
+    from the memoized Tutte recursion once per canonical key of the
+    contraction.  Output is sorted by (codimension, canonical key, blocks).
+    """
+    if not quiver.is_connected():
+        raise ValueError("stratum enumeration requires a connected quiver")
+    if cache is None:
+        cache = DEFAULT_CACHE
+    pairs = quiver.pair_multiplicities()
+
+    def key_of(vp):
+        return pairs_canonical_key(len(vp), _contract(pairs, vp)[0])
+
+    def stratum_of(vp, key):
+        contracted, dropped = _contract(pairs, vp)
+        s = quiver.edge_count - dropped
+        # b1 = s - blocks + 1 = 0 gives the one-point complex, which counts 1
+        return s, dropped, key, _tutte(len(vp), contracted, cache).evaluate(1, 0) if s >= len(vp) else 1
+
+    return _strata(quiver.vertex_count, key_of, stratum_of)
+
+
+def spectral_strata(partition, genus):
+    """enumerate_strata(spectral_dual_quiver(partition, genus)), without building the quiver.
+
+    Vertex i stands for partition.parts[i]; blocks A and B are joined by
+    N_A N_B (2g - 2) edges, N the block sums, so the contraction is the
+    spectral dual graph of mu, the sorted block sums.  Its multiplicity is
+    (blocks - 1)!, the T(1, 0) of any graph whose simple graph is complete.
+    Refuses genus < 2 and more than 12 parts before any work.
+    """
+    if genus < 2:
+        raise ValueError("genus must be at least 2, got %r" % genus)
+    total = spectral_edge_count(partition, genus)
+    part_of = partition.parts.__getitem__
+
+    def mu_of(vp):
+        return tuple(sorted([sum(map(part_of, b)) for b in vp.blocks]))
+
+    def stratum_of(vp, mu):
+        k = len(mu)
+        pairs = {(a, b): mu[a] * mu[b] * (2 * genus - 2) for a in range(k) for b in range(a + 1, k)}
+        s = sum(pairs.values())
+        return s, total - s, pairs_canonical_key(k, pairs), factorial(k - 1)
+
+    return _strata(partition.r, mu_of, stratum_of)
 
 
 def certify_small(quiver):

@@ -252,14 +252,6 @@ class TestGale:
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("label", ["gale 2,1,1,1 g=8", "gale 1,1,1,1,1 g=10"])
-    def test_matches_recorded_digest(self, capture, label):
-        # the stdout digests the bench records once and never re-records
-        workloads = bench_workloads()
-        status, out, _ = capture(*workloads.FIXED_OPS[label])
-        assert status == 0
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == workloads.DIGESTS[label]
-
     def test_largest_spectral_input_within_dense_limit(self, capture):
         # genus 100 is the last genus of 2,1,1 whose Gale dual fits MAX_DENSE_ENTRIES
         edges = {g: spectral_edge_count(Partition((2, 1, 1)), g) for g in (100, 101)}
@@ -267,6 +259,19 @@ class TestGale:
         status, out, _ = capture("gale", "--partition", "2,1,1", "--genus", "100")
         assert status == 0
         assert "\nexact: ok\n" in out
+
+
+# the benchmark's ops on fixed inputs, whose stdout digests it records once and never re-records
+BENCH = bench_workloads()
+
+
+class TestRecordedDigests:
+    @pytest.mark.parametrize("label", sorted(BENCH.FIXED_OPS))
+    def test_fixed_op_matches_recorded_digest(self, capture, monkeypatch, label):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        status, out, _ = capture(*BENCH.FIXED_OPS[label])
+        assert status == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == BENCH.DIGESTS[label]
 
 
 class TestTutteCommand:
@@ -335,21 +340,63 @@ class TestStrataAndDims:
         assert lines[1].split()[0] == "0,1,2"
         assert lines[-1].split() == ["0|1|2", "6", "4", "10", "8", "4", "2", "0"]
 
+    # stdout sha256 of strata tables and JSON, pinned byte for byte
     @pytest.mark.parametrize(
-        "label, argv",
+        "argv, digest",
         [
-            ("strata 1,1,1,1,1,1 g=2", ["--partition", "1,1,1,1,1,1", "--genus", "2"]),
-            ("strata 1,1,1,1,1,1,1 g=2", ["--partition", "1,1,1,1,1,1,1", "--genus", "2"]),
-            ("strata 2,1,1,1 g=3", ["--partition", "2,1,1,1", "--genus", "3"]),
+            (
+                ["--partition", "2,1,1,1", "--genus", "3", "--json"],
+                "cdc031ec784199315b5f4063f693a862711a1e4721611caaefbda03187e7e149",
+            ),
+            (
+                ["--partition", "1,1,1,1,1,1,1", "--genus", "2", "--json"],
+                "0efcc0e63f9aad20d38e93138c5c7f8dda9204ae1461d4dfb0e8a9b4cbe251e1",
+            ),
+            (["--quiver", "K4"], "2257fa6467859c69d0df2a97a430fe03eb5964ac7ef69e759d495997ce5c3cb7"),
+            (["--quiver", "K4", "--json"], "84c51af5b49afb5ac8db80e7b9a7395edf87daf07a82ceed5d388303e1ae11ff"),
         ],
     )
-    def test_strata_matches_recorded_digest(self, capture, monkeypatch, label, argv):
-        # the stdout digests the bench records once and never re-records
-        digests = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+    def test_strata_matches_pinned_digest(self, capture, tmp_path, monkeypatch, argv, digest):
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        status, out, _ = capture("strata", *argv)
+        graph = tmp_path / "k4.json"
+        graph.write_text(dump_graph(Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
+        status, out, _ = capture("strata", *[str(graph) if a == "K4" else a for a in argv])
         assert status == 0
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digests[label]
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_strata_past_graph_size_limit(self, capture, extra):
+        # 1,1 at genus 500 001 has 1 000 000 edges, past MAX_GRAPH_SIZE, which
+        # the partition path never meets
+        status, out, err = capture("strata", "--partition", "1,1", "--genus", "500001", *extra)
+        assert (status, err) == (0, "")
+        if extra:
+            rows = [[row[key] for key in ("blocks", "s", "b1", "deleted_loops")] for row in json.loads(out)["strata"]]
+        else:
+            rows = [[cells[0], cells[1], cells[2], cells[7]] for cells in map(str.split, out.splitlines()[1:])]
+        assert rows == [["0,1", "0", "0", "1000000"], ["0|1", "1000000", "999999", "0"]]
+
+    def test_strata_partition_builds_no_graph(self, capture, monkeypatch):
+        argv = ("strata", "--partition", "2,1,1,1", "--genus", "3")
+        expected = capture(*argv)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("strata --partition built a graph")
+
+        monkeypatch.setattr(graphs, "_spectral_edges", no_graph)
+        assert capture(*argv) == expected
+        with pytest.raises(AssertionError):
+            spectral_dual_quiver(Partition((2, 1, 1, 1)), 3)
+
+    @pytest.mark.parametrize(
+        "partition, genus, message",
+        [
+            ("1,1", "1", "genus must be at least 2, got 1"),
+            (",".join(["1"] * 13), "2", "stratum enumeration is capped at 12 vertices (Bell growth); got 13"),
+        ],
+    )
+    def test_strata_partition_refusals(self, capture, partition, genus, message):
+        assert capture("strata", "--partition", partition, "--genus", genus) == (1, "", "error: %s\n" % message)
 
     def test_local_model(self, capture):
         status, out, _ = capture("local-model", "--partition", "2", "--genus", "2")
@@ -570,7 +617,7 @@ CACHED_COMMANDS = {
     "matroid --partition": ("matroid", "--partition", "2,1,1", "--genus", "2"),
 }
 # --partition runs of tutte and matroid take the exponential-formula engine,
-# and those of strata the coarsening classes of enumerate_strata; none of them
+# and those of strata the coarsening classes of spectral_strata; none of them
 # reads or adds memo entries
 ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver", "strata --quiver"}
 CACHED_GRAPH = Quiver(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])

@@ -19,6 +19,7 @@ from ngostrings.hypertoric import (
     lawrence_dims,
     local_decomposition,
     local_model_dims,
+    spectral_strata,
 )
 from ngostrings.matroid import TutteCache, top_betti
 from ngostrings.partitions import Partition, partitions_of, set_partitions
@@ -148,11 +149,7 @@ class TestStrata:
         for n in range(1, 8):
             for p in partitions_of(n):
                 for g in (2, 3):
-                    quiver = spectral_dual_quiver(p, g)
-                    cache = TutteCache()
-                    records = enumerate_strata(quiver, cache=cache, parts=p.parts)
-                    assert records == enumerate_strata_reference(quiver), (p, g)
-                    assert len(cache) == 0
+                    assert spectral_strata(p, g) == enumerate_strata_reference(spectral_dual_quiver(p, g)), (p, g)
 
     def test_quiver_path_matches_reference(self):
         rng = random.Random(1103)
@@ -170,7 +167,7 @@ class TestStrata:
 
         monkeypatch.setattr(hypertoric, "_tutte", no_tutte)
         for p, g in [(Partition([2, 1, 1, 1]), 3), (Partition([1] * 6), 2), (Partition([3, 2]), 2)]:
-            records = enumerate_strata(spectral_dual_quiver(p, g), parts=p.parts)
+            records = spectral_strata(p, g)
             assert len(records) == len(list(set_partitions(range(p.r))))
         with pytest.raises(AssertionError):
             enumerate_strata(BANANA, cache=TutteCache())
@@ -179,6 +176,20 @@ class TestStrata:
         path = Quiver(13, [(v, v + 1) for v in range(12)])
         with pytest.raises(ResourceLimitError):
             enumerate_strata(path)
+
+    @pytest.mark.parametrize(
+        "parts, genus, error, message",
+        [
+            ([1, 1], 1, ValueError, "genus must be at least 2, got 1"),
+            ([1] * 13, 2, ResourceLimitError, "stratum enumeration is capped at 12 vertices (Bell growth); got 13"),
+        ],
+    )
+    def test_spectral_guards(self, monkeypatch, parts, genus, error, message):
+        # refused before any vertex partition is visited
+        monkeypatch.setattr(hypertoric, "set_partitions", None)
+        with pytest.raises(error) as raised:
+            spectral_strata(Partition(parts), genus)
+        assert str(raised.value) == message
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
