@@ -25,6 +25,9 @@ from .errors import ModelInconsistencyError, ResourceLimitError
 
 CACHE_FORMAT = "ngostrings-cache/1"
 CACHE_ENV_VAR = "NGO_STRINGS_CACHE"
+# tutte --eval refuses a value that may have more decimal digits than this,
+# CPython's default limit of the int -> str conversion
+MAX_EVAL_DIGITS = 4300
 
 
 def _read_cache(path):
@@ -350,6 +353,8 @@ def cmd_gale(args):
 
 
 def cmd_tutte(args):
+    import math
+
     from .matroid import spectral_tutte_polynomial, tutte_polynomial
 
     # partition inputs take the exponential-formula engine, which builds no
@@ -360,7 +365,21 @@ def cmd_tutte(args):
         poly = _with_cache(args, lambda cache: tutte_polynomial(quiver, cache=cache))
     else:
         poly = _with_cache(args, lambda cache: spectral_tutte_polynomial(*spectral))
-    value = poly.evaluate(args.eval[0], args.eval[1]) if args.eval else None
+    value = None
+    if args.eval:
+        x, y = args.eval
+        # |x|^i <= 2^(i * ceil(log2 |x|)), so |T(x, y)| < 2^bits; refuse a value
+        # the int -> str conversion could not print, before computing it
+        bx, by = (max(abs(v) - 1, 0).bit_length() for v in args.eval)
+        bits = len(poly.coeffs).bit_length() + max(
+            (c.bit_length() + i * bx + j * by for (i, j), c in poly.coeffs.items()), default=0
+        )
+        digits = math.ceil(bits * math.log10(2))
+        if digits > MAX_EVAL_DIGITS:
+            raise ValueError(
+                "T(%d,%d) may have up to %d decimal digits; the limit is %d" % (x, y, digits, MAX_EVAL_DIGITS)
+            )
+        value = poly.evaluate(x, y)
     if args.json:
         payload = {
             "command": "tutte",
@@ -371,9 +390,10 @@ def cmd_tutte(args):
             payload["value"] = value
         _print_json(payload)
         return 0
-    print("T = %s" % poly)
+    text = "T = %s" % poly
     if args.eval:
-        print("T(%d,%d) = %d" % (args.eval[0], args.eval[1], value))
+        text += "\nT(%d,%d) = %d" % (x, y, value)
+    print(text)
     return 0
 
 

@@ -16,6 +16,7 @@ certificate of verify_exact.
 
 import math
 from collections import namedtuple
+from itertools import compress
 
 # Bound on the entries of a dense matrix built for a boundary map or a Gale
 # dual, checked before anything is allocated.  Each entry is a pointer in a
@@ -330,7 +331,7 @@ def sparse_rank(rows):
 
 
 def _sparse_rows(data):
-    return [{j: v for j, v in enumerate(row) if v} for row in data]
+    return [dict(compress(enumerate(row), row)) for row in data]
 
 
 def rational_rank(A):

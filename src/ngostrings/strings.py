@@ -26,9 +26,9 @@ of 1 - exp(P_D log(1 - X)), X = sum_k x_k, where P_D keeps the monomials
 whose weight D divides.  The coefficients of P_D log(1 - X) see a part k
 only through k mod D, so neither do the ranks: a partition has the rank of
 its parts reduced into 1..D, itself a partition of a multiple of D.  The
-library evaluates them by one integer recursion over sub-multisets
-(_rank), memoised on D and the reduced multiplicities, and never
-enumerates groupings.
+library evaluates them by one prefix-sum recursion with one step per
+distinct residue (_rank), memoised per table on the reduced
+multiplicities, and enumerates neither groupings nor sub-multisets.
 
 Dimension bookkeeping lives here too: stratum dimensions and the
 codimension = b1 identity, the stabilization codimension, and the graded
@@ -37,7 +37,7 @@ ranks binom(2*dim_S, l) * (r-1)! of a string.
 
 import math
 from collections import namedtuple
-from itertools import groupby
+from itertools import groupby, product
 
 from .errors import ModelInconsistencyError
 from .partitions import Partition, local_system_rank, partitions_of
@@ -144,9 +144,6 @@ def ngo_string_graded_ranks(partition, genus):
     return [math.comb(width, l) * base for l in range(width + 1)]
 
 
-_RANK_MEMO = {}
-
-
 def _residues(parts, step):
     """Multiplicity tuple ((part, count), ...) of the parts reduced into 1..step."""
     if parts[0] > step:
@@ -159,56 +156,54 @@ def _expand(alpha):
     return Partition(part for part, count in alpha for _ in range(count))
 
 
-def _rank(step, alpha):
+def _rank(step, alpha, memo, sums):
     """Rank of the partition lambda with multiplicities alpha in table (m, m // step).
 
-    m is the weight of lambda, a multiple of step = D.  With k the largest
-    part of lambda, the exponential formula gives
+    m is the weight of lambda, a multiple of step = D, and k its largest
+    part.  With g(empty) = 1, g(beta) = -rank(beta) when step | |beta| and
+    g(beta) = 0 otherwise, the exponential formula gives rank(lambda) =
+    S(lambda - e_k) for
 
-        rank(lambda) = sum over beta <= lambda - e_k with step | |beta| of
-                       C(lambda - e_k, beta) * g(beta) * (r(lambda - beta) - 1)!
+        S(delta) = sum over beta <= delta of C(delta, beta) * g(beta) * r(delta - beta)!
+                 = g(delta) + sum_i delta_i * S(delta - e_i),
 
-    with g(empty) = 1 and g(beta) = -rank(beta).  The empty term is (r-1)!,
-    the base; the others are subtracted as contributions.  A negative value
-    raises ModelInconsistencyError for lambda at (m, m // step).
+    the second line since r(gamma)!/gamma! are the coefficients of 1/(1 - Y).
+    memo and sums hold rank and S of one table.  A negative value raises
+    ModelInconsistencyError for lambda at (m, m // step), which itemises
+    the first line's terms: (r - 1)! for the empty beta, the base, and the
+    others as contributions.
     """
-    key = (step, alpha)
-    value = _RANK_MEMO.get(key)
+    value = memo.get(alpha)
     if value is not None:
         return value
-    (top, top_count), others = alpha[0], alpha[1:]
-    rest = ((top, top_count - 1),) + others
-    r_rest = sum(count for _, count in rest)
-    base = math.factorial(r_rest)
-    # sub-multisets beta of lambda - e_k with step | |beta|, as
-    # (beta, |beta|, r(beta), C(lambda - e_k, beta)); a prefix is kept while
-    # the parts still to come (weight room) can reach a multiple of step
-    subs = [((), 0, 0, 1)]
-    room = sum(part * count for part, count in rest)
-    for part, count in rest:
-        room -= part * count
-        subs = [
-            (beta + ((part, t),) if t else beta, size + part * t, r + t, coeff * math.comb(count, t))
-            for beta, size, r, coeff in subs
-            for t in range(count + 1)
-            if (size + part * t + room) // step * step >= size + part * t
-        ]
-    contributions = []
-    for beta, size, r, coeff in subs[1:]:  # subs[0] is the empty beta, the base
-        term = coeff * _rank(step, beta) * math.factorial(r_rest - r)
-        if term:
-            contributions.append((beta, term))
-    value = base - sum(term for _, term in contributions)
+    top, top_count = alpha[0]
+    delta = (((top, top_count - 1),) if top_count > 1 else ()) + alpha[1:]
+    value = _prefix_sum(step, delta, memo, sums)
     if value < 0:
+        r_delta = sum(count for _, count in delta)
+        contributions = {}
+        for ts in product(*(range(count + 1) for _, count in delta)):
+            beta = tuple((part, t) for (part, _), t in zip(delta, ts) if t)
+            if beta and not sum(part * t for part, t in beta) % step:
+                coeff = math.prod(math.comb(count, t) for (_, count), t in zip(delta, ts))
+                term = coeff * _rank(step, beta, memo, sums) * math.factorial(r_delta - sum(ts))
+                if term:
+                    contributions[_expand(beta).parts] = term
         m = sum(part * count for part, count in alpha)
-        raise ModelInconsistencyError(
-            m,
-            m // step,
-            _expand(alpha),
-            base,
-            {_expand(beta).parts: term for beta, term in contributions},
-        )
-    _RANK_MEMO[key] = value
+        raise ModelInconsistencyError(m, m // step, _expand(alpha), math.factorial(r_delta), contributions)
+    memo[alpha] = value
+    return value
+
+
+def _prefix_sum(step, delta, memo, sums):
+    """S(delta) of _rank, memoised in sums, which holds S(empty) = 1."""
+    value = sums.get(delta)
+    if value is None:
+        value = -_rank(step, delta, memo, sums) if not sum(p * c for p, c in delta) % step else 0
+        for i, (part, count) in enumerate(delta):
+            smaller = delta[:i] + (((part, count - 1),) if count > 1 else ()) + delta[i + 1 :]
+            value += count * _prefix_sum(step, smaller, memo, sums)
+        sums[delta] = value
     return value
 
 
@@ -247,8 +242,8 @@ def string_table(n, d):
     elif q == 1:
         ranks = {p: local_system_rank(p) for p in parts}
     else:
-        step = n // q
-        ranks = {p: _rank(step, _residues(p.parts, step)) for p in parts}
+        step, memo, sums = n // q, {}, {(): 1}
+        ranks = {p: _rank(step, _residues(p.parts, step), memo, sums) for p in parts}
     return StringTable(
         n=n,
         d=d,

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from ngostrings import strings
 from ngostrings.cli import CACHE_FORMAT
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
@@ -821,6 +822,70 @@ def grouping_string_ranks(n, q):
         result = (ranks, frozenset(flagged))
     _GROUPING_MEMO[key] = result
     return result
+
+
+_SUBMULTISET_MEMO = {}
+
+
+def _submultiset_rank(step, alpha):
+    """Rank of the partition with residue multiplicities alpha at D = step, by sub-multisets.
+
+    With k the largest part of lambda, the exponential formula gives
+
+        rank(lambda) = sum over beta <= lambda - e_k with step | |beta| of
+                       C(lambda - e_k, beta) * g(beta) * (r(lambda - beta) - 1)!
+
+    with g(empty) = 1 and g(beta) = -rank(beta), every beta listed.
+    """
+    key = (step, alpha)
+    value = _SUBMULTISET_MEMO.get(key)
+    if value is not None:
+        return value
+    (top, top_count), others = alpha[0], alpha[1:]
+    rest = ((top, top_count - 1),) + others
+    r_rest = sum(count for _, count in rest)
+    # (beta, |beta|, r(beta), C(lambda - e_k, beta)); a prefix is kept while
+    # the parts still to come (weight room) can reach a multiple of step
+    subs = [((), 0, 0, 1)]
+    room = sum(part * count for part, count in rest)
+    for part, count in rest:
+        room -= part * count
+        subs = [
+            (beta + ((part, t),) if t else beta, size + part * t, r + t, coeff * math.comb(count, t))
+            for beta, size, r, coeff in subs
+            for t in range(count + 1)
+            if (size + part * t + room) // step * step >= size + part * t
+        ]
+    value = math.factorial(r_rest)
+    for beta, size, r, coeff in subs[1:]:  # subs[0] is the empty beta, the base
+        value -= coeff * _submultiset_rank(step, beta) * math.factorial(r_rest - r)
+    _SUBMULTISET_MEMO[key] = value
+    return value
+
+
+def submultiset_string_ranks(n, q):
+    """Oracle: the rank table for rank n at gcd q | n by the sub-multiset recursion, parts -> rank."""
+    if q == n:
+        return {p.parts: (1 if p.r == 1 else 0) for p in partitions_of(n)}
+    if q == 1:
+        return {p.parts: local_system_rank(p) for p in partitions_of(n)}
+    step = n // q
+    ranks = {}
+    for p in partitions_of(n):
+        residues = Counter((part - 1) % step + 1 for part in p.parts)
+        ranks[p.parts] = _submultiset_rank(step, tuple(sorted(residues.items(), reverse=True)))
+    return ranks
+
+
+def seed_string_rank(monkeypatch, alpha, value):
+    """Start every string-rank table with rank ``value`` for the residue multiplicities ``alpha``."""
+    rank = strings._rank
+
+    def seeded(step, key, memo, sums):
+        memo.setdefault(alpha, value)
+        return rank(step, key, memo, sums)
+
+    monkeypatch.setattr(strings, "_rank", seeded)
 
 
 def _stringify(obj):

@@ -33,6 +33,7 @@ from conftest import (
     enumerate_strata_reference,
     indented_cache_text,
     json_text_reference,
+    seed_string_rank,
     tutte_reference,
 )
 
@@ -67,6 +68,14 @@ class TestStringsAndReport:
         s2, out2, _ = capture("strings", "--n", "4", "--d", "2")
         assert s1 == s2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_negative_rank_is_an_error(self, capture, monkeypatch, json_flag):
+        # rank 121 for 1,1,1 at n/gcd = 3 makes 3,1,1,1 negative at n = 6, gcd 2
+        seed_string_rank(monkeypatch, ((1, 3),), 121)
+        status, out, err = capture("strings", "--n", "6", "--d", "2", *json_flag)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: negative rank for partition 3,1,1,1 at n=6, gcd=2")
 
     def test_strings_json_integers_as_strings(self, capture):
         status, out, _ = capture("strings", "--n", "6", "--d", "3", "--json")
@@ -279,6 +288,22 @@ class TestTutteCommand:
         status, out, _ = capture("tutte", "--partition", "1,1", "--genus", "2", "--eval", "1", "1")
         assert status == 0
         assert out == "T = x + y\nT(1,1) = 2\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_eval_past_digit_limit_is_refused(self, capture, json_flag):
+        # T(3,3) at genus 100000 has about 120 000 digits; refused from a
+        # bound on its terms, before anything is evaluated or printed
+        start = time.perf_counter()
+        status, out, err = capture("tutte", "--partition", "1,1", "--genus", "100000", "--eval", "3", "3", *json_flag)
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (1, "")
+        assert err.startswith("error: T(3,3) may have up to ")
+        assert err.endswith("decimal digits; the limit is %d\n" % cli.MAX_EVAL_DIGITS)
+
+    def test_eval_below_digit_limit_is_exact(self, capture):
+        status, out, _ = capture("tutte", "--partition", "1,1", "--genus", "3000", "--eval", "2", "2")
+        assert status == 0
+        assert out.endswith("\nT(2,2) = %d\n" % 2**5998)
 
     def test_json(self, capture):
         status, out, _ = capture("tutte", "--partition", "1,1", "--genus", "2", "--json")

@@ -3,7 +3,6 @@ from math import comb, factorial
 
 import pytest
 
-from ngostrings import strings
 from ngostrings.graphs import betti1, spectral_dual_graph
 from ngostrings.matroid import top_betti
 from ngostrings.partitions import (
@@ -22,7 +21,13 @@ from ngostrings.strings import (
     table_report,
 )
 
-from conftest import brute_force_stabilization_codim, grouping_enumerate, grouping_string_ranks
+from conftest import (
+    brute_force_stabilization_codim,
+    grouping_enumerate,
+    grouping_string_ranks,
+    seed_string_rank,
+    submultiset_string_ranks,
+)
 
 
 def straight_line_ranks(n, q):
@@ -263,6 +268,12 @@ class TestStringTable:
             assert {p.parts: v for p, v in table.ranks.items()} == ranks
             assert [p.parts for p in table.multiplier_partitions] == sorted(flagged, reverse=True)
 
+    @pytest.mark.parametrize("n", range(2, 29))
+    def test_against_submultiset_recursion(self, n):
+        for q in [d for d in range(1, n + 1) if n % d == 0]:
+            table = string_table(n, q)
+            assert {p.parts: v for p, v in table.ranks.items()} == submultiset_string_ranks(n, q)
+
     def test_rank_24_gcd_12(self):
         # frozen from the grouping recursion, which needs about 40 s here
         table = string_table(24, 12)
@@ -323,7 +334,7 @@ class TestStringTable:
     def test_negative_intermediate_raises(self, monkeypatch):
         # a seeded rank 121 for 1,1,1 at n/gcd = 3 makes 3,1,1,1, the first
         # partition of 6 whose recursion uses it, negative: 3! - C(3,3) * 121 * 0!
-        monkeypatch.setattr(strings, "_RANK_MEMO", {(3, ((1, 3),)): 121})
+        seed_string_rank(monkeypatch, ((1, 3),), 121)
         with pytest.raises(ModelInconsistencyError) as info:
             string_table(6, 2)
         err = info.value
