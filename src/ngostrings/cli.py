@@ -10,12 +10,12 @@ flags with plain values) is read without argparse, and each subcommand
 imports only the modules it uses.  Every other line goes to argparse, which
 alone writes usage, help and error text.
 
-A persistent Tutte memo cache can be supplied with ``--cache PATH`` or the
-NGO_STRINGS_CACHE environment variable (the flag wins).  Corrupt or
-version-mismatched cache files are ignored with a warning, and outputs are
-identical with a warm or cold cache.  A run rewrites the file only when the
-memo gained entries or the file was not a valid cache with entries, so a run
-that added nothing never overwrites entries another process wrote meanwhile.
+A persistent Tutte memo cache can be supplied with ``--cache PATH``, the only
+way to name one.  Corrupt or version-mismatched cache files are ignored with
+a warning, and outputs are identical with a warm or cold cache.  A run
+rewrites the file only when the memo gained entries or the file was not a
+valid cache with entries, so a run that added nothing never overwrites
+entries another process wrote meanwhile.
 """
 
 import os
@@ -24,7 +24,6 @@ import sys
 from .errors import ModelInconsistencyError, ResourceLimitError
 
 CACHE_FORMAT = "ngostrings-cache/1"
-CACHE_ENV_VAR = "NGO_STRINGS_CACHE"
 # tutte --eval refuses a value that may have more decimal digits than this,
 # CPython's default limit of the int -> str conversion
 MAX_EVAL_DIGITS = 4300
@@ -177,12 +176,6 @@ def _resolve_quiver(args):
     return spectral_dual_quiver(*spectral)
 
 
-def _cache_path(args):
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get(CACHE_ENV_VAR) or None
-
-
 def _with_cache(args, work):
     """Run work(cache) with an optional persistent cache around it.
 
@@ -191,7 +184,7 @@ def _with_cache(args, work):
     memo only grows, by one entry per new key, so a longer memo means new
     entries.
     """
-    path = _cache_path(args)
+    path = args.cache
     if not path:
         return work(None)
     cache = cache_load(path)
@@ -203,7 +196,6 @@ def _with_cache(args, work):
 
 
 def cmd_strings(args):
-    from .partitions import partitions_of
     from .strings import string_table
 
     table = string_table(args.n, args.d)
@@ -213,7 +205,7 @@ def cmd_strings(args):
             "n": table.n,
             "d": table.d,
             "gcd": table.q,
-            "ranks": [{"partition": str(p), "rank": table.ranks[p]} for p in partitions_of(args.n)],
+            "ranks": [{"partition": str(p), "rank": rank} for p, rank in table.ranks.items()],
             "rank_weighted_contributions": [str(p) for p in table.multiplier_partitions],
         }
         _print_json(payload)
@@ -221,10 +213,10 @@ def cmd_strings(args):
     # no echo of the raw degree: tables for degrees with equal gcd(n, d)
     # are byte-identical
     print("n=%d gcd=%d" % (table.n, table.q))
-    parts = partitions_of(args.n)
-    width = max(len(str(p)) for p in parts)
-    for p in parts:
-        print("%s  %d" % (str(p).ljust(width), table.ranks[p]))
+    names = [str(p) for p in table.ranks]
+    width = max(map(len, names))
+    for name, rank in zip(names, table.ranks.values()):
+        print("%s  %d" % (name.ljust(width), rank))
     if table.multiplier_partitions:
         print("# contributions weighted by local-system rank > 1: %s"
               % "; ".join(str(p) for p in table.multiplier_partitions))
@@ -232,18 +224,20 @@ def cmd_strings(args):
 
 
 def cmd_report(args):
-    from .partitions import partitions_of
     from .strings import gcd_rows, string_table, table_report
 
     if args.json:
-        parts = partitions_of(args.n)
+        names = None
         rows = []
         for label in gcd_rows(args.n):
-            table = string_table(args.n, args.n if label == 0 else label)
+            ranks = string_table(args.n, args.n if label == 0 else label).ranks
+            if names is None:
+                # every table lists the partitions in the order of partitions_of
+                names = [str(p) for p in ranks]
             rows.append(
                 {
                     "gcd": label,
-                    "ranks": [{"partition": str(p), "rank": table.ranks[p]} for p in parts],
+                    "ranks": [{"partition": name, "rank": rank} for name, rank in zip(names, ranks.values())],
                 }
             )
         _print_json({"command": "report", "n": args.n, "rows": rows})
@@ -557,7 +551,7 @@ _GRAPH_SOURCE = [
     ("--genus", {"type": int, "help": "genus of the base curve (>= 2)"}),
     ("--quiver", {"help": "path to a graph file (format graph/1)"}),
 ]
-_CACHE = ("--cache", {"help": "Tutte cache file (or set %s)" % CACHE_ENV_VAR})
+_CACHE = ("--cache", {"help": "Tutte cache file"})
 _STRATUM = [("--partition", {"required": True}), ("--genus", {"type": int, "required": True})]
 
 # name -> (help, handler, options before --json), in help order
@@ -593,24 +587,16 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The argument parser: every subcommand, or only ``command`` with the same usage text."""
+def build_parser():
+    """The argument parser of every subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="ngostrings",
         description="Exact combinatorics of string ranks, spectral dual graphs and hypertoric strata.",
     )
-    if command is None:
-        names = list(SUBCOMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # the metavar keeps the usage line that lists every subcommand; the
-        # full parser sets none, since its missing-command error names `command`
-        names = [command]
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(SUBCOMMANDS))
-    for name in names:
-        help_text, handler, options = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
@@ -673,10 +659,8 @@ def run(argv):
     """Dispatch a command line; returns the exit status."""
     args = _fast_args(argv)
     if args is None:
-        # a command line that names its subcommand first builds only that subparser
-        parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:

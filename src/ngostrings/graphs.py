@@ -463,13 +463,13 @@ def pairs_canonical_key(r, pairs, budget=None):
     return repr((r, best)).encode("ascii")
 
 
-def to_dot(graph, name="G"):
+def to_dot(graph):
     """DOT text for visualization; quivers render as digraphs."""
     _check_size(graph.vertex_count, graph.edge_count, "a graph to print as DOT")
     directed = isinstance(graph, Quiver)
     arrow = "->" if directed else "--"
     kind = "digraph" if directed else "graph"
-    lines = ["%s %s {" % (kind, name)]
+    lines = ["%s G {" % kind]
     for v in range(graph.vertex_count):
         lines.append("  %d;" % v)
     for u, v in graph.edges:

@@ -33,7 +33,7 @@ from .graphs import (
     pairs_canonical_key,
     spectral_edge_count,
 )
-from .matroid import DEFAULT_CACHE, _tutte
+from .matroid import TutteCache, _tutte
 from .partitions import set_partitions
 
 
@@ -184,12 +184,13 @@ def enumerate_strata(quiver, cache=None):
     partition (its contraction is a point).  Multiplicities are sphere
     counts T_graphic(1, 0) of the contracted cographic matroid complexes,
     from the memoized Tutte recursion once per canonical key of the
-    contraction.  Output is sorted by (codimension, canonical key, blocks).
+    contraction; the memo is a fresh one for this call unless one is passed.
+    Output is sorted by (codimension, canonical key, blocks).
     """
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
     if cache is None:
-        cache = DEFAULT_CACHE
+        cache = TutteCache()
     pairs = quiver.pair_multiplicities()
 
     def key_of(vp):

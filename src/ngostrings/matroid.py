@@ -20,9 +20,9 @@ into blocks whose polynomials multiply, and a series vertex is removed by
 T = x T(G - v) + T(G - v + ab).  Only a 2-connected loopless core with no
 series vertex takes a canonical key, from a search capped at
 KEY_SEARCH_NODES nodes, and a deletion plus a geometric-series-weighted
-contraction of a whole parallel class.  The memo cache, process-wide by
-default, holds exactly the cores whose key fits the cap; an entry written
-for any other graph stays correct, since a key determines its graph.
+contraction of a whole parallel class.  The memo cache holds exactly the
+cores whose key fits the cap; an entry written for any other graph stays
+correct, since a key determines its graph.
 
 spectral_tutte_polynomial takes a partition and a genus (the `--partition`
 inputs of `tutte` and `matroid`) and never builds the graph.  Vertices with
@@ -147,12 +147,6 @@ class TutteCache:
 
     def load(self, items):
         self._data.update(items)
-
-    def clear(self):
-        self._data.clear()
-
-
-DEFAULT_CACHE = TutteCache()
 
 
 class CographicMatroid:
@@ -399,13 +393,13 @@ def tutte_polynomial(graph, cache=None):
 
     Deletion-contraction on parallel classes of the pair multiplicities,
     after the reductions of _core_tutte; the memo cache is keyed by the
-    canonical form of the reduced cores and shared across the process by
-    default.
+    canonical form of the reduced cores, and is a fresh one for this call
+    unless one is passed.
     """
     if not graph.is_connected():
         raise ValueError("Tutte polynomial requires a connected graph")
     if cache is None:
-        cache = DEFAULT_CACHE
+        cache = TutteCache()
     return _tutte(graph.vertex_count, graph.pair_multiplicities(), cache)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ngostrings import cli, graphs
-from ngostrings.cli import CACHE_ENV_VAR, CACHE_FORMAT, cache_load, cache_store, run
+from ngostrings.cli import CACHE_FORMAT, cache_load, cache_store, run
 from ngostrings.graphs import (
     Quiver,
     canonical_key,
@@ -276,8 +276,7 @@ BENCH = bench_workloads()
 
 class TestRecordedDigests:
     @pytest.mark.parametrize("label", sorted(BENCH.FIXED_OPS))
-    def test_fixed_op_matches_recorded_digest(self, capture, monkeypatch, label):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    def test_fixed_op_matches_recorded_digest(self, capture, label):
         status, out, _ = capture(*BENCH.FIXED_OPS[label])
         assert status == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == BENCH.DIGESTS[label]
@@ -381,8 +380,7 @@ class TestStrataAndDims:
             (["--quiver", "K4", "--json"], "84c51af5b49afb5ac8db80e7b9a7395edf87daf07a82ceed5d388303e1ae11ff"),
         ],
     )
-    def test_strata_matches_pinned_digest(self, capture, tmp_path, monkeypatch, argv, digest):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    def test_strata_matches_pinned_digest(self, capture, tmp_path, argv, digest):
         graph = tmp_path / "k4.json"
         graph.write_text(dump_graph(Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
         status, out, _ = capture("strata", *[str(graph) if a == "K4" else a for a in argv])
@@ -612,23 +610,25 @@ class TestCache:
         assert s1 == s2 == 0
         assert cold == warm
 
-    def test_env_variable_cache(self, capture, tmp_path, monkeypatch):
-        path = tmp_path / "env-cache.json"
-        monkeypatch.setenv(CACHE_ENV_VAR, str(path))
-        status, _, _ = capture("tutte", "--partition", "1,1", "--genus", "2")
-        assert status == 0
-        assert path.exists()
-
-    def test_flag_beats_env_variable(self, capture, tmp_path, monkeypatch):
-        env_path = tmp_path / "env-cache.json"
-        flag_path = tmp_path / "flag-cache.json"
-        monkeypatch.setenv(CACHE_ENV_VAR, str(env_path))
-        status, _, _ = capture(
-            "tutte", "--partition", "1,1", "--genus", "2", "--cache", str(flag_path)
-        )
-        assert status == 0
-        assert flag_path.exists()
-        assert not env_path.exists()
+    def test_environment_names_no_cache(self, capture, tmp_path, monkeypatch):
+        # a K4 cache with every entry poisoned to T = 999, named only by the
+        # environment variable: a run without --cache neither reads nor writes it
+        graph = tmp_path / "k4.json"
+        graph.write_text(dump_graph(Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
+        path = tmp_path / "poisoned.json"
+        commands = [(name, "--quiver", str(graph)) for name in ("tutte", "matroid", "strata")]
+        cold = [capture(*argv) for argv in commands]
+        for argv in commands:
+            assert capture(*argv, "--cache", str(path))[0] == 0
+        entries = {key: [[0, 0, "999"]] for key in json.loads(path.read_text())["entries"]}
+        path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
+        # the poison bites every command that names the file
+        for argv, (_, out, _) in zip(commands, cold):
+            assert capture(*argv, "--cache", str(path))[1] != out
+        before = path.read_bytes()
+        monkeypatch.setenv("NGO_STRINGS_CACHE", str(path))
+        assert [capture(*argv) for argv in commands] == cold
+        assert path.read_bytes() == before
 
 
 # every command that takes --cache, on a graph file and on a partition;
@@ -858,7 +858,6 @@ class TestSparseQuivers:
         path = tmp_path / "graph.json"
         path.write_text(dump_graph(graph))
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        env.pop(CACHE_ENV_VAR, None)
         argv = [sys.executable, "-m", "ngostrings", "tutte", "--quiver", str(path), "--eval", "1", "1"]
         done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
         assert (done.returncode, done.stderr) == (0, "")
@@ -888,23 +887,20 @@ class TestParser:
         status = run(argv)
         assert (status, *capsys.readouterr()) == full
 
-    def test_named_subcommand_builds_one_subparser(self, capture, monkeypatch):
+    def test_well_formed_line_builds_no_parser(self, capture, monkeypatch):
         built = []
         build = cli.build_parser
 
-        def spy(command=None):
-            built.append(command)
-            return build(command)
+        def spy():
+            built.append(True)
+            return build()
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        # a well-formed line builds no parser; one argparse must read builds
-        # the subparser it names, or the full parser if it names none
+        # a well-formed line builds no parser; one argparse must read builds it
         fast = capture("dims", "--partition", "1,1", "--genus", "2")
         assert fast[0] == 0 and built == []
         assert capture("dims", "--partition=1,1", "--genus", "2") == fast
-        for argv in (["--help"], ["frobnicate"], []):
-            assert capture(*argv)[0] in (0, 2)
-        assert built == ["dims", None, None, None]
+        assert built == [True]
 
 
 def fast_reader_corpus():

@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 import time
 from itertools import combinations
 from math import comb, factorial, prod
@@ -9,6 +10,7 @@ import pytest
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectral_dual_graph, spectral_dual_quiver
 from ngostrings import matroid
+from ngostrings.hypertoric import enumerate_strata
 from ngostrings.matroid import (
     KEY_SEARCH_NODES,
     MAX_F_VECTOR_RANK,
@@ -384,6 +386,37 @@ class TestReducedCores:
             first, second = TutteCache(), TutteCache()
             assert tutte_polynomial(g, cache=first) == tutte_polynomial(g, cache=second)
             assert first.items() == second.items()
+
+
+class TestPerCallMemo:
+    """A call made without cache= keeps its memo to itself."""
+
+    def test_no_module_holds_a_memo(self):
+        g = spectral_dual_graph(Partition([1] * 5), 2)
+        tutte_polynomial(g)
+        top_betti(g)
+        f_h_vectors(CographicMatroid(g))
+        enumerate_strata(spectral_dual_quiver(Partition([1] * 4), 2))
+        held = [
+            (name, attr)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "ngostrings"
+            for attr, value in vars(module).items()
+            if isinstance(value, TutteCache)
+        ]
+        assert held == []
+
+    def test_explicit_cache_does_not_reach_a_later_call(self):
+        g = spectral_dual_graph(Partition([1] * 4), 2)
+        quiver = spectral_dual_quiver(Partition([1] * 4), 2)
+        cold = tutte_polynomial(g), enumerate_strata(quiver)
+        cache = TutteCache()
+        tutte_polynomial(g, cache=cache)
+        enumerate_strata(quiver, cache=cache)
+        poison = TuttePolynomial({(0, 0): 999})
+        cache.load([(key, poison) for key, _ in cache.items()])
+        assert tutte_polynomial(g, cache=cache) == poison
+        assert (tutte_polynomial(g), enumerate_strata(quiver)) == cold
 
 
 class TestTopBetti:
