@@ -224,16 +224,14 @@ def cmd_strings(args):
 
 
 def cmd_report(args):
+    from .partitions import partitions_of
     from .strings import gcd_rows, string_table, table_report
 
     if args.json:
-        names = None
+        names = [str(p) for p in partitions_of(args.n)]
         rows = []
         for label in gcd_rows(args.n):
             ranks = string_table(args.n, args.n if label == 0 else label).ranks
-            if names is None:
-                # every table lists the partitions in the order of partitions_of
-                names = [str(p) for p in ranks]
             rows.append(
                 {
                     "gcd": label,

@@ -900,7 +900,8 @@ class TestParser:
         fast = capture("dims", "--partition", "1,1", "--genus", "2")
         assert fast[0] == 0 and built == []
         assert capture("dims", "--partition=1,1", "--genus", "2") == fast
-        assert built == [True]
+        assert [capture(*argv)[0] for argv in (["--help"], ["frobnicate"], [])] == [0, 2, 2]
+        assert built == [True] * 4
 
 
 def fast_reader_corpus():
