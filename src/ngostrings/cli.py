@@ -151,6 +151,18 @@ def _print_json(payload):
     print(_json_text(payload, encode_basestring_ascii, "\n"))
 
 
+def _print_fields(args, fields):
+    """Print a (key, value) list as `key: value` lines, a tuple joined with ", ".
+
+    With --json it is one object instead, "command" first.
+    """
+    if args.json:
+        _print_json({"command": args.command, **dict(fields)})
+        return
+    for key, value in fields:
+        print("%s: %s" % (key, ", ".join(map(str, value)) if isinstance(value, tuple) else value))
+
+
 def _parse_partition(text):
     from .partitions import Partition
 
@@ -231,7 +243,7 @@ def cmd_report(args):
         names = [str(p) for p in partitions_of(args.n)]
         rows = []
         for label in gcd_rows(args.n):
-            ranks = string_table(args.n, args.n if label == 0 else label).ranks
+            ranks = string_table(args.n, label).ranks
             rows.append(
                 {
                     "gcd": label,
@@ -405,24 +417,8 @@ def cmd_matroid(args):
         f, h = _with_cache(
             args, lambda cache: _f_h_vectors(rank, lambda: spectral_tutte_polynomial(partition, genus))
         )
-    spheres = h[-1]  # T_graphic(1, 0), the top_betti sphere count
-    if args.json:
-        _print_json(
-            {
-                "command": "matroid",
-                "edges": edges,
-                "rank": rank,
-                "f": list(f),
-                "h": list(h),
-                "top_betti": spheres,
-            }
-        )
-        return 0
-    print("edges: %d" % edges)
-    print("rank: %d" % rank)
-    print("f: %s" % ", ".join(str(v) for v in f))
-    print("h: %s" % ", ".join(str(v) for v in h))
-    print("top_betti: %d" % spheres)
+    # h[-1] is T_graphic(1, 0), the top_betti sphere count
+    _print_fields(args, [("edges", edges), ("rank", rank), ("f", f), ("h", h), ("top_betti", h[-1])])
     return 0
 
 
@@ -509,11 +505,7 @@ def cmd_local_model(args):
         ("dim_X", dims.dim_X),
         ("dim_Jbar", dims.dim_Jbar),
     ]
-    if args.json:
-        _print_json({"command": "local-model", **{k: v for k, v in fields}})
-        return 0
-    for k, v in fields:
-        print("%s: %s" % (k, v))
+    _print_fields(args, fields)
     return 0
 
 
@@ -528,17 +520,11 @@ def cmd_dims(args):
         ("dim_S", dims.dim_S),
         ("codim_S", dims.codim_S),
         ("delta", dims.delta),
-        ("component_genera", ", ".join(str(v) for v in dims.component_genera)),
+        ("component_genera", dims.component_genera),
         ("spectral_genus", dims.spectral_genus),
         ("psi", dims.psi),
     ]
-    if args.json:
-        payload = {k: v for k, v in fields}
-        payload["component_genera"] = list(dims.component_genera)
-        _print_json({"command": "dims", **payload})
-        return 0
-    for k, v in fields:
-        print("%s: %s" % (k, v))
+    _print_fields(args, fields)
     return 0
 
 

@@ -110,17 +110,44 @@ class Quiver(MultiGraph):
         return MultiGraph(self.vertex_count, self.edges)
 
 
-def pairs_connected(r, pairs):
-    """True iff the vertex pairs (u, v) join vertices 0..r-1 into one component."""
-    adj = [[] for _ in range(r)]
-    for u, v in pairs:
+def _relabel(pairs, index):
+    """(pairs, loops) of a multiplicity map {(u, v): k} with vertex v renumbered index[v].
+
+    index[v] is None to delete v with its edges.  An edge whose two ends get
+    one number is counted in loops and not kept; every key comes out as
+    (a, b) with a < b, in the order of its first edge.
+    """
+    out = {}
+    loops = 0
+    for (u, v), k in pairs.items():
+        a, b = index[u], index[v]
+        if a is None or b is None:
+            continue
+        if a == b:
+            loops += k
+        else:
+            pair = (a, b) if a < b else (b, a)
+            out[pair] = out.get(pair, 0) + k
+    return out, loops
+
+
+def _links(r, pairs):
+    """Per vertex 0..r-1, the list of (neighbour, multiplicity) of a multiplicity map; loops left out."""
+    links = [[] for _ in range(r)]
+    for (u, v), k in pairs.items():
         if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+            links[u].append((v, k))
+            links[v].append((u, k))
+    return links
+
+
+def pairs_connected(r, pairs):
+    """True iff the multiplicity map {(u, v): k} joins vertices 0..r-1 into one component."""
+    links = _links(r, pairs)
     seen = {0}
     queue = deque([0])
     while queue:
-        for y in adj[queue.popleft()]:
+        for y, _ in links[queue.popleft()]:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -361,15 +388,8 @@ def gale_dual(quiver):
 
 def _refined_colors(r, pairs):
     """Stable 1-dimensional color refinement; returns the list of dense color ids by vertex."""
-    neigh = [[] for _ in range(r)]
-    loops = [0] * r
-    for (u, v), k in pairs.items():
-        if u != v:
-            neigh[u].append((v, k))
-            neigh[v].append((u, k))
-        else:
-            loops[u] = k
-    keys = [(loops[v], tuple(sorted(k for _, k in neigh[v]))) for v in range(r)]
+    neigh = _links(r, pairs)
+    keys = [(pairs.get((v, v), 0), tuple(sorted(k for _, k in neigh[v]))) for v in range(r)]
     while True:
         ids = {key: i for i, key in enumerate(sorted(set(keys)))}
         colors = [ids[key] for key in keys]

@@ -28,6 +28,7 @@ from math import factorial
 from .errors import ResourceLimitError
 from .graphs import (
     VertexPartition,
+    _relabel,
     betti1,
     boundary_matrix,
     pairs_canonical_key,
@@ -133,24 +134,6 @@ def circuit_relations(quiver):
     ]
 
 
-def _contract(pairs, vp):
-    """(pair multiplicities {(a, b): k}, a < b, of the contraction along vp, deleted edge count).
-
-    The blocks are numbered as in vp.block_of().
-    """
-    index = vp.block_of()
-    contracted = {}
-    dropped = 0
-    for (u, v), k in pairs.items():
-        a, b = index[u], index[v]
-        if a == b:
-            dropped += k
-        else:
-            pair = (a, b) if a < b else (b, a)
-            contracted[pair] = contracted.get(pair, 0) + k
-    return contracted, dropped
-
-
 def _strata(r, label_of, stratum_of):
     """Records of the vertex partitions of range(r), sorted by (codimension, key, blocks).
 
@@ -193,11 +176,13 @@ def enumerate_strata(quiver, cache=None):
         cache = TutteCache()
     pairs = quiver.pair_multiplicities()
 
+    # the contraction along vp: its blocks numbered as in vp.block_of(), the
+    # edges inside a block deleted and counted
     def key_of(vp):
-        return pairs_canonical_key(len(vp), _contract(pairs, vp)[0])
+        return pairs_canonical_key(len(vp), _relabel(pairs, vp.block_of())[0])
 
     def stratum_of(vp, key):
-        contracted, dropped = _contract(pairs, vp)
+        contracted, dropped = _relabel(pairs, vp.block_of())
         s = quiver.edge_count - dropped
         # b1 = s - blocks + 1 = 0 gives the one-point complex, which counts 1
         return s, dropped, key, _tutte(len(vp), contracted, cache).evaluate(1, 0) if s >= len(vp) else 1
@@ -246,7 +231,7 @@ def certify_small(quiver):
     return SmallnessCertificate(passed=True, violations=())
 
 
-def local_decomposition(quiver, cache=None):
+def local_decomposition(quiver):
     """Semismall decomposition bookkeeping: every stratum with its multiplicity.
 
     Every stratum is relevant (2 * fiber_dim equals the codimension in the
@@ -263,7 +248,7 @@ def local_decomposition(quiver, cache=None):
     ever dropped for them.
     """
     out = []
-    for rec in enumerate_strata(quiver, cache=cache):
+    for rec in enumerate_strata(quiver):
         if len(rec.vp.blocks) > 1 and rec.b1_contracted == 0:
             continue
         out.append((rec, rec.multiplicity))

@@ -12,8 +12,9 @@ sets are enumerated only by the brute-force homology oracle.
 tutte_polynomial takes any connected multigraph (the `--quiver` inputs and
 every graph that top_betti sees; of the strata, only `strata --quiver` hands
 its contractions to the same engine, through _tutte, as pair multiplicities
-with no graph built).  It runs on the pair multiplicities {(u, v): k} alone
-and reduces before it keys, as Haggard, Pearce and Royle do ("Computing
+renumbered by graphs._relabel, with no graph built).  It runs on the pair
+multiplicities {(u, v): k} alone, rewrites them only through _relabel, and
+reduces before it keys, as Haggard, Pearce and Royle do ("Computing
 Tutte polynomials", ACM TOMS 37(3), 2010): loops are a factor y^loops, two
 vertices are one bundle x + y + ... + y^(k-1), a cut vertex splits the graph
 into blocks whose polynomials multiply, and a series vertex is removed by
@@ -37,7 +38,7 @@ from itertools import accumulate, product
 from math import comb, prod
 
 from .errors import ResourceLimitError
-from .graphs import betti1, pairs_canonical_key, spectral_edge_count
+from .graphs import _links, _relabel, betti1, pairs_canonical_key, spectral_edge_count
 
 
 class TuttePolynomial:
@@ -204,21 +205,6 @@ class CographicMatroid:
 KEY_SEARCH_NODES = 1000
 
 
-def _merge(pairs, a, b):
-    """Identify vertex b with a < b in a multiplicity map; b leaves the numbering."""
-
-    def rename(v):
-        if v == b:
-            v = a
-        return v - 1 if v > b else v
-
-    out = {}
-    for (u, v), k in pairs.items():
-        u, v = sorted((rename(u), rename(v)))
-        out[(u, v)] = out.get((u, v), 0) + k
-    return out
-
-
 def _bundle(k):
     """Tutte polynomial x + y + ... + y^(k-1) of k parallel edges."""
     coeffs = {(0, j): 1 for j in range(1, k)}
@@ -246,15 +232,6 @@ def _times_y_geometric(poly, k):
             if total:
                 out[(i, j)] = total
     return TuttePolynomial._of(out)
-
-
-def _links(r, core):
-    """Per vertex, the list of (neighbour, multiplicity) of a loopless multiplicity map."""
-    links = [[] for _ in range(r)]
-    for (u, v), k in core.items():
-        links[u].append((v, k))
-        links[v].append((u, k))
-    return links
 
 
 def _blocks(links):
@@ -295,27 +272,13 @@ def _blocks(links):
     return blocks if len(blocks) > 1 else None
 
 
-def _induced(core, vertices):
-    """Multiplicities of the edges of core between the given vertices, renumbered 0..b-1 in order."""
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    return {
-        (index[u], index[v]): k for (u, v), k in core.items() if u in index and v in index
-    }
-
-
 def _tutte(r, pairs, cache):
     """Tutte polynomial of the connected multigraph with the given pair multiplicities.
 
     Loops are peeled off as a factor y^loops; the loopless core goes to
     _core_tutte.
     """
-    loops = 0
-    core = {}
-    for (u, v), k in pairs.items():
-        if u == v:
-            loops += k
-        else:
-            core[(u, v)] = k
+    core, loops = _relabel(pairs, range(r))
     poly = _core_tutte(r, core, cache)
     return _shift(poly, 0, loops) if loops else poly
 
@@ -342,7 +305,11 @@ def _core_tutte(r, core, cache):
             if blocks is not None:
                 poly = TuttePolynomial.one()
                 for block in blocks:
-                    poly = poly * _core_tutte(len(block), _induced(core, block), cache)
+                    # the block's vertices, renumbered 0..b-1 in order; the rest deleted
+                    index = [None] * r
+                    for i, u in enumerate(sorted(block)):
+                        index[u] = i
+                    poly = poly * _core_tutte(len(block), _relabel(core, index)[0], cache)
             else:
                 # the least series vertex: joined to exactly two others, each by one edge
                 v = next(
@@ -350,12 +317,12 @@ def _core_tutte(r, core, cache):
                     None,
                 )
                 if v is not None:
-                    a, b = sorted(w for w, _ in links[v])
-                    deleted = _induced(core, [u for u in range(r) if u != v])
+                    index = [u - (u > v) for u in range(r)]
+                    index[v] = None
+                    deleted = _relabel(core, index)[0]
                     series.append(_shift(_core_tutte(r - 1, deleted, cache), 1, 0))
-                    # a and b keep their order when v leaves the numbering
-                    pair = (a - (a > v), b - (b > v))
-                    deleted[pair] = deleted.get(pair, 0) + 1
+                    a, b = sorted(index[w] for w, _ in links[v])
+                    deleted[(a, b)] = deleted.get((a, b), 0) + 1
                     r, core = r - 1, deleted
                     continue
                 poly = _keyed_tutte(r, core, cache)
@@ -381,7 +348,10 @@ def _keyed_tutte(r, core, cache):
     (u, v), k = max(core.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
     rest = dict(core)
     del rest[(u, v)]
-    contracted = _merge(rest, u, v)
+    # v merges into u < v and leaves the numbering
+    index = [w - (w > v) for w in range(r)]
+    index[v] = u
+    contracted = _relabel(rest, index)[0]
     poly = _core_tutte(r, rest, cache) + _times_y_geometric(_core_tutte(r - 1, contracted, cache), k)
     if key is not None:
         cache.put(key, poly)

@@ -272,8 +272,7 @@ def table_report(n):
     headers = ["gcd"] + [str(p) for p in parts]
     rows = []
     for label in gcd_rows(n):
-        q = n if label == 0 else label
-        table = string_table(n, q if label else 0)
+        table = string_table(n, label)
         rows.append([str(label)] + [str(table.ranks[p]) for p in parts])
     widths = [max(len(headers[j]), max(len(row[j]) for row in rows)) for j in range(len(headers))]
     lines = ["  ".join(cell.ljust(widths[j]) for j, cell in enumerate(headers)).rstrip()]

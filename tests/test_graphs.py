@@ -159,7 +159,56 @@ class TestBetti:
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
 
 
+_WEIGHTED_K4 = {(0, 1): 1, (0, 2): 2, (0, 3): 1, (1, 2): 1, (1, 3): 3, (2, 3): 1}
+_WEIGHTED_K4_LINKS = [
+    [(1, 1), (2, 2), (3, 1)],
+    [(0, 1), (2, 1), (3, 3)],
+    [(0, 2), (1, 1), (3, 1)],
+    [(0, 1), (1, 3), (2, 1)],
+]
+
+# (pairs, index, relabelled items in order, loops, links of pairs)
+RELABEL_CASES = {
+    "identity splits off loops and normalises keys": (
+        {(0, 0): 2, (2, 1): 3, (0, 1): 1},
+        range(3),
+        [((1, 2), 3), ((0, 1), 1)],
+        2,
+        [[(1, 1)], [(2, 3), (0, 1)], [(1, 3)]],
+    ),
+    "None drops a vertex with its edges": (
+        {(0, 1): 1, (1, 1): 5, (1, 2): 2, (0, 2): 4},
+        [0, None, 1],
+        [((0, 1), 4)],
+        0,
+        [[(1, 1), (2, 4)], [(0, 1), (2, 2)], [(1, 2), (0, 4)]],
+    ),
+    "a merge counts the merged edges as loops": (
+        {(0, 1): 2, (1, 2): 1, (0, 2): 3},
+        [0, 0, 1],
+        [((0, 1), 4)],
+        2,
+        [[(1, 2), (2, 3)], [(0, 2), (2, 1)], [(1, 1), (0, 3)]],
+    ),
+    "a block_of dict": (
+        _WEIGHTED_K4,
+        VertexPartition([(0, 2), (1, 3)]).block_of(),
+        [((0, 1), 4)],
+        5,
+        _WEIGHTED_K4_LINKS,
+    ),
+    "the equal list": (_WEIGHTED_K4, [0, 1, 0, 1], [((0, 1), 4)], 5, _WEIGHTED_K4_LINKS),
+}
+
+
 class TestContract:
+    @pytest.mark.parametrize("case", RELABEL_CASES)
+    def test_relabel_and_links(self, case):
+        pairs, index, relabelled, loops, links = RELABEL_CASES[case]
+        out, counted = graphs._relabel(pairs, index)
+        assert (list(out.items()), counted) == (relabelled, loops)
+        assert graphs._links(len(index), pairs) == links
+
     def test_triangle_merge_two(self):
         q, dropped = contract_counting_loops(TRIANGLE, VertexPartition([(0, 1), (2,)]))
         assert q.vertex_count == 2
