@@ -236,20 +236,15 @@ def cmd_strings(args):
 
 
 def cmd_report(args):
-    from .partitions import partitions_of
-    from .strings import gcd_rows, string_table, table_report
+    from .strings import _report_rows, table_report
 
     if args.json:
-        names = [str(p) for p in partitions_of(args.n)]
-        rows = []
-        for label in gcd_rows(args.n):
-            ranks = string_table(args.n, label).ranks
-            rows.append(
-                {
-                    "gcd": label,
-                    "ranks": [{"partition": name, "rank": rank} for name, rank in zip(names, ranks.values())],
-                }
-            )
+        parts, report = _report_rows(args.n)
+        names = [str(p) for p in parts]
+        rows = [
+            {"gcd": label, "ranks": [{"partition": name, "rank": rank} for name, rank in zip(names, ranks)]}
+            for label, ranks in report
+        ]
         _print_json({"command": "report", "n": args.n, "rows": rows})
         return 0
     sys.stdout.write(table_report(args.n))

@@ -10,15 +10,14 @@ generic local-system rank (r-1)! and the stabilizer order prod_i alpha_i!.
 
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import islice
 
 from .errors import ResourceLimitError
 
 # partitions_of refuses any n with more partitions than this: p(41) = 44583
 # and p(42) = 53174.  Up to n = 41 report, strings and partition all answer;
-# the slowest, report --n 40, takes about 3.2 s and 90 MiB in a fresh process
-# (2-core Xeon, Python 3.11).
+# the slowest, report --n 40, takes 1.5-1.9 s and 81 MiB (--json 2.2-3.1 s and
+# 220 MiB) in a fresh process (2-core Xeon, Python 3.11).
 MAX_PARTITIONS = 50_000
 
 
@@ -125,22 +124,24 @@ def partition_count(n):
     return next(islice(_partition_numbers(), n, None))
 
 
-@lru_cache(maxsize=None)
-def _largest_enumerable_n():
-    for n, count in enumerate(_partition_numbers()):
-        if count > MAX_PARTITIONS:
-            return n - 1
+def _partition_tuples(n):
+    """Yield the partitions of n as weakly decreasing tuples, in reverse-lexicographic order.
 
-
-@lru_cache(maxsize=None)
-def _partition_tuples(n, max_part):
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _partition_tuples(n - k, k):
-            out.append((k,) + rest)
-    return tuple(out)
+    Each step drops the trailing 1s, lowers the last part left by one and
+    refills greedily with parts no larger (Knuth, TAOCP 4A, 7.2.1.4,
+    Algorithm P).
+    """
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        last = len(parts) - parts.count(1) - 1  # the last part above 1
+        if last < 0:
+            return
+        k = parts[last] - 1
+        full, rest = divmod(len(parts) - last + k, k)
+        parts[last:] = [k] * full
+        if rest:
+            parts.append(rest)
 
 
 def partitions_of(n):
@@ -152,11 +153,12 @@ def partitions_of(n):
     """
     if n < 1:
         raise ValueError("n must be a positive integer, got %r" % n)
-    if n > _largest_enumerable_n():
+    # p(n) is nondecreasing, so this stops at the first n past the bound
+    if any(count > MAX_PARTITIONS for count in islice(_partition_numbers(), int(n) + 1)):
         raise ResourceLimitError(
             "n=%d has more than %d partitions; refusing to enumerate them" % (n, MAX_PARTITIONS)
         )
-    return list(map(Partition._from_sorted, _partition_tuples(int(n), int(n))))
+    return list(map(Partition._from_sorted, _partition_tuples(int(n))))
 
 
 def admissible_partitions(n, d):

@@ -618,6 +618,19 @@ def eliminate_reference(rows):
     return rank, unimodular
 
 
+def partition_tuples_reference(n, max_part=None):
+    """Oracle: the partitions of n into parts <= max_part, reverse-lexicographic, by plain recursion."""
+    if n == 0:
+        return [()]
+    if max_part is None:
+        max_part = n
+    return [
+        (k,) + rest
+        for k in range(min(n, max_part), 0, -1)
+        for rest in partition_tuples_reference(n - k, k)
+    ]
+
+
 def multiplicity_data(n):
     """All ways to write n = sum m_i * k_i as a multiset of pairs (m_i, k_i)."""
 

@@ -106,6 +106,9 @@ def test_criterion_05_delta_equals_codim():
                     assert dim_a - dim_s == b1
                     dims = stratum_dims(p, g)
                     assert dims.codim_S == dims.delta == b1
+                    # the identities stratum_dims does not check itself
+                    assert dims.dim_S == dims.genus_sum
+                    assert dims.spectral_genus == dims.genus_sum + dims.delta
 
 
 def test_criterion_06_multiplicity_three_way():
@@ -169,6 +172,8 @@ def test_criterion_08_local_model_ledger():
                     via_moduli = (dims.dim_M - dims.dim_Y) // 2 - g - 1
                     via_formula = (n * n - 1) * (g - 1) - 1 - dims.b1
                     assert dims.d_dim == via_moduli == via_formula
+                    # the identities local_model_dims does not check itself
+                    assert dims.dim_M == dims.dim_Y + 2 * dims.d_dim + 2 * g + 2
                     assert dims.dim_Jbar == dims.dim_X + dims.c_dim
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ngostrings import cli, graphs
+from ngostrings import cli, graphs, hypertoric
 from ngostrings.cli import CACHE_FORMAT, cache_load, cache_store, run
 from ngostrings.graphs import (
     Quiver,
@@ -24,7 +25,7 @@ from ngostrings.graphs import (
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, IntMatrix
 from ngostrings.matroid import TutteCache, TuttePolynomial
 from ngostrings.partitions import Partition, set_partitions
-from ngostrings.strings import table_report
+from ngostrings.strings import string_table, table_report
 
 from conftest import (
     bench_workloads,
@@ -90,6 +91,12 @@ class TestStringsAndReport:
         status, out, _ = capture("report", "--n", "2", "--json")
         payload = json.loads(out)
         assert [row["gcd"] for row in payload["rows"]] == ["0", "1"]
+        for n in range(2, 15):
+            status, out, _ = capture("report", "--n", str(n), "--json")
+            assert status == 0
+            for row in json.loads(out)["rows"]:
+                ranks = string_table(n, int(row["gcd"])).ranks
+                assert row["ranks"] == [{"partition": str(p), "rank": str(r)} for p, r in ranks.items()]
 
     def test_requires_n(self, capture):
         status, _, _ = capture("strings", "--d", "2")
@@ -415,11 +422,37 @@ class TestStrataAndDims:
         "partition, genus, message",
         [
             ("1,1", "1", "genus must be at least 2, got 1"),
-            (",".join(["1"] * 13), "2", "stratum enumeration is capped at 12 vertices (Bell growth); got 13"),
+            (
+                ",".join(["1"] * 12),
+                "2",
+                "stratum enumeration is capped at MAX_STRATA_VERTICES = 11 vertices (Bell growth); got 12",
+            ),
         ],
     )
-    def test_strata_partition_refusals(self, capture, partition, genus, message):
+    def test_strata_partition_refusals(self, capture, monkeypatch, partition, genus, message):
+        # refused before any vertex partition is visited
+        monkeypatch.setattr(hypertoric, "set_partitions", None)
         assert capture("strata", "--partition", partition, "--genus", genus) == (1, "", "error: %s\n" % message)
+
+    def test_strata_past_the_cap_refused_in_bounded_memory(self):
+        # 12 parts, Bell(12) vertex partitions: refused before any work, so a
+        # fresh process under a 1 GiB address-space limit exits at once
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = [sys.executable, "-m", "ngostrings", "strata", "--partition", "2" + ",1" * 11, "--genus", "2"]
+        start = time.perf_counter()
+        done = subprocess.run(
+            argv,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=limit_address_space,
+        )
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: stratum enumeration is capped at MAX_STRATA_VERTICES = 11 vertices")
 
     def test_local_model(self, capture):
         status, out, _ = capture("local-model", "--partition", "2", "--genus", "2")

@@ -13,6 +13,7 @@ from ngostrings.graphs import (
     spectral_dual_quiver,
 )
 from ngostrings.hypertoric import (
+    MAX_STRATA_VERTICES,
     certify_small,
     circuit_relations,
     enumerate_strata,
@@ -172,16 +173,35 @@ class TestStrata:
         with pytest.raises(AssertionError):
             enumerate_strata(BANANA, cache=TutteCache())
 
-    def test_vertex_guard(self):
-        path = Quiver(13, [(v, v + 1) for v in range(12)])
+    def test_vertex_guard(self, monkeypatch):
+        monkeypatch.setattr(hypertoric, "set_partitions", None)
+        path = Quiver(12, [(v, v + 1) for v in range(11)])
         with pytest.raises(ResourceLimitError):
             enumerate_strata(path)
+
+    def test_cap_is_eleven_vertices(self, monkeypatch):
+        # the cap lets r = MAX_STRATA_VERTICES through to the enumeration
+        assert MAX_STRATA_VERTICES == 11
+
+        def reached(items):
+            raise LookupError(len(items))
+
+        monkeypatch.setattr(hypertoric, "set_partitions", reached)
+        with pytest.raises(LookupError, match="^11$"):
+            spectral_strata(Partition([1] * 11), 2)
+        with pytest.raises(LookupError, match="^11$"):
+            enumerate_strata(Quiver(11, [(v, v + 1) for v in range(10)]))
 
     @pytest.mark.parametrize(
         "parts, genus, error, message",
         [
             ([1, 1], 1, ValueError, "genus must be at least 2, got 1"),
-            ([1] * 13, 2, ResourceLimitError, "stratum enumeration is capped at 12 vertices (Bell growth); got 13"),
+            (
+                [1] * 12,
+                2,
+                ResourceLimitError,
+                "stratum enumeration is capped at MAX_STRATA_VERTICES = 11 vertices (Bell growth); got 12",
+            ),
         ],
     )
     def test_spectral_guards(self, monkeypatch, parts, genus, error, message):

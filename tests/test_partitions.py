@@ -14,7 +14,7 @@ from ngostrings.partitions import (
     stabilizer_order,
 )
 
-from conftest import grouping_count, grouping_enumerate, grouping_types
+from conftest import grouping_count, grouping_enumerate, grouping_types, partition_tuples_reference
 
 
 def count_partitions(n):
@@ -116,6 +116,12 @@ class TestPartitionsOf:
         # reverse-lexicographic order
         tuples = [p.parts for p in parts]
         assert tuples == sorted(tuples, reverse=True)
+
+    def test_same_as_recursive_oracle(self):
+        for n in range(1, 31):
+            got = [p.parts for p in partitions_of(n)]
+            assert got == partition_tuples_reference(n), n
+            assert len(got) == partition_count(n)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -136,24 +136,3 @@ def test_smith_decomposition_invariants_and_rank():
     assert dec.rank == 1
     assert SmithDecomposition(U=dec.U, S=dec.S, V=dec.V) == dec
 
-
-class TestConsistencyChecks:
-    """Each dimension identity checked on construction, broken one at a time."""
-
-    # codim_S = delta; dim_S = genus_sum
-    @pytest.mark.parametrize("name", ["codim_S", "dim_S"])
-    def test_stratum_dims(self, name):
-        fields = _fields(stratum_dims(Partition([2, 1, 1]), 3), STRATUM_DIMS_FIELDS)
-        StratumDims(**fields)
-        fields[name] += 1
-        with pytest.raises(RuntimeError, match="^internal consistency failure"):
-            StratumDims(**fields)
-
-    # dim_M = dim_Y + 2*d + 2g + 2; dim_Jbar = dim_X + c
-    @pytest.mark.parametrize("name", ["dim_M", "dim_Jbar"])
-    def test_local_model_dims(self, name):
-        fields = _fields(local_model_dims(Partition([2, 1, 1]), 3), LOCAL_MODEL_FIELDS)
-        LocalModelDims(**fields)
-        fields[name] += 1
-        with pytest.raises(RuntimeError, match="^internal consistency failure"):
-            LocalModelDims(**fields)

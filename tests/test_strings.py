@@ -1,4 +1,5 @@
 import math
+import sys
 from math import comb, factorial
 
 import pytest
@@ -125,6 +126,8 @@ class TestStratumDims:
                 graph = spectral_dual_graph(p, genus)
                 assert dims.codim_S == betti1(graph) == dims.delta
                 assert dims.spectral_genus == dims.genus_sum + graph.edge_count - p.r + 1
+                assert dims.dim_S == dims.genus_sum
+                assert dims.spectral_genus == dims.genus_sum + dims.delta
 
     def test_genus_guard(self):
         with pytest.raises(ValueError):
@@ -365,6 +368,19 @@ class TestTableReport:
 
     def test_byte_stable(self):
         assert table_report(6) == table_report(6)
+
+    def test_no_process_wide_memo(self):
+        string_table(30, 6)
+        table_report(24)
+        partitions_of(41)
+        memoised = [
+            "%s.%s" % (name, attr)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "ngostrings"
+            for attr, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        ]
+        assert memoised == []
 
     def test_row_labels(self):
         assert gcd_rows(4) == [0, 1, 2]
