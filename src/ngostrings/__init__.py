@@ -13,12 +13,12 @@ _MODULES = {
         "MultiGraph Quiver VertexPartition betti1 boundary_matrix canonical_key dump_graph gale_dual "
         "load_graph spectral_dual_graph spectral_dual_quiver to_dot"
     ),
-    "homology": "SimplicialComplex euler_characteristic matroid_complex reduced_homology_ranks",
+    "homology": "SimplicialComplex matroid_complex reduced_homology_ranks",
     "hypertoric": (
-        "CircuitRelation LocalModelDims SmallnessCertificate StratumRecord certify_small "
-        "circuit_relations enumerate_strata lawrence_dims local_decomposition local_model_dims spectral_strata"
+        "CircuitRelation LocalModelDims StratumRecord circuit_relations enumerate_strata local_model_dims "
+        "spectral_strata"
     ),
-    "intlinalg": "ExactnessReport IntMatrix SmithDecomposition rational_rank smith_normal_form verify_exact",
+    "intlinalg": "ExactnessReport IntMatrix SmithDecomposition smith_normal_form verify_exact",
     "matroid": (
         "CographicMatroid TutteCache TuttePolynomial f_h_vectors spectral_tutte_polynomial top_betti "
         "tutte_polynomial"

@@ -120,8 +120,3 @@ def reduced_homology_ranks(complex_):
         out.append(value)
     return out
 
-
-def euler_characteristic(complex_):
-    """Reduced Euler characteristic: alternating sum over faces including the empty one."""
-    faces = complex_.faces_by_dim()
-    return sum((-1) ** k * len(v) for k, v in faces.items())

@@ -28,12 +28,11 @@ from .errors import ResourceLimitError
 from .graphs import (
     VertexPartition,
     _relabel,
-    betti1,
     boundary_matrix,
     pairs_canonical_key,
     spectral_edge_count,
 )
-from .matroid import TutteCache, _tutte
+from .matroid import TutteCache, _sphere_count
 from .partitions import set_partitions
 
 # _strata keeps a record for each of the Bell(r) vertex partitions, and
@@ -86,13 +85,6 @@ class StratumRecord(
     __slots__ = ()
 
 
-class SmallnessCertificate(namedtuple("SmallnessCertificate", "passed violations")):
-    __slots__ = ()
-
-    def __bool__(self):
-        return self.passed
-
-
 class LocalModelDims(
     namedtuple("LocalModelDims", "n g partition s b1 d_dim c_dim dim_M dim_Y dim_X dim_Jbar")
 ):
@@ -107,14 +99,6 @@ class LocalModelDims(
     """
 
     __slots__ = ()
-
-
-def lawrence_dims(quiver):
-    """(dim of the Lawrence variety, dim of the hypertoric variety) = (b1+s, 2*b1)."""
-    if not quiver.is_connected():
-        raise ValueError("lawrence_dims requires a connected quiver")
-    b1 = betti1(quiver)
-    return b1 + quiver.edge_count, 2 * b1
 
 
 def circuit_relations(quiver):
@@ -182,9 +166,7 @@ def enumerate_strata(quiver, cache=None):
 
     def stratum_of(vp, key):
         contracted, dropped = _relabel(pairs, vp.block_of())
-        s = quiver.edge_count - dropped
-        # b1 = s - blocks + 1 = 0 gives the one-point complex, which counts 1
-        return s, dropped, key, _tutte(len(vp), contracted, cache).evaluate(1, 0) if s >= len(vp) else 1
+        return quiver.edge_count - dropped, dropped, key, _sphere_count(len(vp), contracted, cache)
 
     return _strata(quiver.vertex_count, key_of, stratum_of)
 
@@ -213,45 +195,6 @@ def spectral_strata(partition, genus):
         return s, total - s, pairs_canonical_key(k, pairs), factorial(k - 1)
 
     return _strata(partition.r, mu_of, stratum_of)
-
-
-def certify_small(quiver):
-    """Check strict smallness over every nontrivial stratum.
-
-    For each vertex partition with at least two blocks the resolution fiber
-    dimension b1(contraction) must be strictly less than the stratum
-    codimension b1 + s in the Lawrence variety, i.e. b1(contraction) <
-    s(contraction).  A contraction of a connected quiver is connected, so
-    b1 = s - blocks + 1 < s: every connected quiver passes, and no
-    partition needs to be visited.
-    """
-    if not quiver.is_connected():
-        raise ValueError("stratum enumeration requires a connected quiver")
-    return SmallnessCertificate(passed=True, violations=())
-
-
-def local_decomposition(quiver):
-    """Semismall decomposition bookkeeping: every stratum with its multiplicity.
-
-    Every stratum is relevant (2 * fiber_dim equals the codimension in the
-    hypertoric variety exactly), and the multiplicity over a stratum is the
-    top Betti number of the contracted hypertoric resolution, computed as
-    the sphere count of the contracted matroid complex.  The open stratum
-    always carries multiplicity 1.
-
-    A nontrivial vertex partition whose contraction has b1 = 0 yields a
-    smooth normal slice, so it is not a singular stratum of the hypertoric
-    variety at all; such records merge into the open stratum and are
-    dropped (a single edge therefore decomposes as just the open summand).
-    Contractions of spectral dual graphs always have b1 >= 1, so nothing is
-    ever dropped for them.
-    """
-    out = []
-    for rec in enumerate_strata(quiver):
-        if len(rec.vp.blocks) > 1 and rec.b1_contracted == 0:
-            continue
-        out.append((rec, rec.multiplicity))
-    return out
 
 
 def local_model_dims(partition, genus):

@@ -334,12 +334,6 @@ def _sparse_rows(data):
     return [dict(compress(enumerate(row), row)) for row in data]
 
 
-def rational_rank(A):
-    """Rank over Q of an IntMatrix (or nested integer lists)."""
-    data = A.data if isinstance(A, IntMatrix) else A
-    return sparse_rank(_sparse_rows(data))
-
-
 class ExactnessReport(
     namedtuple(
         "ExactnessReport",

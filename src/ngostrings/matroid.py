@@ -9,15 +9,16 @@ in every semismall decomposition downstream) is T_graphic(1, 0), and the
 f- and h-vectors of the complex are read off T_graphic(1, y).  Independent
 sets are enumerated only by the brute-force homology oracle.
 
-tutte_polynomial takes any connected multigraph (the `--quiver` inputs and
-every graph that top_betti sees; of the strata, only `strata --quiver` hands
-its contractions to the same engine, through _tutte, as pair multiplicities
-renumbered by graphs._relabel, with no graph built).  It runs on the pair
-multiplicities {(u, v): k} alone, rewrites them only through _relabel, and
-reduces before it keys, as Haggard, Pearce and Royle do ("Computing
-Tutte polynomials", ACM TOMS 37(3), 2010): loops are a factor y^loops, two
-vertices are one bundle x + y + ... + y^(k-1), a cut vertex splits the graph
-into blocks whose polynomials multiply, and a series vertex is removed by
+tutte_polynomial takes any connected multigraph (the `--quiver` inputs);
+_sphere_count, the one home of T(1, 0), takes the graphs of top_betti and
+the contractions of `strata --quiver` (pair multiplicities renumbered by
+graphs._relabel, no graph built), counts 1 when b1 = 0 and otherwise runs
+the same engine through _tutte.  The engine runs on the pair multiplicities
+{(u, v): k} alone, rewrites them only through _relabel, and reduces before
+it keys, as Haggard, Pearce and Royle do ("Computing Tutte polynomials",
+ACM TOMS 37(3), 2010): loops are a factor y^loops, two vertices are one
+bundle x + y + ... + y^(k-1), a cut vertex splits the graph into blocks
+whose polynomials multiply, and a series vertex is removed by
 T = x T(G - v) + T(G - v + ab).  Only a 2-connected loopless core with no
 series vertex takes a canonical key, from a search capped at
 KEY_SEARCH_NODES nodes, and a deletion plus a geometric-series-weighted
@@ -508,18 +509,25 @@ def spectral_tutte_polynomial(partition, genus):
     return TuttePolynomial(coeffs)
 
 
+def _sphere_count(r, pairs, cache):
+    """T_graphic(1, 0) of the connected multigraph with these pair multiplicities.
+
+    b1 = s - r + 1 = 0 leaves the one-point complex, which counts 1 (T is
+    x^(r-1)) with no recursion: the open stratum always has multiplicity 1.
+    """
+    if sum(pairs.values()) < r:
+        return 1
+    return _tutte(r, pairs, cache).evaluate(1, 0)
+
+
 def top_betti(graph, cache=None):
     """Number of top-dimensional spheres in the matroid complex of the cographic matroid.
 
-    Computed as T_graphic(1, 0), which equals the cographic evaluation
-    T(0, 1).  A graph with b1 = 0 has the one-point complex; by convention
-    the count is 1 there, so the open stratum always carries multiplicity 1.
+    T_graphic(1, 0) by _sphere_count; it equals the cographic evaluation T(0, 1).
     """
     if not graph.is_connected():
         raise ValueError("top_betti requires a connected graph")
-    if betti1(graph) == 0:
-        return 1
-    return tutte_polynomial(graph, cache=cache).evaluate(1, 0)
+    return _sphere_count(graph.vertex_count, graph.pair_multiplicities(), TutteCache() if cache is None else cache)
 
 
 def f_h_vectors(matroid, cache=None):

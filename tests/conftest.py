@@ -19,7 +19,7 @@ from ngostrings.graphs import (
     pairs_canonical_key,
     pairs_connected,
 )
-from ngostrings.hypertoric import SmallnessCertificate, StratumRecord
+from ngostrings.hypertoric import StratumRecord
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix, smith_normal_form
 from ngostrings.matroid import TutteCache, TuttePolynomial, _tutte
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of, set_partitions
@@ -106,7 +106,7 @@ def contract_counting_loops(quiver, vp):
 
 
 def certify_small_bell_walk(quiver):
-    """Oracle: test b1 < s on the edge-list contraction of every partition with at least two blocks."""
+    """Oracle: the records whose edge-list contraction has b1 >= s, over every partition with at least two blocks."""
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
     violations = []
@@ -129,7 +129,7 @@ def certify_small_bell_walk(quiver):
                     multiplicity=-1,
                 )
             )
-    return SmallnessCertificate(passed=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def enumerate_strata_reference(quiver, cache=None):

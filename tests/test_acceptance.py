@@ -20,7 +20,7 @@ from ngostrings.graphs import (
     spectral_dual_quiver,
 )
 from ngostrings.homology import matroid_complex, reduced_homology_ranks
-from ngostrings.hypertoric import certify_small, circuit_relations, enumerate_strata, local_decomposition, local_model_dims
+from ngostrings.hypertoric import circuit_relations, enumerate_strata, local_model_dims
 from ngostrings.intlinalg import smith_normal_form, verify_exact
 from ngostrings.matroid import (
     CographicMatroid,
@@ -182,15 +182,23 @@ def test_criterion_09_semismall_certification():
         cache = TutteCache()
         for n in range(2, 6):
             for p in partitions_of(n):
-                quiver = spectral_dual_quiver(p, 2)
-                assert certify_small(quiver).passed
-                for rec in enumerate_strata(quiver, cache=cache):
+                for rec in enumerate_strata(spectral_dual_quiver(p, 2), cache=cache):
                     assert 2 * rec.fiber_dim == rec.codim_in_Y
+                    if len(rec.vp) >= 2:
+                        # strictly small: the fiber dimension is below the Lawrence codimension b1 + s
+                        assert rec.b1_contracted < rec.s_contracted
+                        # a singular stratum: b1 = 0 would be a smooth slice, merged into the open one
+                        assert rec.b1_contracted > 0
         banana = Quiver(2, [(0, 1), (0, 1)])
-        decomposition = local_decomposition(banana)
-        assert [(len(rec.vp.blocks), rec.codim_in_Y, mult) for rec, mult in decomposition] == [
+        assert [(len(rec.vp), rec.codim_in_Y, rec.multiplicity) for rec in enumerate_strata(banana)] == [
             (1, 0, 1),
             (2, 2, 1),
+        ]
+        # the single edge has such a smooth two-block record, so it decomposes as the open summand alone
+        edge = Quiver(2, [(0, 1)])
+        assert [(len(rec.vp), rec.b1_contracted, rec.multiplicity) for rec in enumerate_strata(edge)] == [
+            (1, 0, 1),
+            (2, 0, 1),
         ]
 
 

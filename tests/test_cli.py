@@ -1130,6 +1130,24 @@ class TestStartup:
             ngostrings.no_such_name
 
     @pytest.mark.parametrize(
+        "name",
+        [
+            "certify_small",
+            "SmallnessCertificate",
+            "local_decomposition",
+            "lawrence_dims",
+            "euler_characteristic",
+            "rational_rank",
+        ],
+    )
+    def test_removed_names_stay_removed(self, name):
+        import ngostrings
+
+        assert name not in ngostrings.__all__
+        with pytest.raises(AttributeError):
+            getattr(ngostrings, name)
+
+    @pytest.mark.parametrize(
         "argv, left_out",
         [
             (

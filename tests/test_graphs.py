@@ -20,7 +20,7 @@ from ngostrings.graphs import (
     spectral_dual_quiver,
     to_dot,
 )
-from ngostrings.intlinalg import rational_rank
+from ngostrings.intlinalg import _sparse_rows, sparse_rank
 from ngostrings.matroid import TutteCache
 from ngostrings.partitions import Partition, partitions_of, set_partitions
 
@@ -329,7 +329,7 @@ class TestBoundaryMatrix:
             if g.vertex_count < 2:
                 continue
             A = boundary_matrix(Quiver.from_graph(g))
-            assert rational_rank(A) == g.vertex_count - 1
+            assert sparse_rank(_sparse_rows(A.data)) == g.vertex_count - 1
 
 
 class TestCanonicalKey:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ngostrings import hypertoric
+from ngostrings import hypertoric, matroid
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     Quiver,
@@ -14,11 +14,8 @@ from ngostrings.graphs import (
 )
 from ngostrings.hypertoric import (
     MAX_STRATA_VERTICES,
-    certify_small,
     circuit_relations,
     enumerate_strata,
-    lawrence_dims,
-    local_decomposition,
     local_model_dims,
     spectral_strata,
 )
@@ -34,21 +31,6 @@ from conftest import (
 
 BANANA = Quiver(2, [(0, 1), (0, 1)])
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
-
-
-class TestLawrenceDims:
-    def test_banana(self):
-        assert lawrence_dims(BANANA) == (3, 2)
-
-    def test_single_edge(self):
-        assert lawrence_dims(Quiver(2, [(0, 1)])) == (1, 0)
-
-    def test_two_two(self):
-        assert lawrence_dims(spectral_dual_quiver(Partition([2, 2]), 2)) == (15, 14)
-
-    def test_disconnected(self):
-        with pytest.raises(ValueError):
-            lawrence_dims(Quiver(2, []))
 
 
 class TestCircuitRelations:
@@ -166,7 +148,7 @@ class TestStrata:
         def no_tutte(*args, **kwargs):
             raise AssertionError("the spectral strata ran the Tutte recursion")
 
-        monkeypatch.setattr(hypertoric, "_tutte", no_tutte)
+        monkeypatch.setattr(matroid, "_tutte", no_tutte)
         for p, g in [(Partition([2, 1, 1, 1]), 3), (Partition([1] * 6), 2), (Partition([3, 2]), 2)]:
             records = spectral_strata(p, g)
             assert len(records) == len(list(set_partitions(range(p.r))))
@@ -215,52 +197,11 @@ class TestStrata:
         with pytest.raises(ValueError):
             enumerate_strata(Quiver(2, []))
 
-
-class TestCertifySmall:
-    def test_banana(self):
-        assert certify_small(BANANA).passed
-
-    def test_spectral_quivers(self):
-        for n in range(2, 6):
-            for p in partitions_of(n):
-                for g in (2, 3):
-                    cert = certify_small(spectral_dual_quiver(p, g))
-                    assert cert.passed, (p, g, cert.violations)
-
-    def test_certificate_is_boolean(self):
-        assert bool(certify_small(TRIANGLE))
-
-    def test_matches_bell_walk(self):
-        quivers = [spectral_dual_quiver(p, g) for n in range(2, 6) for p in partitions_of(n) for g in (2, 3)]
-        rng = random.Random(1019)
-        for _ in range(40):
-            graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
-            quivers.append(Quiver(graph.vertex_count, graph.edges))
-        for quiver in quivers:
-            assert certify_small(quiver) == certify_small_bell_walk(quiver)
-
-    def test_no_vertex_cap(self):
-        # no partition is visited, so the Bell-growth cap of the strata does not apply
-        path = Quiver(13, [(v, v + 1) for v in range(12)])
-        assert certify_small(path) == (True, ())
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            certify_small(Quiver(2, []))
-        with pytest.raises(ValueError):
-            certify_small_bell_walk(Quiver(2, []))
-
-
-class TestLocalDecomposition:
-    def test_banana_a1(self):
-        decomposition = local_decomposition(BANANA)
-        assert [(len(rec.vp.blocks), mult) for rec, mult in decomposition] == [(1, 1), (2, 1)]
-
-    def test_single_edge_smooth(self):
-        decomposition = local_decomposition(Quiver(2, [(0, 1)]))
-        assert len(decomposition) == 1
-        rec, mult = decomposition[0]
-        assert rec.codim_in_Y == 0 and mult == 1
+    def test_single_edge_point_codims(self):
+        # codim_in_X = b1 + s and codim_in_Y = 2 * b1 of the contraction
+        point = enumerate_strata(Quiver(2, [(0, 1)]))[-1]
+        assert point.vp.blocks == ((0,), (1,))
+        assert (point.codim_in_X, point.codim_in_Y) == (1, 0)
 
     def test_deepest_multiplicity_matches_factorial(self):
         # every contraction of a spectral quiver has a complete underlying
@@ -273,6 +214,27 @@ class TestLocalDecomposition:
                 for g in (2, 3):
                     for rec in enumerate_strata(spectral_dual_quiver(p, g)):
                         assert rec.multiplicity == factorial(len(rec.vp.blocks) - 1), (p, g, rec.vp)
+
+
+class TestSmallness:
+    def test_every_stratum_is_strictly_small(self):
+        # the fiber dimension b1 of each contraction with at least two blocks
+        # is below its Lawrence codimension b1 + s, i.e. b1 < s
+        quivers = [spectral_dual_quiver(p, g) for n in range(2, 6) for p in partitions_of(n) for g in (2, 3)]
+        quivers.append(TRIANGLE)
+        rng = random.Random(1019)
+        for _ in range(40):
+            graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
+            quivers.append(Quiver(graph.vertex_count, graph.edges))
+        for quiver in quivers:
+            for rec in enumerate_strata(quiver):
+                if len(rec.vp) >= 2:
+                    assert rec.b1_contracted < rec.s_contracted, (quiver, rec)
+            assert certify_small_bell_walk(quiver) == (), quiver
+
+    def test_oracle_rejects_disconnected(self):
+        with pytest.raises(ValueError):
+            certify_small_bell_walk(Quiver(2, []))
 
 
 class TestLocalModelDims:
@@ -289,6 +251,13 @@ class TestLocalModelDims:
         assert dims.d_dim == 1
         assert dims.dim_Y == 2
         assert dims.dim_M == dims.dim_Y + 2 * dims.d_dim + 2 * dims.g + 2
+
+    def test_lawrence_and_hypertoric_dims(self):
+        # (dim_X, dim_Y) = (b1 + s, 2 * b1); the spectral graph of 1,1 at g = 2 is the banana
+        assert spectral_dual_quiver(Partition([1, 1]), 2).pair_multiplicities() == BANANA.pair_multiplicities()
+        for parts, dims in [([1, 1], (3, 2)), ([2, 2], (15, 14))]:
+            local = local_model_dims(Partition(parts), 2)
+            assert (local.dim_X, local.dim_Y) == dims
 
     def test_jbar_identity_everywhere(self):
         for n in range(2, 9):

@@ -12,7 +12,6 @@ from ngostrings.graphs import VertexPartition
 from ngostrings.hypertoric import (
     CircuitRelation,
     LocalModelDims,
-    SmallnessCertificate,
     StratumRecord,
     local_model_dims,
 )
@@ -33,19 +32,6 @@ def _fields(record, names):
     return {name: getattr(record, name) for name in names}
 
 
-def _stratum_record_fields(multiplicity=2):
-    return dict(
-        vp=VertexPartition([[0, 1], [2]]),
-        s_contracted=2,
-        deleted_loops=1,
-        b1_contracted=1,
-        codim_in_X=3,
-        codim_in_Y=2,
-        fiber_dim=1,
-        multiplicity=multiplicity,
-    )
-
-
 # (record class, keyword arguments) for one valid record of each class;
 # every call builds new field objects
 def _examples():
@@ -64,8 +50,13 @@ def _examples():
         (StratumDims, _fields(dims, STRATUM_DIMS_FIELDS)),
         (StringTable, dict(n=4, d=2, q=2, ranks={Partition([4]): 0}, multiplier_partitions=())),
         (CircuitRelation, dict(index=2, coefficients=(1, -1))),
-        (StratumRecord, _stratum_record_fields()),
-        (SmallnessCertificate, dict(passed=False, violations=(StratumRecord(**_stratum_record_fields(-1)),))),
+        (
+            StratumRecord,
+            dict(
+                vp=VertexPartition([[0, 1], [2]]), s_contracted=2, deleted_loops=1, b1_contracted=1,
+                codim_in_X=3, codim_in_Y=2, fiber_dim=1, multiplicity=2,
+            ),
+        ),
         (LocalModelDims, _fields(local, LOCAL_MODEL_FIELDS)),
     ]
 
@@ -109,16 +100,13 @@ def test_circuit_relation_repr_and_str():
     assert str(relation) == "z1*w1 - z2*w2"
 
 
-def test_bool_follows_ok_and_passed():
+def test_bool_follows_ok():
     kwargs = dict(
         product_is_zero=True, b_injective=True, a_surjective_over_z=True,
         spans_kernel=True, saturated=True, failures=(),
     )
     assert bool(ExactnessReport(ok=True, **kwargs)) is True
     assert bool(ExactnessReport(ok=False, **kwargs)) is False
-    assert bool(SmallnessCertificate(passed=True, violations=())) is True
-    violation = StratumRecord(**_stratum_record_fields(-1))
-    assert bool(SmallnessCertificate(passed=False, violations=(violation,))) is False
 
 
 def test_string_table_multiplier_partitions_default():
