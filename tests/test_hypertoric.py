@@ -216,25 +216,58 @@ class TestStrata:
                         assert rec.multiplicity == factorial(len(rec.vp.blocks) - 1), (p, g, rec.vp)
 
 
+def assert_strictly_small(quiver):
+    # the fiber dimension b1 of each contraction with at least two blocks
+    # is below its Lawrence codimension b1 + s, i.e. b1 < s
+    for rec in enumerate_strata(quiver):
+        if len(rec.vp) >= 2:
+            assert rec.b1_contracted < rec.s_contracted, (quiver, rec)
+    assert certify_small_bell_walk(quiver) == (), quiver
+
+
 class TestSmallness:
-    def test_every_stratum_is_strictly_small(self):
-        # the fiber dimension b1 of each contraction with at least two blocks
-        # is below its Lawrence codimension b1 + s, i.e. b1 < s
-        quivers = [spectral_dual_quiver(p, g) for n in range(2, 6) for p in partitions_of(n) for g in (2, 3)]
-        quivers.append(TRIANGLE)
+    def test_banana(self):
+        assert_strictly_small(BANANA)
+
+    def test_triangle(self):
+        assert_strictly_small(TRIANGLE)
+
+    def test_spectral_quivers(self):
+        for n in range(2, 6):
+            for p in partitions_of(n):
+                for g in (2, 3):
+                    assert_strictly_small(spectral_dual_quiver(p, g))
+
+    def test_random_looped_multigraphs(self):
         rng = random.Random(1019)
         for _ in range(40):
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
-            quivers.append(Quiver(graph.vertex_count, graph.edges))
-        for quiver in quivers:
-            for rec in enumerate_strata(quiver):
-                if len(rec.vp) >= 2:
-                    assert rec.b1_contracted < rec.s_contracted, (quiver, rec)
-            assert certify_small_bell_walk(quiver) == (), quiver
+            assert_strictly_small(Quiver(graph.vertex_count, graph.edges))
 
     def test_oracle_rejects_disconnected(self):
         with pytest.raises(ValueError):
             certify_small_bell_walk(Quiver(2, []))
+
+
+class TestSmoothSlices:
+    # a record with at least two blocks and b1 = 0 is a smooth slice: its
+    # summand merges into the open stratum's
+
+    def test_single_edge_smooth(self):
+        edge = Quiver(2, [(0, 1)])
+        records = enumerate_strata(edge)
+        assert [(len(rec.vp), rec.b1_contracted, rec.codim_in_Y, rec.multiplicity) for rec in records] == [
+            (1, 0, 0, 1),
+            (2, 0, 0, 1),
+        ]
+
+    def test_spectral_quivers_have_none(self):
+        for n in range(2, 6):
+            for p in partitions_of(n):
+                for g in (2, 3):
+                    for rec in enumerate_strata(spectral_dual_quiver(p, g)):
+                        if len(rec.vp) >= 2:
+                            assert rec.b1_contracted > 0, (p, g, rec.vp)
 
 
 class TestLocalModelDims:
@@ -252,12 +285,17 @@ class TestLocalModelDims:
         assert dims.dim_Y == 2
         assert dims.dim_M == dims.dim_Y + 2 * dims.d_dim + 2 * dims.g + 2
 
-    def test_lawrence_and_hypertoric_dims(self):
-        # (dim_X, dim_Y) = (b1 + s, 2 * b1); the spectral graph of 1,1 at g = 2 is the banana
+    # (dim_X, dim_Y) = (b1 + s, 2 * b1) of the Lawrence and hypertoric varieties
+
+    def test_banana_lawrence_dims(self):
+        # the spectral graph of 1,1 at g = 2 is the banana
         assert spectral_dual_quiver(Partition([1, 1]), 2).pair_multiplicities() == BANANA.pair_multiplicities()
-        for parts, dims in [([1, 1], (3, 2)), ([2, 2], (15, 14))]:
-            local = local_model_dims(Partition(parts), 2)
-            assert (local.dim_X, local.dim_Y) == dims
+        local = local_model_dims(Partition([1, 1]), 2)
+        assert (local.dim_X, local.dim_Y) == (3, 2)
+
+    def test_two_two_lawrence_dims(self):
+        local = local_model_dims(Partition([2, 2]), 2)
+        assert (local.dim_X, local.dim_Y) == (15, 14)
 
     def test_jbar_identity_everywhere(self):
         for n in range(2, 9):
