@@ -16,6 +16,13 @@ a warning, and outputs are identical with a warm or cold cache.  A run
 rewrites the file only when the memo gained entries or the file was not a
 valid cache with entries, so a run that added nothing never overwrites
 entries another process wrote meanwhile.
+
+``run`` is the in-process API: it returns the exit status and never exits.
+``main``, the entry point of ``python -m ngostrings`` and of the console
+script, runs it and then ends the process as soon as the output is flushed
+and the ``atexit`` handlers have run, skipping interpreter teardown; under a
+profiler, a tracer or ``python -i``, or when a flush fails, it exits the
+usual way.
 """
 
 import os
@@ -650,4 +657,32 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line of this process, then end the process with its status.
+
+    Once the output is flushed and the ``atexit`` handlers have run (their
+    output flushed too), ``os._exit`` ends the process without the module
+    teardown and final collection of interpreter shutdown, which would free
+    nothing the operating system does not reclaim anyway.  The process exits
+    through ``sys.exit`` instead when a flush fails, so that the interpreter
+    reports the failure as it always has, and when it is observed: a profiler
+    or tracer prints its results during shutdown, and ``python -i`` opens its
+    prompt.
+    """
+    import atexit
+
+    status = run(sys.argv[1:])
+    observed = sys.getprofile() is not None or sys.gettrace() is not None or sys.flags.inspect
+    if not observed:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            atexit._run_exitfuncs()
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            # a failed write, or a std stream that is None, is left to the
+            # interpreter's shutdown, which handles it as it always has
+            pass
+        else:
+            os._exit(status)
+    sys.exit(status)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1175,3 +1176,242 @@ class TestStartup:
         imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
         assert "ngostrings.cli" in imported
         assert not imported & left_out
+
+
+class EventStream(io.StringIO):
+    """A std stream that logs each flush to a shared event list; ``fail`` is raised by flush."""
+
+    def __init__(self, name, events, fail=None):
+        super().__init__()
+        self.name, self.events, self.fail = name, events, fail
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.fail is not None:
+            raise self.fail
+
+
+class Exited(Exception):
+    """Stands in for os._exit, which never returns."""
+
+
+@pytest.fixture
+def exit_log(monkeypatch):
+    """main()'s exit steps as events; returns invoke(argv, stdout_fail=None) -> events, SystemExit code or None."""
+    events = []
+
+    def exit_now(status):
+        events.append(("_exit", status))
+        raise Exited
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+    monkeypatch.setattr("atexit._run_exitfuncs", lambda: events.append(("atexit",)))
+    # a coverage tool or debugger running the tests must not change the path under test
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+
+    def invoke(argv, stdout_fail=None):
+        monkeypatch.setattr(sys, "argv", ["ngostrings", *argv])
+        monkeypatch.setattr(sys, "stdout", EventStream("stdout", events, stdout_fail))
+        monkeypatch.setattr(sys, "stderr", EventStream("stderr", events))
+        code = None
+        try:
+            cli.main()
+        except Exited:
+            pass
+        except SystemExit as exc:
+            code = exc.code
+        return events, code
+
+    return invoke
+
+
+FLUSH_BOTH = [("flush", "stdout"), ("flush", "stderr")]
+
+
+class TestExitSequence:
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["partition", "--n", "3"], 0), (["partition", "--n", "99"], 1), (["partition", "--n"], 2)],
+    )
+    def test_flush_then_atexit_then_exit(self, exit_log, argv, status):
+        # flushed again after the handlers, which may print
+        events, code = exit_log(argv)
+        assert code is None
+        assert events == FLUSH_BOTH + [("atexit",)] + FLUSH_BOTH + [("_exit", status)]
+
+    def test_profiler_takes_sys_exit(self, exit_log):
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            events, code = exit_log(["partition", "--n", "99"])
+        finally:
+            sys.setprofile(None)
+        assert (events, code) == ([], 1)
+
+    def test_tracer_takes_sys_exit(self, exit_log, monkeypatch):
+        monkeypatch.setattr(sys, "gettrace", lambda: print)
+        assert exit_log(["partition", "--n", "3"]) == ([], 0)
+
+    def test_failed_flush_takes_sys_exit(self, exit_log):
+        # the handlers are left to interpreter shutdown, which reports the failure
+        events, code = exit_log(["partition", "--n", "3"], stdout_fail=BrokenPipeError(32, "Broken pipe"))
+        assert (events, code) == ([("flush", "stdout")], 0)
+
+
+def process_env():
+    """The benchmark's environment: this checkout's sources, PYTHONHASHSEED=0 and no other PYTHON* variable.
+
+    So stdout is block-buffered on a pipe, as it is for a benchmark op.
+    COLUMNS=80 makes argparse wrap as it does in process.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=SRC, PYTHONHASHSEED="0", COLUMNS="80")
+    return env
+
+
+def run_python(args, cwd=None, stdout=subprocess.PIPE, **kwargs):
+    """The finished ``python ARGS`` in process_env, its captured output as text."""
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=process_env(),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        **kwargs,
+    )
+
+
+def run_process(argv, cwd):
+    """(status, stdout, stderr) of ``python -m ngostrings ARGV``."""
+    done = run_python(["-m", "ngostrings", *argv], cwd)
+    return done.returncode, done.stdout, done.stderr
+
+
+# one success, one domain error (exit 1) per subcommand
+PROCESS_CASES = {
+    "strings": (["--n", "4", "--d", "6"], ["--n", "99", "--d", "1"]),
+    "report": (["--n", "4"], ["--n", "99"]),
+    "partition": (["--n", "4", "--d", "2"], ["--n", "99"]),
+    "graph": (["--partition", "2,1,1", "--genus", "2"], ["--partition", "2,1,1", "--genus", "1"]),
+    "gale": (["--partition", "1,1,1", "--genus", "2"], ["--partition", "2,1,1", "--genus", "1"]),
+    "tutte": (["--partition", "2,2", "--genus", "2", "--eval", "1", "0"], ["--partition", "2,1"]),
+    "matroid": (["--partition", "1,1", "--genus", "3"], ["--quiver", "no-such-file.graph"]),
+    "matroid-homology": (["--partition", "1,1,1", "--genus", "2"], ["--partition", "1,1", "--genus", "1"]),
+    "strata": (["--partition", "1,1,1", "--genus", "2"], ["--partition", "2,1,1", "--genus", "1"]),
+    "local-model": (["--partition", "2,2", "--genus", "2"], ["--partition", "0", "--genus", "2"]),
+    "dims": (["--partition", "1,1", "--genus", "2"], ["--partition", "1,1", "--genus", "1"]),
+}
+
+
+class TestProcessIdentity:
+    """A fresh process prints and exits exactly as cli.run does in process."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            case
+            for name, (ok, bad) in PROCESS_CASES.items()
+            for case in [([name, *ok], 0), ([name, *bad], 1), ([name, "--bogus"], 2), ([name, "--help"], 0)]
+        ],
+    )
+    def test_subcommand(self, capture, monkeypatch, tmp_path, argv, status):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = capture(*argv)
+        assert expected[0] == status
+        assert run_process(argv, tmp_path) == expected
+
+    def test_every_subcommand_has_cases(self):
+        assert list(PROCESS_CASES) == list(cli.SUBCOMMANDS)
+
+    def test_cache_file_complete_when_the_process_ends(self, capture, capsys, tmp_path):
+        quiver = tmp_path / "q.graph"
+        quiver.write_text(dump_graph(spectral_dual_quiver(Partition((2, 1, 1)), 2)))
+        argv = ["tutte", "--quiver", str(quiver), "--cache"]
+        expected = capture(*argv, str(tmp_path / "cold.json"))
+        assert run_process([*argv, str(tmp_path / "fresh.json")], tmp_path) == expected
+        fresh, cold = (dict(cache_load(str(tmp_path / name)).items()) for name in ("fresh.json", "cold.json"))
+        assert capsys.readouterr().err == ""  # neither file drew a warning
+        assert fresh and fresh == cold
+
+
+def process_on(stdout, argv, **kwargs):
+    """(status, stderr) of ``python -m ngostrings ARGV`` writing to the file descriptor or file ``stdout``.
+
+    The encoding that the interpreter names in a report on its stdout reads ENC.
+    """
+    done = run_python(["-m", "ngostrings", *argv], stdout=stdout, **kwargs)
+    return done.returncode, re.sub("encoding='[^']*'", "encoding=ENC", done.stderr)
+
+
+def final_flush_failure(error):
+    """The interpreter's report of a stdout flush that fails at shutdown, and its exit status 120."""
+    return 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding=ENC>\n%s\n" % error
+
+
+class TestUnwritableStdout:
+    """A failed write is reported as it was before the process ended itself."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the output fits the buffer, so only the final flush fails
+            (["partition", "--n", "6"], final_flush_failure("BrokenPipeError: [Errno 32] Broken pipe")),
+            # the output overflows the buffer, so a write inside the command fails
+            (["report", "--n", "20"], (1, "error: [Errno 32] Broken pipe\n")),
+        ],
+    )
+    def test_closed_pipe(self, argv, expected):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            assert process_on(write_end, argv) == expected
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["partition", "--n", "6"], final_flush_failure("OSError: [Errno 28] No space left on device")),
+            (["report", "--n", "20"], (1, "error: [Errno 28] No space left on device\n")),
+        ],
+    )
+    def test_full_disk(self, argv, expected):
+        with open("/dev/full", "wb") as full:
+            assert process_on(full, argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["partition", "--n", "6"], (0, "")),
+            (["partition", "--n", "99"], (1, "error: n=99 has more than 50000 partitions; refusing to enumerate them\n")),
+        ],
+    )
+    def test_no_stdout_descriptor(self, argv, expected):
+        # with no descriptor 1 at start-up, sys.stdout is None and print writes nothing
+        assert process_on(subprocess.DEVNULL, argv, preexec_fn=lambda: os.close(1)) == expected
+
+
+class TestObservers:
+    def test_atexit_handler_output_appears(self, tmp_path):
+        code = (
+            "import atexit, sys; atexit.register(print, 'handler ran'); "
+            "sys.argv = ['ngostrings', 'partition', '--n', '3']; from ngostrings.cli import main; main()"
+        )
+        done = run_python(["-c", code], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == capture_run(["partition", "--n", "3"]) + "handler ran\n"
+
+    def test_cprofile_prints_its_table(self, tmp_path):
+        argv = ["partition", "--n", "6"]
+        done = run_python(["-m", "cProfile", "-m", "ngostrings", *argv], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith(capture_run(argv))
+        assert " function calls " in done.stdout and "Ordered by: " in done.stdout
+
+    def test_inspect_flag_reaches_the_prompt(self, tmp_path):
+        argv = ["partition", "--n", "3"]
+        done = run_python(["-i", "-m", "ngostrings", *argv], tmp_path, stdin=subprocess.DEVNULL)
+        assert done.stdout == capture_run(argv)
+        assert done.stderr.endswith(">>> \n")
