@@ -21,8 +21,8 @@ entries another process wrote meanwhile.
 ``main``, the entry point of ``python -m ngostrings`` and of the console
 script, runs it and then ends the process as soon as the output is flushed
 and the ``atexit`` handlers have run, skipping interpreter teardown; under a
-profiler, a tracer or ``python -i``, or when a flush fails, it exits the
-usual way.
+profiler, a tracer (through ``sys.monitoring`` too, as cProfile uses from
+Python 3.12) or ``python -i``, or when a flush fails, it exits the usual way.
 """
 
 import os
@@ -656,6 +656,20 @@ def run(argv):
         return 1
 
 
+def _observed():
+    """Whether a profiler, tracer or debugger watches the process, or ``python -i`` will prompt.
+
+    Since Python 3.12 a tool may register through ``sys.monitoring`` instead
+    of ``sys.setprofile`` or ``sys.settrace``, as cProfile does, so a
+    registered monitoring tool counts too.
+    """
+    if sys.getprofile() is not None or sys.gettrace() is not None or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    # tool ids 0-5 are the ones sys.monitoring hands out
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
 def main():
     """Run the command line of this process, then end the process with its status.
 
@@ -664,15 +678,14 @@ def main():
     teardown and final collection of interpreter shutdown, which would free
     nothing the operating system does not reclaim anyway.  The process exits
     through ``sys.exit`` instead when a flush fails, so that the interpreter
-    reports the failure as it always has, and when it is observed: a profiler
-    or tracer prints its results during shutdown, and ``python -i`` opens its
-    prompt.
+    reports the failure as it always has, and when it is observed (see
+    ``_observed``): a profiler or tracer prints its results during shutdown,
+    and ``python -i`` opens its prompt.
     """
     import atexit
 
     status = run(sys.argv[1:])
-    observed = sys.getprofile() is not None or sys.gettrace() is not None or sys.flags.inspect
-    if not observed:
+    if not _observed():
         try:
             sys.stdout.flush()
             sys.stderr.flush()
