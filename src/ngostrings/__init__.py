@@ -18,7 +18,7 @@ _MODULES = {
         "CircuitRelation LocalModelDims StratumRecord circuit_relations enumerate_strata local_model_dims "
         "spectral_strata"
     ),
-    "intlinalg": "ExactnessReport IntMatrix SmithDecomposition smith_normal_form verify_exact",
+    "intlinalg": "ExactnessReport IntMatrix verify_exact",
     "matroid": (
         "CographicMatroid TutteCache TuttePolynomial f_h_vectors spectral_tutte_polynomial top_betti "
         "tutte_polynomial"

@@ -22,7 +22,8 @@ entries another process wrote meanwhile.
 script, runs it and then ends the process as soon as the output is flushed
 and the ``atexit`` handlers have run, skipping interpreter teardown; under a
 profiler, a tracer (through ``sys.monitoring`` too, as cProfile uses from
-Python 3.12) or ``python -i``, or when a flush fails, it exits the usual way.
+Python 3.12) or ``python -i`` it exits the usual way.  Output that stdout
+cannot take is reported as one ``error:`` line, with exit status 1.
 """
 
 import os
@@ -50,7 +51,7 @@ def _read_cache(path):
             payload = json.load(handle)
     except FileNotFoundError:
         return [], None
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return [], "warning: ignoring unreadable cache %s (%s)" % (path, exc)
     if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
         return [], "warning: ignoring cache %s with unsupported format" % path
@@ -185,13 +186,20 @@ def _spectral_input(args):
     return _parse_partition(args.partition), args.genus
 
 
-def _resolve_quiver(args):
+def _resolve_quiver(args, check=None):
+    """The quiver of --quiver FILE or of --partition/--genus.
+
+    For a partition, ``check(partition, genus)`` runs before the graph is
+    built, so that a refusal that needs only the edge count costs nothing.
+    """
     from .graphs import load_graph, spectral_dual_quiver
 
     spectral = _spectral_input(args)
     if spectral is None:
         with open(args.quiver, "r", encoding="utf-8") as handle:
             return load_graph(handle.read())
+    if check is not None:
+        check(*spectral)
     return spectral_dual_quiver(*spectral)
 
 
@@ -323,11 +331,11 @@ def cmd_graph(args):
 
 
 def cmd_gale(args):
-    from .graphs import boundary_matrix, gale_dual
+    from .graphs import boundary_matrix, check_spectral_gale, gale_dual
     from .hypertoric import circuit_relations
     from .intlinalg import verify_exact
 
-    quiver = _resolve_quiver(args)
+    quiver = _resolve_quiver(args, check_spectral_gale)
     # gale_dual makes every refusal before a dense matrix is built
     B = gale_dual(quiver)
     A = boundary_matrix(quiver)
@@ -425,10 +433,12 @@ def cmd_matroid(args):
 
 
 def cmd_matroid_homology(args):
-    from .homology import matroid_complex, reduced_homology_ranks
+    from .graphs import checked_spectral_edge_count
+    from .homology import check_ground_set, matroid_complex, reduced_homology_ranks
     from .matroid import CographicMatroid
 
-    quiver = _resolve_quiver(args)
+    # the ground set is the edge set, so a partition is checked before its graph is built
+    quiver = _resolve_quiver(args, lambda *spectral: check_ground_set(checked_spectral_edge_count(*spectral)))
     matroid = CographicMatroid(quiver)
     complex_ = matroid_complex(matroid)
     ranks = reduced_homology_ranks(complex_)
@@ -670,32 +680,41 @@ def _observed():
     return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
+def _flush_std(status):
+    """Flush stdout and stderr; returns the status, or 1 if stdout could not take the output.
+
+    That failure is reported as one ``error:`` line, and sys.stdout is set
+    to None, so that nothing flushes the undeliverable output again.
+    """
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            sys.stdout = None
+            print("error: %s" % exc, file=sys.stderr)
+            status = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    return status
+
+
 def main():
     """Run the command line of this process, then end the process with its status.
 
     Once the output is flushed and the ``atexit`` handlers have run (their
     output flushed too), ``os._exit`` ends the process without the module
     teardown and final collection of interpreter shutdown, which would free
-    nothing the operating system does not reclaim anyway.  The process exits
-    through ``sys.exit`` instead when a flush fails, so that the interpreter
-    reports the failure as it always has, and when it is observed (see
-    ``_observed``): a profiler or tracer prints its results during shutdown,
-    and ``python -i`` opens its prompt.
+    nothing the operating system does not reclaim anyway.  Output that stdout
+    cannot take (a closed pipe, a full disk) ends the process with one
+    ``error:`` line and status 1.  The process exits through ``sys.exit``
+    when it is observed (see ``_observed``): a profiler or tracer prints its
+    results during shutdown, and ``python -i`` opens its prompt.
     """
     import atexit
 
     status = run(sys.argv[1:])
-    if not _observed():
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-            atexit._run_exitfuncs()
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except Exception:
-            # a failed write, or a std stream that is None, is left to the
-            # interpreter's shutdown, which handles it as it always has
-            pass
-        else:
-            os._exit(status)
-    sys.exit(status)
+    if _observed():
+        sys.exit(status)
+    status = _flush_std(status)
+    atexit._run_exitfuncs()
+    os._exit(_flush_std(status))

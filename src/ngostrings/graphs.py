@@ -276,9 +276,12 @@ def betti1(graph):
     return graph.edge_count - graph.vertex_count + 1
 
 
-def _boundary_shape(quiver):
-    """(r, s) of a connected quiver whose boundary matrix is at least 1 x s and fits MAX_DENSE_ENTRIES."""
-    r, s = quiver.vertex_count, quiver.edge_count
+def _dense_shape(r, s, connected, gale=False):
+    """(r, s) after the refusals of boundary_matrix, and with gale those of gale_dual, in their order.
+
+    ``connected()`` says whether the quiver is connected; it is asked only
+    once the boundary matrix fits MAX_DENSE_ENTRIES.
+    """
     if r < 2:
         raise ValueError("boundary matrix needs at least 2 vertices")
     if (r - 1) * s > MAX_DENSE_ENTRIES:
@@ -286,9 +289,24 @@ def _boundary_shape(quiver):
             "the boundary matrix of %d vertices and %d edges has %d dense entries; the limit is %d"
             % (r, s, (r - 1) * s, MAX_DENSE_ENTRIES)
         )
-    if not quiver.is_connected():
+    if not connected():
         raise ValueError("boundary matrix requires a connected quiver")
+    if gale and s * (r - 1 + s) > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(
+            "the Gale dual of a %dx%d matrix needs %d dense entries; the limit is %d"
+            % (r - 1, s, s * (r - 1 + s), MAX_DENSE_ENTRIES)
+        )
     return r, s
+
+
+def check_spectral_gale(partition, genus):
+    """Make the refusals of gale_dual(spectral_dual_quiver(partition, genus)) from the edge count alone.
+
+    They come in the same order, with the same messages, and before anything
+    is built.  A spectral dual graph is connected: every two of its
+    vertices are joined by edges.
+    """
+    _dense_shape(partition.r, checked_spectral_edge_count(partition, genus), lambda: True, gale=True)
 
 
 def boundary_matrix(quiver):
@@ -299,7 +317,7 @@ def boundary_matrix(quiver):
     Raises ResourceLimitError before building anything when (r-1)*s exceeds
     MAX_DENSE_ENTRIES.
     """
-    r, s = _boundary_shape(quiver)
+    r, s = _dense_shape(quiver.vertex_count, quiver.edge_count, quiver.is_connected)
     A = IntMatrix.zeros(r - 1, s)
     rows = A.data
     for col, (u, v) in enumerate(quiver.edges):
@@ -331,12 +349,7 @@ def gale_dual(quiver):
     (in the same order) and then, with ResourceLimitError, an s*(r-1+s)
     above MAX_DENSE_ENTRIES, which bounds the entries of A and B together.
     """
-    r, s = _boundary_shape(quiver)
-    if s * (r - 1 + s) > MAX_DENSE_ENTRIES:
-        raise ResourceLimitError(
-            "the Gale dual of a %dx%d matrix needs %d dense entries; the limit is %d"
-            % (r - 1, s, s * (r - 1 + s), MAX_DENSE_ENTRIES)
-        )
+    r, s = _dense_shape(quiver.vertex_count, quiver.edge_count, quiver.is_connected, gale=True)
     edges = quiver.edges
     root = list(range(r))
 
@@ -516,7 +529,7 @@ def load_graph(text):
 
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError("not a graph file: %s" % exc) from None
     if not isinstance(payload, dict) or payload.get("format") != GRAPH_FORMAT:
         raise ValueError("unsupported graph format %r" % (payload.get("format") if isinstance(payload, dict) else None,))

@@ -153,8 +153,8 @@ def partitions_of(n):
     """
     if n < 1:
         raise ValueError("n must be a positive integer, got %r" % n)
-    # p(n) is nondecreasing, so this stops at the first n past the bound
-    if any(count > MAX_PARTITIONS for count in islice(_partition_numbers(), int(n) + 1)):
+    # p(n) is nondecreasing, so this stops at n or at the first count past the bound
+    if any(count > MAX_PARTITIONS for _, count in zip(range(int(n) + 1), _partition_numbers())):
         raise ResourceLimitError(
             "n=%d has more than %d partitions; refusing to enumerate them" % (n, MAX_PARTITIONS)
         )

@@ -5,7 +5,7 @@ import importlib.util
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from ngostrings import strings
@@ -20,7 +20,7 @@ from ngostrings.graphs import (
     pairs_connected,
 )
 from ngostrings.hypertoric import StratumRecord
-from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix, smith_normal_form
+from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix
 from ngostrings.matroid import TutteCache, TuttePolynomial, _tutte
 from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of, set_partitions
 
@@ -425,6 +425,135 @@ def gale_dual_hermite(A):
     return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
 
 
+def matmul(a, b):
+    """Product of two matrices given as lists of rows."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, column)) for column in columns] for row in a]
+
+
+class SmithDecomposition(namedtuple("SmithDecomposition", "U S V")):
+    """Unimodular U, V with U*A*V = S, S diagonal with divisibility chain, all lists of rows."""
+
+    __slots__ = ()
+
+    @property
+    def invariants(self):
+        """Nonzero diagonal entries d1 | d2 | ... of S."""
+        return tuple(row[i] for i, row in enumerate(self.S) if i < len(row) and row[i] != 0)
+
+    @property
+    def rank(self):
+        return len(self.invariants)
+
+
+def _pivot_in_submatrix(S, t):
+    """Smallest-magnitude nonzero entry of S[t:, t:], ties by row-major position.
+
+    No entry is smaller than a unit, so the first +-1 ends the scan.
+    """
+    best = None
+    for i in range(t, len(S)):
+        row = S[i]
+        for j in range(t, len(row)):
+            v = row[j]
+            if v != 0 and (best is None or abs(v) < abs(best[0])):
+                if v == 1 or v == -1:
+                    return (v, i, j)
+                best = (v, i, j)
+    return best
+
+
+def smith_normal_form(A):
+    """Oracle: Smith normal form of an IntMatrix with transforms, U*A*V = S.
+
+    Deterministic for a fixed input: the pivot at each step is the
+    smallest-magnitude nonzero entry of the remaining submatrix, ties broken
+    by row-major position.
+    """
+    m, n = A.rows, A.cols
+    S = [list(row) for row in A.data]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, k):
+        S[i], S[k] = S[k], S[i]
+        U[i], U[k] = U[k], U[i]
+
+    def swap_cols(j, k):
+        for row in S:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    def add_row(src, dst, factor):
+        S[dst] = [d + factor * v for d, v in zip(S[dst], S[src])]
+        U[dst] = [d + factor * v for d, v in zip(U[dst], U[src])]
+
+    def add_col(src, dst, factor):
+        for row in S:
+            if row[src]:
+                row[dst] += factor * row[src]
+        for row in V:
+            if row[src]:
+                row[dst] += factor * row[src]
+
+    t = 0
+    while t < min(m, n):
+        found = _pivot_in_submatrix(S, t)
+        if found is None:
+            break
+        _, pi, pj = found
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            # clear column t below/above the pivot
+            restart = False
+            for i in range(m):
+                if i != t and S[i][t] != 0:
+                    q = S[i][t] // S[t][t]
+                    add_row(t, i, -q)
+                    if S[i][t] != 0:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(n):
+                if j != t and S[t][j] != 0:
+                    q = S[t][j] // S[t][t]
+                    add_col(t, j, -q)
+                    if S[t][j] != 0:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # enforce divisibility: pivot must divide the rest of the submatrix
+            if S[t][t] in (1, -1):
+                break
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if S[i][j] % S[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if S[t][t] < 0:
+            for j in range(n):
+                S[t][j] = -S[t][j]
+            for j in range(m):
+                U[t][j] = -U[t][j]
+        t += 1
+
+    return SmithDecomposition(U=U, S=S, V=V)
+
+
 def gale_dual_via_smith(A):
     """Oracle: Gale dual from the Smith transform V, whose columns past the rank span ker(A).
 
@@ -438,7 +567,7 @@ def gale_dual_via_smith(A):
             "matrix is not surjective over Z (Smith invariants %r)" % (dec.invariants,)
         )
     n = A.cols
-    kernel_rows = [dec.V.column(j) for j in range(dec.rank, n)]
+    kernel_rows = [[row[j] for row in dec.V] for j in range(dec.rank, n)]
     basis = row_hermite_form(kernel_rows, n) if kernel_rows else []
     return IntMatrix([[basis[k][i] for k in range(len(basis))] for i in range(n)])
 
@@ -450,7 +579,7 @@ def verify_exact_via_smith(A, B):
             "shapes do not compose: A is %dx%d, B is %dx%d"
             % (A.rows, A.cols, B.rows, B.cols)
         )
-    product_is_zero = (A * B).is_zero() if B.cols else True
+    product_is_zero = not any(map(any, matmul(A.data, B.data)))
     a_dec = smith_normal_form(A)
     b_dec = smith_normal_form(B)
     b_injective = b_dec.rank == B.cols

@@ -21,7 +21,7 @@ from ngostrings.graphs import (
 )
 from ngostrings.homology import matroid_complex, reduced_homology_ranks
 from ngostrings.hypertoric import circuit_relations, enumerate_strata, local_model_dims
-from ngostrings.intlinalg import smith_normal_form, verify_exact
+from ngostrings.intlinalg import verify_exact
 from ngostrings.matroid import (
     CographicMatroid,
     TutteCache,
@@ -32,7 +32,12 @@ from ngostrings.matroid import (
 from ngostrings.partitions import Partition, partitions_of
 from ngostrings.strings import stabilization_codim, string_table, stratum_dims, table_report
 
-from conftest import brute_force_stabilization_codim, random_connected_multigraph, tutte_polynomial_naive
+from conftest import (
+    brute_force_stabilization_codim,
+    random_connected_multigraph,
+    smith_normal_form,
+    tutte_polynomial_naive,
+)
 from test_matroid import brute_force_f_h, spanning_tree_count
 
 

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -111,6 +110,10 @@ class TestStringsAndReport:
             ("partition", "--n", "1000"),
             ("partition", "--n", "1000", "--d", "10"),
             ("strings", "--n", str(10**9), "--d", "2"),
+            # past sys.maxsize, which no islice bound may exceed
+            ("partition", "--n", "99999999999999999999"),
+            ("strings", "--n", "99999999999999999999", "--d", "1"),
+            ("report", "--n", "99999999999999999999"),
         ],
     )
     def test_too_many_partitions(self, capture, argv):
@@ -185,6 +188,29 @@ class TestGraphCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, graph_file",
+        [
+            (["tutte", "--quiver", "DEEP"], True),
+            (["graph", "--quiver", "DEEP", "--emit"], True),
+            (["tutte", "--quiver", "OK", "--cache", "DEEP"], False),
+        ],
+    )
+    def test_deeply_nested_json(self, capture, tmp_path, argv, graph_file):
+        # the decoder gives up on this with RecursionError, not JSONDecodeError
+        deep, ok = tmp_path / "deep.json", tmp_path / "ok.json"
+        deep.write_text("[" * 100000)
+        ok.write_text(dump_graph(spectral_dual_quiver(Partition((2, 1, 1)), 2)))
+        status, out, err = capture(*[{"DEEP": str(deep), "OK": str(ok)}.get(a, a) for a in argv])
+        reason = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        if graph_file:
+            assert (status, out, err) == (1, "", "error: not a graph file: %s\n" % reason)
+            return
+        # an unreadable cache: a cold run, and the file replaced by a valid cache
+        assert (status, out) == capture("tutte", "--quiver", str(ok))[:2]
+        assert err == "warning: ignoring unreadable cache %s (%s)\n" % (deep, reason)
+        assert json.loads(deep.read_text())["format"] == CACHE_FORMAT
 
     @pytest.mark.parametrize("command", ["tutte", "matroid", "strata", "gale"])
     def test_huge_vertex_count(self, capture, tmp_path, command):
@@ -268,6 +294,41 @@ class TestGale:
         assert err.startswith("error: ") and "dense entries" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["gale", "--partition", "1,1", "--genus", "400000"],
+                "the Gale dual of a 1x799998 matrix needs 639997600002 dense entries; the limit is 1000000",
+            ),
+            (
+                ["gale", "--partition", "2,1,1", "--genus", "100000"],
+                "the boundary matrix of 3 vertices and 999990 edges has 1999980 dense entries; the limit is 1000000",
+            ),
+            (
+                ["gale", "--partition", "1,1", "--genus", "600000"],
+                "the spectral dual graph of 1,1 at genus 600000 has 2 vertices and 1199998 edges; "
+                "the limit is 1000000 in all",
+            ),
+            (["gale", "--partition", "3", "--genus", "2"], "boundary matrix needs at least 2 vertices"),
+            (["gale", "--partition", "1,1", "--genus", "1"], "genus must be at least 2, got 1"),
+            (
+                ["matroid-homology", "--partition", "1,1", "--genus", "400000"],
+                "ground set has 799998 elements; the homology oracle is capped at 16",
+            ),
+            (
+                ["matroid-homology", "--partition", "1,1,1", "--genus", "5"],
+                "ground set has 24 elements; the homology oracle is capped at 16",
+            ),
+        ],
+    )
+    def test_partition_refused_before_the_graph_is_built(self, capture, monkeypatch, argv, message):
+        def no_graph(*args):
+            raise AssertionError("built the spectral dual graph")
+
+        monkeypatch.setattr(graphs, "spectral_dual_quiver", no_graph)
+        for json_flag in ([], ["--json"]):
+            assert capture(*argv, *json_flag) == (1, "", "error: %s\n" % message)
 
     def test_largest_spectral_input_within_dense_limit(self, capture):
         # genus 100 is the last genus of 2,1,1 whose Gale dual fits MAX_DENSE_ENTRIES
@@ -1139,6 +1200,8 @@ class TestStartup:
             "lawrence_dims",
             "euler_characteristic",
             "rational_rank",
+            "smith_normal_form",
+            "SmithDecomposition",
         ],
     )
     def test_removed_names_stay_removed(self, name):
@@ -1266,10 +1329,12 @@ class TestExitSequence:
             sys.monitoring.free_tool_id(tool)
         assert (events, code) == ([], 0)
 
-    def test_failed_flush_takes_sys_exit(self, exit_log):
-        # the handlers are left to interpreter shutdown, which reports the failure
+    def test_failed_flush_is_one_error_line(self, exit_log):
+        # stdout is dropped after the failure: the handlers still run, and nothing flushes it again
         events, code = exit_log(["partition", "--n", "3"], stdout_fail=BrokenPipeError(32, "Broken pipe"))
-        assert (events, code) == ([("flush", "stdout")], 0)
+        assert code is None
+        assert events == [("flush", "stdout"), ("flush", "stderr"), ("atexit",), ("flush", "stderr"), ("_exit", 1)]
+        assert sys.stderr.getvalue() == "error: [Errno 32] Broken pipe\n"
 
 
 def process_env():
@@ -1352,27 +1417,19 @@ class TestProcessIdentity:
 
 
 def process_on(stdout, argv, **kwargs):
-    """(status, stderr) of ``python -m ngostrings ARGV`` writing to the file descriptor or file ``stdout``.
-
-    The encoding that the interpreter names in a report on its stdout reads ENC.
-    """
+    """(status, stderr) of ``python -m ngostrings ARGV`` writing to the file descriptor or file ``stdout``."""
     done = run_python(["-m", "ngostrings", *argv], stdout=stdout, **kwargs)
-    return done.returncode, re.sub("encoding='[^']*'", "encoding=ENC", done.stderr)
-
-
-def final_flush_failure(error):
-    """The interpreter's report of a stdout flush that fails at shutdown, and its exit status 120."""
-    return 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding=ENC>\n%s\n" % error
+    return done.returncode, done.stderr
 
 
 class TestUnwritableStdout:
-    """A failed write is reported as it was before the process ended itself."""
+    """Output that stdout cannot take is reported as one error line, with status 1."""
 
     @pytest.mark.parametrize(
         "argv, expected",
         [
             # the output fits the buffer, so only the final flush fails
-            (["partition", "--n", "6"], final_flush_failure("BrokenPipeError: [Errno 32] Broken pipe")),
+            (["partition", "--n", "6"], (1, "error: [Errno 32] Broken pipe\n")),
             # the output overflows the buffer, so a write inside the command fails
             (["report", "--n", "20"], (1, "error: [Errno 32] Broken pipe\n")),
         ],
@@ -1389,7 +1446,7 @@ class TestUnwritableStdout:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (["partition", "--n", "6"], final_flush_failure("OSError: [Errno 28] No space left on device")),
+            (["partition", "--n", "6"], (1, "error: [Errno 28] No space left on device\n")),
             (["report", "--n", "20"], (1, "error: [Errno 28] No space left on device\n")),
         ],
     )

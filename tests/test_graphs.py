@@ -305,14 +305,10 @@ class TestBoundaryMatrix:
         assert A.data == [[1]]
 
     def test_triangle_columns(self):
-        A = boundary_matrix(TRIANGLE)
-        assert A.column(0) == [1, 0]
-        assert A.column(1) == [-1, 1]
-        assert A.column(2) == [0, -1]
+        assert boundary_matrix(TRIANGLE).data == [[1, -1, 0], [0, 1, -1]]
 
     def test_loop_gives_zero_column(self):
-        A = boundary_matrix(Quiver(2, [(0, 1), (1, 1)]))
-        assert A.column(1) == [0]
+        assert boundary_matrix(Quiver(2, [(0, 1), (1, 1)])).data == [[1, 0]]
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):

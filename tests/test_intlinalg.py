@@ -9,7 +9,6 @@ from ngostrings.intlinalg import (
     MAX_DENSE_ENTRIES,
     IntMatrix,
     _sparse_rows,
-    smith_normal_form,
     sparse_rank,
     verify_exact,
 )
@@ -20,8 +19,10 @@ from conftest import (
     NotBoundaryMapError,
     gale_dual_hermite,
     gale_dual_via_smith,
+    matmul,
     random_connected_multigraph,
     row_hermite_form,
+    smith_normal_form,
     sparse_rank_reference,
     verify_exact_via_smith,
 )
@@ -55,15 +56,6 @@ def random_int_matrix(rng, rows, cols, bound=6):
 
 
 class TestIntMatrix:
-    def test_multiply(self):
-        a = IntMatrix([[1, 2], [3, 4]])
-        b = IntMatrix([[0, 1], [1, 0]])
-        assert (a * b).data == [[2, 1], [4, 3]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            IntMatrix([[1, 2], [3, 4]]) * IntMatrix([[1, 2, 3]])
-
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2], [3]])
@@ -87,27 +79,40 @@ class TestIntMatrix:
         # each column is right-aligned to its own widest entry, signs included
         assert str(IntMatrix(rows)) == text
 
-    def test_entries_row_major(self):
-        assert IntMatrix([[1, 2], [3, 4]]).entries == (1, 2, 3, 4)
+    def test_equality_needs_equal_rows(self):
+        assert IntMatrix([[1, 2], [3, 4]]) == IntMatrix([[1, 2], [3, 4]])
+        assert IntMatrix([[1, 2]]) != IntMatrix([[1], [2]])
+        assert IntMatrix([[], []]) != IntMatrix([[]])
+        assert IntMatrix([[1, 2]]) != [[1, 2]]
 
 
 class TestSmithNormalForm:
+    """Self-tests of the Smith normal form oracle in conftest."""
+
     def test_identity(self):
-        dec = smith_normal_form(IntMatrix.identity(2))
-        assert dec.S == IntMatrix.identity(2)
+        dec = smith_normal_form(IntMatrix([[1, 0], [0, 1]]))
+        assert dec.S == [[1, 0], [0, 1]]
         assert dec.invariants == (1, 1)
 
     def test_diag_two_three(self):
         A = IntMatrix([[2, 0], [0, 3]])
         dec = smith_normal_form(A)
         assert dec.invariants == (1, 6)
-        assert dec.U * A * dec.V == dec.S
+        assert matmul(matmul(dec.U, A.data), dec.V) == dec.S
 
     def test_zero_matrix(self):
         A = IntMatrix.zeros(2, 3)
         dec = smith_normal_form(A)
-        assert dec.S.is_zero()
+        assert dec.S == A.data
         assert dec.invariants == ()
+
+    def test_invariants_and_rank(self):
+        dec = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+        assert dec.invariants == (2, 6, 12)
+        assert dec.rank == 3
+        dec = smith_normal_form(IntMatrix([[1, 2], [2, 4], [3, 6]]))
+        assert dec.invariants == (1,)
+        assert dec.rank == 1
 
     def test_deterministic(self):
         A = IntMatrix([[4, 6, 2], [6, 12, 9]])
@@ -120,17 +125,17 @@ class TestSmithNormalForm:
         rng = random.Random(seed)
         A = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         dec = smith_normal_form(A)
-        assert dec.U * A * dec.V == dec.S
-        assert abs(det_bareiss(dec.U.data)) == 1
-        assert abs(det_bareiss(dec.V.data)) == 1
+        assert matmul(matmul(dec.U, A.data), dec.V) == dec.S
+        assert abs(det_bareiss(dec.U)) == 1
+        assert abs(det_bareiss(dec.V)) == 1
         inv = dec.invariants
         assert all(inv[i] > 0 for i in range(len(inv)))
         assert all(inv[i + 1] % inv[i] == 0 for i in range(len(inv) - 1))
         # S is diagonal
-        for i in range(dec.S.rows):
-            for j in range(dec.S.cols):
+        for i, row in enumerate(dec.S):
+            for j, v in enumerate(row):
                 if i != j:
-                    assert dec.S.data[i][j] == 0
+                    assert v == 0
 
     # U, S, V as recorded before the unit-pivot short cuts; the last matrix has
     # a 2 before the first unit in row-major order at some step
@@ -172,7 +177,7 @@ class TestSmithNormalForm:
     )
     def test_frozen_transforms(self, data, U, S, V):
         dec = smith_normal_form(IntMatrix(data))
-        assert (dec.U.data, dec.S.data, dec.V.data) == (U, S, V)
+        assert (dec.U, dec.S, dec.V) == (U, S, V)
 
 
 class TestRank:
@@ -275,14 +280,7 @@ class TestGaleDual:
         A = IntMatrix([[3, -2]])
         B = gale_dual_hermite(A)
         assert B.data == [[2], [3]]
-        assert verify_exact(A, B).ok
-
-    def test_no_smith_form(self, monkeypatch):
-        def refuse(A):
-            raise AssertionError("gale_dual called smith_normal_form")
-
-        monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
-        assert gale_dual(TRIANGLE).data == [[1], [1], [1]]
+        assert verify_exact_via_smith(A, B).ok
 
     def test_same_as_smith_oracle_on_random_matrices(self):
         # the two oracles agree on general matrices, onto Z or not
@@ -355,11 +353,12 @@ class TestVerifyExact:
         report = verify_exact(A, IntMatrix([[1], [1], [1]]))
         assert report.ok and bool(report)
 
-    def test_unsaturated_kernel(self):
-        A = boundary_matrix(TRIANGLE)
-        report = verify_exact(A, IntMatrix([[2], [2], [2]]))
-        assert not report.ok
-        assert "kernel not saturated" in report.failures
+    def test_unsaturated_kernel_is_refused(self):
+        # the row gcd 2 leaves B without a certificate; only its Smith form shows im(B) unsaturated
+        A, B = boundary_matrix(TRIANGLE), IntMatrix([[2], [2], [2]])
+        assert "kernel not saturated" in verify_exact_via_smith(A, B).failures
+        with pytest.raises(ValueError, match="^B has no unit-pivot certificate; only pairs with one are decided$"):
+            verify_exact(A, B)
 
     def test_not_spanning(self):
         A = boundary_matrix(TRIANGLE)
@@ -377,26 +376,29 @@ class TestVerifyExact:
         assert not report.ok
         assert "product A*B nonzero" in report.failures
 
-    @pytest.mark.parametrize("genus", [2, 3])
-    def test_same_as_smith_oracle_on_spectral_gale_pairs(self, genus):
-        for n in range(2, 6):
-            for p in partitions_of(n):
-                if p.r < 2:
-                    continue
-                quiver = spectral_dual_quiver(p, genus)
-                A, B = boundary_matrix(quiver), gale_dual(quiver)
-                assert verify_exact(A, B) == verify_exact_via_smith(A, B), p
+    def test_boundary_pairs_are_certified(self):
+        # boundary and fundamental-cycle matrices are totally unimodular, so
+        # the unit-pivot certificate decides every pair gale builds
+        quivers = [
+            spectral_dual_quiver(p, genus) for genus in (2, 3) for n in range(2, 7) for p in partitions_of(n) if p.r > 1
+        ]
+        rng = random.Random(23)
+        for _ in range(1000):
+            g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
+            while g.vertex_count < 2:
+                g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
+            quivers.append(Quiver.from_graph(g))
+        assert sum(len(set(q.edges)) < q.edge_count for q in quivers) > 100  # parallel edges
+        assert sum(any(u == v for u, v in q.edges) for q in quivers) > 100  # loops
+        for quiver in quivers:
+            A, B = boundary_matrix(quiver), gale_dual(quiver)
+            assert verify_exact(A, B) == verify_exact_via_smith(A, B), quiver
 
-    def test_same_as_smith_oracle_on_random_pairs(self, monkeypatch):
-        smith_calls = []
-
-        def counting(M):
-            smith_calls.append(M)
-            return smith_normal_form(M)
-
-        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    def test_same_as_smith_oracle_on_random_pairs(self):
+        # certified pairs get the oracle's report; every other pair is the one
+        # the unit-pivot certificate cannot decide, and is refused
         rng = random.Random(22)
-        paths = {"certificate": 0, "fallback": 0}
+        paths = {"certified": 0, "refused": 0}
         seen = set()
         for _ in range(2000):
             s = rng.randint(1, 6)
@@ -414,53 +416,36 @@ class TestVerifyExact:
                 B = IntMatrix([[v * factor if j == k else v for j, v in enumerate(row)] for row in B.data])
             elif kind == "empty":
                 B = IntMatrix([[] for _ in range(s)])
-            smith_calls.clear()
-            report = verify_exact(A, B)
-            paths["fallback" if smith_calls else "certificate"] += 1
-            assert report == verify_exact_via_smith(A, B), (A, B)
-            if not report.a_surjective_over_z:
+            expected = verify_exact_via_smith(A, B)
+            rank_a, a_unit = intlinalg._eliminate(_sparse_rows(A.data))
+            certified = intlinalg._eliminate(_sparse_rows(B.data))[1] and (a_unit or rank_a < A.rows)
+            if certified:
+                assert verify_exact(A, B) == expected, (A, B)
+            else:
+                with pytest.raises(ValueError, match="has no unit-pivot certificate"):
+                    verify_exact(A, B)
+            paths["certified" if certified else "refused"] += 1
+            if not expected.a_surjective_over_z:
                 seen.add("A not onto")
-            if not report.saturated:
+            if not expected.saturated:
                 seen.add("B not saturated")
             if B.cols == 0:
                 seen.add("B has no columns")
         assert min(paths.values()) > 100, paths
         assert seen == {"A not onto", "B not saturated", "B has no columns"}
 
-    def test_boundary_pairs_need_no_smith_form(self, monkeypatch):
-        def refuse(A):
-            raise AssertionError("verify_exact called smith_normal_form")
-
-        monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
-        quivers = [spectral_dual_quiver(p, 2) for n in range(2, 6) for p in partitions_of(n) if p.r > 1]
-        rng = random.Random(23)
-        while len(quivers) < 60:
-            g = random_connected_multigraph(rng, max_vertices=7, max_edges=14, allow_loops=True)
-            if g.vertex_count > 1:
-                quivers.append(Quiver.from_graph(g))
-        for quiver in quivers:
-            assert verify_exact(boundary_matrix(quiver), gale_dual(quiver)).ok
-
     @pytest.mark.parametrize(
         "data, onto",
         [([[2, 3]], True), ([[2, 4]], False), ([[6, 10, 15]], True)],
     )
-    def test_smith_fallback_without_unit_pivot(self, monkeypatch, data, onto):
-        # no entry is +-1, so only the Smith invariants can tell whether A is onto Z
-        smith_calls = []
-
-        def counting(M):
-            smith_calls.append(M)
-            return smith_normal_form(M)
-
-        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    def test_smith_fallback_without_unit_pivot(self, data, onto):
+        # no entry is +-1, so only the Smith invariants can tell whether A is
+        # onto Z, and verify_exact refuses the pair
         A = IntMatrix(data)
         B = gale_dual_hermite(A) if onto else IntMatrix([[2], [-1]])
-        report = verify_exact(A, B)
-        assert A in smith_calls
-        assert report.a_surjective_over_z is onto
-        assert report.ok is onto
-        assert report == verify_exact_via_smith(A, B)
+        assert verify_exact_via_smith(A, B).a_surjective_over_z is onto
+        with pytest.raises(ValueError, match="^A has no unit-pivot certificate; only pairs with one are decided$"):
+            verify_exact(A, B)
 
 
 class TestExactSequencesOnGraphs:

@@ -15,7 +15,7 @@ from ngostrings.hypertoric import (
     StratumRecord,
     local_model_dims,
 )
-from ngostrings.intlinalg import ExactnessReport, IntMatrix, SmithDecomposition, smith_normal_form
+from ngostrings.intlinalg import ExactnessReport
 from ngostrings.partitions import Partition
 from ngostrings.strings import StratumDims, StringTable, stratum_dims
 
@@ -37,9 +37,7 @@ def _fields(record, names):
 def _examples():
     dims = stratum_dims(Partition([2, 1, 1]), 3)
     local = local_model_dims(Partition([2, 1, 1]), 3)
-    eye = IntMatrix([[1, 0], [0, 1]])
     return [
-        (SmithDecomposition, dict(U=eye, S=IntMatrix([[1, 0], [0, 2]]), V=eye)),
         (
             ExactnessReport,
             dict(
@@ -86,8 +84,8 @@ def test_fields_cannot_be_assigned(cls, kwargs):
 def test_equal_records_compare_and_hash_equal(cls, kwargs, twin):
     a, b = cls(**kwargs), cls(**twin)
     assert a == b
-    if cls in (StringTable, SmithDecomposition):
-        # a dict or an IntMatrix field is unhashable, so the record is too
+    if cls is StringTable:
+        # a dict field is unhashable, so the record is too
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -113,14 +111,3 @@ def test_string_table_multiplier_partitions_default():
     table = StringTable(n=4, d=1, q=1, ranks={Partition([4]): 1})
     assert table.multiplier_partitions == ()
     assert table.rank(Partition([4])) == 1
-
-
-def test_smith_decomposition_invariants_and_rank():
-    dec = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
-    assert dec.invariants == (2, 6, 12)
-    assert dec.rank == 3
-    dec = smith_normal_form(IntMatrix([[1, 2], [2, 4], [3, 6]]))
-    assert dec.invariants == (1,)
-    assert dec.rank == 1
-    assert SmithDecomposition(U=dec.U, S=dec.S, V=dec.V) == dec
-
