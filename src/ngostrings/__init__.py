@@ -20,8 +20,7 @@ _MODULES = {
     ),
     "intlinalg": "ExactnessReport IntMatrix verify_exact",
     "matroid": (
-        "CographicMatroid TutteCache TuttePolynomial f_h_vectors spectral_tutte_polynomial top_betti "
-        "tutte_polynomial"
+        "CographicMatroid TuttePolynomial f_h_vectors spectral_tutte_polynomial tutte_polynomial"
     ),
     "partitions": "Partition admissible_partitions local_system_rank partitions_of set_partitions stabilizer_order",
     "strings": (

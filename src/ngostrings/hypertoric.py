@@ -8,7 +8,8 @@ index the strata of both spaces: the stratum of a partition has normal slice
 modelled on the contraction of Q along it, codimension 2*b1(contraction) in
 the hypertoric variety, resolution fibers of dimension b1(contraction), and
 decomposition multiplicity equal to the sphere count of the contracted
-cographic matroid complex.
+cographic matroid complex, T_graphic(1, 0), which _sphere_count computes on
+plain ints, with no Tutte polynomial and no memo.
 
 For the spectral dual quiver of a partition, contracting along a vertex
 partition gives the spectral dual graph of the coarsened partition, whose
@@ -32,14 +33,12 @@ from .graphs import (
     pairs_canonical_key,
     spectral_edge_count,
 )
-from .matroid import TutteCache, _sphere_count
 from .partitions import set_partitions
 
 # _strata keeps a record for each of the Bell(r) vertex partitions, and
 # Bell(12) / Bell(11) = 6.2.  In a fresh process (2-core Xeon, Python 3.11)
-# strata --partition 1^11 --genus 2 takes 24 s and 820 MiB peak RSS, and
-# strata --quiver on a seeded 11-vertex, 26-edge quiver 206 s and 2.4 GiB.
-# Twelve vertices would pass the budget of 10 minutes and 4 GiB.
+# strata --partition 1^11 --genus 2 takes 24 s and 820 MiB peak RSS, so
+# twelve vertices would pass the budget of 10 minutes and 4 GiB.
 MAX_STRATA_VERTICES = 11
 
 
@@ -143,20 +142,51 @@ def _strata(r, label_of, stratum_of):
     return [rec for _, rec in keyed]
 
 
-def enumerate_strata(quiver, cache=None):
+def _sphere_count(r, pairs):
+    """T_graphic(1, 0) of the connected multigraph with these pair multiplicities.
+
+    b1 = 0 (T = x^(r-1)) counts 1 with no work: the open stratum always has
+    multiplicity 1.  Otherwise T(1, 0) = |[q^1] chi(q)|, chi the chromatic
+    polynomial, which parallel edges leave as it is (Greene-Zaslavsky,
+    Trans. AMS 280, 1983).  By Whitney's expansion that is |c(V)|, where on
+    the vertex sets S that contain vertex 0, c(S) = [S independent] - sum
+    c(S - I) over the nonempty independent I in S - {0}: at most 3^(r-1)
+    steps on bitmasks, c indexed by S - {0} shifted down one bit.  A loop
+    leaves its vertex in no independent set, so c(V) = 0 = T(1, 0).
+    """
+    if sum(pairs.values()) < r:
+        return 1
+    neighbours = [0] * r
+    for u, v in pairs:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    independent = [True] * (1 << r)
+    for mask in range(1, 1 << r):
+        v = (mask & -mask).bit_length() - 1
+        independent[mask] = independent[mask & (mask - 1)] and not (neighbours[v] & mask)
+    c = [0] * (1 << (r - 1))
+    for rest in range(len(c)):
+        total = int(independent[rest << 1 | 1])
+        part = rest
+        while part:
+            if independent[part << 1]:
+                total -= c[rest ^ part]
+            part = (part - 1) & rest
+        c[rest] = total
+    return abs(c[-1])
+
+
+def enumerate_strata(quiver):
     """All strata of the vertex-partition stratification, open stratum first.
 
     One record per vertex partition; the open stratum is the one-block
     partition (its contraction is a point).  Multiplicities are sphere
-    counts T_graphic(1, 0) of the contracted cographic matroid complexes,
-    from the memoized Tutte recursion once per canonical key of the
-    contraction; the memo is a fresh one for this call unless one is passed.
-    Output is sorted by (codimension, canonical key, blocks).
+    counts T_graphic(1, 0) of the contracted cographic matroid complexes, by
+    _sphere_count once per canonical key of the contraction.  Output is
+    sorted by (codimension, canonical key, blocks).
     """
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
-    if cache is None:
-        cache = TutteCache()
     pairs = quiver.pair_multiplicities()
 
     # the contraction along vp: its blocks numbered as in vp.block_of(), the
@@ -166,7 +196,7 @@ def enumerate_strata(quiver, cache=None):
 
     def stratum_of(vp, key):
         contracted, dropped = _relabel(pairs, vp.block_of())
-        return quiver.edge_count - dropped, dropped, key, _sphere_count(len(vp), contracted, cache)
+        return quiver.edge_count - dropped, dropped, key, _sphere_count(len(vp), contracted)
 
     return _strata(quiver.vertex_count, key_of, stratum_of)
 

@@ -4,34 +4,32 @@ The cographic matroid of a connected multigraph has the edges as ground set;
 a subset is independent when deleting it leaves the graph connected, so the
 rank is the first Betti number b1.  Its Tutte polynomial is the graphic one
 with the variables exchanged, which is how everything here is computed: the
-number of top-dimensional spheres in the matroid complex (the multiplicity
-in every semismall decomposition downstream) is T_graphic(1, 0), and the
-f- and h-vectors of the complex are read off T_graphic(1, y).  Independent
-sets are enumerated only by the brute-force homology oracle.
+f- and h-vectors of the matroid complex are read off T_graphic(1, y), and
+the top entry of h is the number of top-dimensional spheres in the complex,
+T_graphic(1, 0).  Independent sets are enumerated only by the brute-force
+homology oracle; the sphere counts of `strata --quiver` take no polynomial
+(hypertoric._sphere_count).
 
-tutte_polynomial takes any connected multigraph (the `--quiver` inputs);
-_sphere_count, the one home of T(1, 0), takes the graphs of top_betti and
-the contractions of `strata --quiver` (pair multiplicities renumbered by
-graphs._relabel, no graph built), counts 1 when b1 = 0 and otherwise runs
-the same engine through _tutte.  The engine runs on the pair multiplicities
-{(u, v): k} alone, rewrites them only through _relabel, and reduces before
-it keys, as Haggard, Pearce and Royle do ("Computing Tutte polynomials",
-ACM TOMS 37(3), 2010): loops are a factor y^loops, two vertices are one
-bundle x + y + ... + y^(k-1), a cut vertex splits the graph into blocks
-whose polynomials multiply, and a series vertex is removed by
-T = x T(G - v) + T(G - v + ab).  Only a 2-connected loopless core with no
-series vertex takes a canonical key, from a search capped at
-KEY_SEARCH_NODES nodes, and a deletion plus a geometric-series-weighted
-contraction of a whole parallel class.  The memo cache holds exactly the
-cores whose key fits the cap; an entry written for any other graph stays
-correct, since a key determines its graph.
+tutte_polynomial takes any connected multigraph (the `--quiver` inputs).
+The engine runs on the pair multiplicities {(u, v): k} alone, rewrites them
+only through graphs._relabel, and reduces before it keys, as Haggard, Pearce
+and Royle do ("Computing Tutte polynomials", ACM TOMS 37(3), 2010): loops
+are a factor y^loops, two vertices are one bundle x + y + ... + y^(k-1), a
+cut vertex splits the graph into blocks whose polynomials multiply, and a
+series vertex is removed by T = x T(G - v) + T(G - v + ab).  Only a
+2-connected loopless core with no series vertex takes a canonical key, from
+a search capped at KEY_SEARCH_NODES nodes, and a deletion plus a
+geometric-series-weighted contraction of a whole parallel class.  The memo
+is a plain dict {key bytes: TuttePolynomial} holding exactly the cores whose
+key fits the cap; an entry written for any other graph stays correct, since
+a key determines its graph.
 
 spectral_tutte_polynomial takes a partition and a genus (the `--partition`
 inputs of `tutte` and `matroid`) and never builds the graph.  Vertices with
 equal parts are twins, so a vertex set is a sub-multiset of the partition,
 and the random-cluster expansion is summed by the exponential formula over
 sub-multisets (Sokal, arXiv:math/0503607; Bjorklund-Husfeldt-Kaski-Koivisto,
-arXiv:0711.2585).  It reads and writes no memo cache.
+arXiv:0711.2585).  It reads and writes no memo.
 """
 
 from collections import Counter
@@ -127,28 +125,6 @@ class TuttePolynomial:
 
     def __repr__(self):
         return "TuttePolynomial(%r)" % (self.coeffs,)
-
-
-class TutteCache:
-    """Memo map canonical graph key -> Tutte polynomial."""
-
-    def __init__(self):
-        self._data = {}
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, poly):
-        self._data[key] = poly
-
-    def __len__(self):
-        return len(self._data)
-
-    def items(self):
-        return list(self._data.items())
-
-    def load(self, items):
-        self._data.update(items)
 
 
 class CographicMatroid:
@@ -355,7 +331,7 @@ def _keyed_tutte(r, core, cache):
     contracted = _relabel(rest, index)[0]
     poly = _core_tutte(r, rest, cache) + _times_y_geometric(_core_tutte(r - 1, contracted, cache), k)
     if key is not None:
-        cache.put(key, poly)
+        cache[key] = poly
     return poly
 
 
@@ -363,14 +339,14 @@ def tutte_polynomial(graph, cache=None):
     """Tutte polynomial of the graphic matroid of a connected multigraph.
 
     Deletion-contraction on parallel classes of the pair multiplicities,
-    after the reductions of _core_tutte; the memo cache is keyed by the
-    canonical form of the reduced cores, and is a fresh one for this call
-    unless one is passed.
+    after the reductions of _core_tutte.  The memo, a dict keyed by the
+    canonical form of the reduced cores, is a fresh one for this call unless
+    one is passed.
     """
     if not graph.is_connected():
         raise ValueError("Tutte polynomial requires a connected graph")
     if cache is None:
-        cache = TutteCache()
+        cache = {}
     return _tutte(graph.vertex_count, graph.pair_multiplicities(), cache)
 
 
@@ -507,27 +483,6 @@ def spectral_tutte_polynomial(partition, genus):
             if c:
                 coeffs[(i, degree - k)] = c
     return TuttePolynomial(coeffs)
-
-
-def _sphere_count(r, pairs, cache):
-    """T_graphic(1, 0) of the connected multigraph with these pair multiplicities.
-
-    b1 = s - r + 1 = 0 leaves the one-point complex, which counts 1 (T is
-    x^(r-1)) with no recursion: the open stratum always has multiplicity 1.
-    """
-    if sum(pairs.values()) < r:
-        return 1
-    return _tutte(r, pairs, cache).evaluate(1, 0)
-
-
-def top_betti(graph, cache=None):
-    """Number of top-dimensional spheres in the matroid complex of the cographic matroid.
-
-    T_graphic(1, 0) by _sphere_count; it equals the cographic evaluation T(0, 1).
-    """
-    if not graph.is_connected():
-        raise ValueError("top_betti requires a connected graph")
-    return _sphere_count(graph.vertex_count, graph.pair_multiplicities(), TutteCache() if cache is None else cache)
 
 
 def f_h_vectors(matroid, cache=None):

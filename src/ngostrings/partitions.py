@@ -2,7 +2,8 @@
 
 Everything downstream is indexed by partitions of the rank n: spectral dual
 graphs, strata of the Hitchin base, and the string-rank recursion.  This
-module counts and enumerates partitions, filters the degree-admissible
+module enumerates partitions, counting them first against MAX_PARTITIONS by
+Euler's pentagonal number recurrence, filters the degree-admissible
 subset (parts n_i with n_i*d/n integral), lists set partitions, and
 evaluates the symmetric-group constants attached to a partition: the
 generic local-system rank (r-1)! and the stabilizer order prod_i alpha_i!.
@@ -10,7 +11,6 @@ generic local-system rank (r-1)! and the stabilizer order prod_i alpha_i!.
 
 import math
 from collections import Counter
-from itertools import islice
 
 from .errors import ResourceLimitError
 
@@ -115,13 +115,6 @@ def _partition_numbers():
             pentagonal = k * (3 * k - 1) // 2
         p.append(total)
         yield total
-
-
-def partition_count(n):
-    """Number p(n) of partitions of ``n``, exact."""
-    if n < 0:
-        raise ValueError("n must be nonnegative, got %r" % n)
-    return next(islice(_partition_numbers(), n, None))
 
 
 def _partition_tuples(n):

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 from collections import Counter, namedtuple
+from itertools import islice
 from pathlib import Path
 
 from ngostrings import strings
@@ -21,8 +22,15 @@ from ngostrings.graphs import (
 )
 from ngostrings.hypertoric import StratumRecord
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix
-from ngostrings.matroid import TutteCache, TuttePolynomial, _tutte
-from ngostrings.partitions import Partition, admissible_partitions, local_system_rank, partitions_of, set_partitions
+from ngostrings.matroid import TuttePolynomial, _tutte
+from ngostrings.partitions import (
+    Partition,
+    _partition_numbers,
+    admissible_partitions,
+    local_system_rank,
+    partitions_of,
+    set_partitions,
+)
 
 
 def random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=False):
@@ -132,6 +140,18 @@ def certify_small_bell_walk(quiver):
     return tuple(violations)
 
 
+def top_betti_reference(graph, cache=None):
+    """Oracle: T_graphic(1, 0) of a connected multigraph, its Tutte polynomial from _tutte evaluated.
+
+    That is the number of top-dimensional spheres in the matroid complex of
+    the cographic matroid; cache, when given, is the memo dict of _tutte.
+    """
+    if not graph.is_connected():
+        raise ValueError("top_betti_reference requires a connected graph")
+    pairs = graph.pair_multiplicities()
+    return _tutte(graph.vertex_count, pairs, {} if cache is None else cache).evaluate(1, 0)
+
+
 def enumerate_strata_reference(quiver, cache=None):
     """Oracle: the strata with a canonical key and a memoized T(1, 0) computed for every record.
 
@@ -144,7 +164,7 @@ def enumerate_strata_reference(quiver, cache=None):
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
     if cache is None:
-        cache = TutteCache()
+        cache = {}
     pairs = quiver.pair_multiplicities()
     keyed = []
     for blocks in set_partitions(range(r)):
@@ -299,13 +319,13 @@ def tutte_reference(r, pairs, cache, key=None):
             poly = factor * tutte_reference(r - 1, contracted, cache)
     if loops:
         poly = TuttePolynomial.monomial(0, loops) * poly
-    cache.put(key, poly)
+    cache[key] = poly
     return poly
 
 
 def cache_load_reference(path):
     """Oracle: the two-pass cache decoder, each term converted by a dict and again by TuttePolynomial."""
-    cache = TutteCache()
+    cache = {}
     try:
         with open(path, "r", encoding="ascii") as handle:
             payload = json.load(handle)
@@ -322,10 +342,10 @@ def cache_load_reference(path):
         for key_text, terms in payload["entries"].items():
             poly = TuttePolynomial({(int(i), int(j)): int(c) for i, j, c in terms})
             items.append((key_text.encode("ascii"), poly))
-        cache.load(items)
+        cache.update(items)
     except (KeyError, TypeError, ValueError, AttributeError):
         print("warning: ignoring malformed cache %s" % path, file=sys.stderr)
-        return TutteCache()
+        return {}
     return cache
 
 
@@ -745,6 +765,13 @@ def eliminate_reference(rows):
                 del work[i]
         rank += 1
     return rank, unimodular
+
+
+def partition_count(n):
+    """Oracle: the number p(n) of partitions of n, by Euler's pentagonal number recurrence."""
+    if n < 0:
+        raise ValueError("n must be nonnegative, got %r" % n)
+    return next(islice(_partition_numbers(), n, None))
 
 
 def partition_tuples_reference(n, max_part=None):

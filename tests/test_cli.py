@@ -23,7 +23,7 @@ from ngostrings.graphs import (
     spectral_edge_count,
 )
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, IntMatrix
-from ngostrings.matroid import TutteCache, TuttePolynomial
+from ngostrings.matroid import TuttePolynomial
 from ngostrings.partitions import Partition, set_partitions
 from ngostrings.strings import string_table, table_report
 
@@ -550,11 +550,10 @@ class TestStrataAndDims:
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "cache.json")
-        cache = TutteCache()
-        cache.put(b"(2, (0, 0, 2))", TuttePolynomial({(1, 0): 1, (0, 1): 1}))
+        cache = {b"(2, (0, 0, 2))": TuttePolynomial({(1, 0): 1, (0, 1): 1})}
         cache_store(path, cache)
         loaded = cache_load(path)
-        assert dict(loaded.items()) == dict(cache.items())
+        assert loaded == cache
 
     def test_missing_file_is_cold(self, tmp_path, capsys):
         cache = cache_load(str(tmp_path / "absent.json"))
@@ -577,8 +576,7 @@ class TestCache:
 
     def test_failed_write_keeps_old_file(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cache.json"
-        cache = TutteCache()
-        cache.put(b"(2, (0, 0, 2))", TuttePolynomial({(1, 0): 1, (0, 1): 1}))
+        cache = {b"(2, (0, 0, 2))": TuttePolynomial({(1, 0): 1, (0, 1): 1})}
         cache_store(str(path), cache)
         before = path.read_bytes()
 
@@ -606,7 +604,7 @@ class TestCache:
             return FullDisk(handle) if mode == "x" else handle
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
-        cache.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
+        cache[b"(1, (1,))"] = TuttePolynomial({(0, 1): 1})
         cache_store(str(path), cache)
         assert path.read_bytes() == before
         assert "warning: could not write cache" in capsys.readouterr().err
@@ -618,7 +616,7 @@ class TestCache:
         # the first one the recursion computes, on K4 and on K4 with a pendant
         # edge and a loop alike: both runs hit it and add nothing
         k4 = {(u, v): 1 for u in range(4) for v in range(u + 1, 4)}
-        earlier = TutteCache()
+        earlier = {}
         tutte_reference(4, k4, earlier)
         top = pairs_canonical_key(4, k4)
         # K4's key as the earlier key search wrote it into cache files
@@ -650,23 +648,22 @@ class TestCache:
         # two runs load the same file, each adds a different key, and they
         # store one after the other: the second store merges the first's
         path = str(tmp_path / "cache.json")
-        seeded = TutteCache()
-        seeded.put(FOREIGN_KEY, FOREIGN_POLY)
+        seeded = {FOREIGN_KEY: FOREIGN_POLY}
         cache_store(path, seeded)
         first, second = cache_load(path), cache_load(path)
-        first.put(b"(1, (1,))", TuttePolynomial({(0, 1): 1}))
-        second.put(b"(1, (2,))", TuttePolynomial({(0, 2): 1}))
+        first[b"(1, (1,))"] = TuttePolynomial({(0, 1): 1})
+        second[b"(1, (2,))"] = TuttePolynomial({(0, 2): 1})
         cache_store(path, first)
         cache_store(path, second)
-        assert dict(cache_load(path).items()) == {
+        assert cache_load(path) == {
             FOREIGN_KEY: FOREIGN_POLY,
             b"(1, (1,))": TuttePolynomial({(0, 1): 1}),
             b"(1, (2,))": TuttePolynomial({(0, 2): 1}),
         }
         # for a key in both, the entry in memory wins
-        second.put(FOREIGN_KEY, TuttePolynomial.one())
+        second[FOREIGN_KEY] = TuttePolynomial.one()
         cache_store(path, second)
-        assert cache_load(path).get(FOREIGN_KEY) == TuttePolynomial.one()
+        assert cache_load(path)[FOREIGN_KEY] == TuttePolynomial.one()
         assert len(cache_load(path)) == 3
 
     def test_two_runs_same_output_and_file(self, capture, tmp_path):
@@ -689,8 +686,7 @@ class TestCache:
     @pytest.mark.parametrize("command", ["tutte", "matroid"])
     def test_partition_runs_leave_entries(self, capture, tmp_path, command):
         path = tmp_path / "cache.json"
-        cache = TutteCache()
-        cache.put(b"(2, (0, 0, 2))", TuttePolynomial({(1, 0): 1, (0, 1): 1}))
+        cache = {b"(2, (0, 0, 2))": TuttePolynomial({(1, 0): 1, (0, 1): 1})}
         cache_store(str(path), cache)
         before = path.read_bytes()
         status, _, _ = capture(command, "--partition", "2,1,1", "--genus", "2", "--cache", str(path))
@@ -717,9 +713,10 @@ class TestCache:
             assert capture(*argv, "--cache", str(path))[0] == 0
         entries = {key: [[0, 0, "999"]] for key in json.loads(path.read_text())["entries"]}
         path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-        # the poison bites every command that names the file
+        # the poison bites tutte and matroid, which name the file; strata
+        # reads no cache file
         for argv, (_, out, _) in zip(commands, cold):
-            assert capture(*argv, "--cache", str(path))[1] != out
+            assert (capture(*argv, "--cache", str(path))[1] == out) == (argv[0] == "strata")
         before = path.read_bytes()
         monkeypatch.setenv("NGO_STRINGS_CACHE", str(path))
         assert [capture(*argv) for argv in commands] == cold
@@ -737,9 +734,10 @@ CACHED_COMMANDS = {
     "matroid --partition": ("matroid", "--partition", "2,1,1", "--genus", "2"),
 }
 # --partition runs of tutte and matroid take the exponential-formula engine,
-# and those of strata the coarsening classes of spectral_strata; none of them
-# reads or adds memo entries
-ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver", "strata --quiver"}
+# which reads and adds no memo entry; strata accepts --cache and ignores it,
+# so its rows read, write and warn about nothing
+ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver"}
+IGNORES_CACHE = {"strata --quiver", "strata --partition"}
 CACHED_GRAPH = Quiver(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])
 # a memo entry no command above reaches: the bundle of 30 parallel edges
 FOREIGN_KEY = pairs_canonical_key(2, {(0, 1): 30})
@@ -781,13 +779,13 @@ class TestCacheStores:
     def test_store_decisions(self, cached_run, tmp_path, label):
         cold = tmp_path / "cold.json"
         status, cold_out, err, stores = cached_run(label, cold)
-        assert (status, err, stores) == (0, "", 1)
-        new_entries = json.loads(cold.read_text())["entries"]
+        writes = label not in IGNORES_CACHE
+        assert (status, err, stores, cold.exists()) == (0, "", int(writes), writes)
+        new_entries = json.loads(cold.read_text())["entries"] if writes else {}
         assert bool(new_entries) == (label in ADDS_ENTRIES)
 
         path = tmp_path / "cache.json"
-        seeded = TutteCache()
-        seeded.put(FOREIGN_KEY, FOREIGN_POLY)
+        seeded = {FOREIGN_KEY: FOREIGN_POLY}
         cache_store(str(path), seeded)
         old_entries = json.loads(path.read_text())["entries"]
         before = file_state(path)
@@ -828,7 +826,12 @@ class TestCacheStores:
         _, cold_out, _, _ = cached_run(label, cold)
         path = tmp_path / "cache.json"
         path.write_text(text)
+        before = file_state(path)
         status, out, err, stores = cached_run(label, path)
+        if label in IGNORES_CACHE:
+            assert (status, out, err, stores) == (0, cold_out, "", 0)
+            assert file_state(path) == before
+            return
         assert (status, out, stores) == (0, cold_out, 1)
         assert err.startswith(warning.format(path=path))
         assert path.read_bytes() == cold.read_bytes()
@@ -842,9 +845,9 @@ class TestCacheStores:
 
         indented = tmp_path / "indented.json"
         indented.write_text(indented_cache_text(cache_load(str(path))))
-        entries = dict(cache_load(str(path)).items())
-        assert dict(cache_load(str(indented)).items()) == entries
-        assert dict(cache_load_reference(str(indented)).items()) == entries
+        entries = cache_load(str(path))
+        assert cache_load(str(indented)) == entries
+        assert cache_load_reference(str(indented)) == entries
         assert capsys.readouterr().err == ""
         before = file_state(indented)
         status, out, err, stores = cached_run(label, indented)
@@ -853,35 +856,40 @@ class TestCacheStores:
             assert stores == 0
             assert file_state(indented) == before
 
-    def test_strata_partition_ignores_a_poisoned_cache(self, capture, tmp_path):
-        # every contraction key of the quiver mapped to T = 999: the spectral
-        # strata read no memo entry, so the table is the cold one and the
-        # valid file is left as it is
-        partition = Partition.from_string("2,1,1,1")
-        quiver = spectral_dual_quiver(partition, 3)
-        keys = {
-            canonical_key(contract_counting_loops(quiver, blocks)[0])
-            for blocks in set_partitions(range(quiver.vertex_count))
-        }
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strata", "--quiver", "K4"),
+            ("strata", "--quiver", "K4", "--json"),
+            ("strata", "--partition", "1,1,1,1", "--genus", "2"),
+            ("strata", "--partition", "1,1,1,1", "--genus", "2", "--json"),
+        ],
+    )
+    def test_strata_ignores_a_poisoned_cache(self, capture, tmp_path, argv):
+        # every memo key that the Tutte-per-record strata of K4 reach, mapped
+        # to T = 999: strata takes no Tutte polynomial, so it prints the cold
+        # table, warns about nothing and leaves the file as it is
+        k4 = Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        memo = {}
+        enumerate_strata_reference(k4, cache=memo)
         path = tmp_path / "poisoned.json"
-        entries = {key.decode("ascii"): [[0, 0, "999"]] for key in keys}
+        entries = {key.decode("ascii"): [[0, 0, "999"]] for key in memo}
         path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-        # the poison bites the Tutte-per-record strata
-        poisoned = enumerate_strata_reference(quiver, cache=cache_load(str(path)))
+        # the poison bites strata computed through the memo
+        poisoned = enumerate_strata_reference(k4, cache=cache_load(str(path)))
         assert {rec.multiplicity for rec in poisoned} == {1, 999}
+        graph = tmp_path / "k4.json"
+        graph.write_text(dump_graph(k4))
+        argv = [str(graph) if a == "K4" else a for a in argv]
+        status, cold_out, err = capture(*argv)
+        assert (status, err) == (0, "")
         before = file_state(path)
-        argv = ("strata", "--partition", "2,1,1,1", "--genus", "3")
-        for extra in ((), ("--json",)):
-            status, cold_out, _ = capture(*argv, *extra)
-            assert status == 0
-            assert capture(*argv, *extra, "--cache", str(path)) == (0, cold_out, "")
+        assert capture(*argv, "--cache", str(path)) == (0, cold_out, "")
         assert file_state(path) == before
 
     def test_file_is_one_compact_line(self, tmp_path):
         path = tmp_path / "cache.json"
-        cache = TutteCache()
-        cache.put(FOREIGN_KEY, FOREIGN_POLY)
-        cache.put(b"(1, (0,))", TuttePolynomial.one())
+        cache = {FOREIGN_KEY: FOREIGN_POLY, b"(1, (0,))": TuttePolynomial.one()}
         cache_store(str(path), cache)
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
@@ -894,10 +902,9 @@ class TestCacheStores:
             raise AssertionError("cache_store took the pure-Python JSON encoder")
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
-        cache = TutteCache()
-        cache.put(FOREIGN_KEY, FOREIGN_POLY)
+        cache = {FOREIGN_KEY: FOREIGN_POLY}
         cache_store(str(tmp_path / "cache.json"), cache)
-        assert dict(cache_load(str(tmp_path / "cache.json")).items()) == dict(cache.items())
+        assert cache_load(str(tmp_path / "cache.json")) == cache
 
 
 class TestCacheDecoder:
@@ -1202,14 +1209,24 @@ class TestStartup:
             "rational_rank",
             "smith_normal_form",
             "SmithDecomposition",
+            "TutteCache",
+            "top_betti",
+            "partition_count",
         ],
     )
     def test_removed_names_stay_removed(self, name):
+        import importlib
+        import pkgutil
+
         import ngostrings
 
         assert name not in ngostrings.__all__
         with pytest.raises(AttributeError):
             getattr(ngostrings, name)
+        # nor does any module keep it; importing __main__ would run the command line
+        for info in pkgutil.iter_modules(ngostrings.__path__):
+            if info.name != "__main__":
+                assert not hasattr(importlib.import_module("ngostrings." + info.name), name), info.name
 
     @pytest.mark.parametrize(
         "argv, left_out",
@@ -1222,6 +1239,7 @@ class TestStartup:
                 ["tutte", "--partition", "2,1,1", "--genus", "2", "--eval", "1", "0"],
                 {"argparse", "ngostrings.homology", "ngostrings.hypertoric"},
             ),
+            (["strata", "--partition", "2,1,1", "--genus", "2"], {"argparse", "ngostrings.matroid"}),
         ],
     )
     def test_well_formed_run_imports_only_what_it_uses(self, argv, left_out):
@@ -1411,7 +1429,7 @@ class TestProcessIdentity:
         argv = ["tutte", "--quiver", str(quiver), "--cache"]
         expected = capture(*argv, str(tmp_path / "cold.json"))
         assert run_process([*argv, str(tmp_path / "fresh.json")], tmp_path) == expected
-        fresh, cold = (dict(cache_load(str(tmp_path / name)).items()) for name in ("fresh.json", "cold.json"))
+        fresh, cold = (cache_load(str(tmp_path / name)) for name in ("fresh.json", "cold.json"))
         assert capsys.readouterr().err == ""  # neither file drew a warning
         assert fresh and fresh == cold
 

@@ -21,7 +21,6 @@ from ngostrings.graphs import (
     to_dot,
 )
 from ngostrings.intlinalg import _sparse_rows, sparse_rank
-from ngostrings.matroid import TutteCache
 from ngostrings.partitions import Partition, partitions_of, set_partitions
 
 from conftest import (
@@ -408,7 +407,7 @@ class TestCanonicalKey:
         monkeypatch.setattr(matroid, "pairs_canonical_key", recording)
         for seed in (1, 2):
             for r, pairs in tutte_cold_pairs(seed):
-                matroid._tutte(r, pairs, TutteCache())
+                matroid._tutte(r, pairs, {})
         done = [(r, pairs, key) for r, pairs, key in met if key is not None]
         assert len(done) > 1000
         for r, pairs, key in done:

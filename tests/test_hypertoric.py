@@ -2,24 +2,26 @@ import random
 
 import pytest
 
-from ngostrings import hypertoric, matroid
+from ngostrings import hypertoric
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
+    MultiGraph,
     Quiver,
     VertexPartition,
     betti1,
     boundary_matrix,
     canonical_key,
+    spectral_dual_graph,
     spectral_dual_quiver,
 )
 from ngostrings.hypertoric import (
     MAX_STRATA_VERTICES,
+    _sphere_count,
     circuit_relations,
     enumerate_strata,
     local_model_dims,
     spectral_strata,
 )
-from ngostrings.matroid import TutteCache, top_betti
 from ngostrings.partitions import Partition, partitions_of, set_partitions
 
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     contract_counting_loops,
     enumerate_strata_reference,
     random_connected_multigraph,
+    top_betti_reference,
 )
 
 BANANA = Quiver(2, [(0, 1), (0, 1)])
@@ -107,15 +110,14 @@ class TestStrata:
         quivers = [Quiver.from_graph(random_connected_multigraph(rng, allow_loops=True)) for _ in range(25)]
         quivers += [spectral_dual_quiver(p, 2) for n in range(2, 5) for p in partitions_of(n)]
         for quiver in quivers:
-            cache = TutteCache()
-            records = enumerate_strata(quiver, cache=cache)
-            oracle_cache = TutteCache()
+            records = enumerate_strata(quiver)
+            oracle_cache = {}
             expected = []
             for blocks in set_partitions(range(quiver.vertex_count)):
                 vp = VertexPartition(blocks)
                 contracted, dropped = contract_counting_loops(quiver, vp)
                 b1 = betti1(contracted)
-                fields = (contracted.edge_count, dropped, b1, top_betti(contracted, cache=oracle_cache))
+                fields = (contracted.edge_count, dropped, b1, top_betti_reference(contracted, cache=oracle_cache))
                 expected.append(((2 * b1, b1 + contracted.edge_count, canonical_key(contracted), vp.blocks), fields))
             expected.sort(key=lambda item: item[0])
             assert [rec.vp.blocks for rec in records] == [key[3] for key, _ in expected], quiver
@@ -124,9 +126,6 @@ class TestStrata:
                     quiver,
                     rec.vp,
                 )
-            # the memo entries, and so the `strata --cache` files, are those
-            # of top_betti on the built contractions
-            assert dict(cache.items()) == dict(oracle_cache.items())
 
     def test_coarsening_classes_match_reference(self):
         for n in range(1, 8):
@@ -139,21 +138,18 @@ class TestStrata:
         for _ in range(40):
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
             quiver = Quiver.from_graph(graph)
-            cache = TutteCache()
-            oracle_cache = TutteCache()
-            assert enumerate_strata(quiver, cache=cache) == enumerate_strata_reference(quiver, cache=oracle_cache)
-            assert dict(cache.items()) == dict(oracle_cache.items())
+            assert enumerate_strata(quiver) == enumerate_strata_reference(quiver, cache={})
 
-    def test_coarsening_classes_run_no_tutte(self, monkeypatch):
-        def no_tutte(*args, **kwargs):
-            raise AssertionError("the spectral strata ran the Tutte recursion")
+    def test_coarsening_classes_count_no_spheres(self, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("the spectral strata ran the sphere count")
 
-        monkeypatch.setattr(matroid, "_tutte", no_tutte)
+        monkeypatch.setattr(hypertoric, "_sphere_count", no_count)
         for p, g in [(Partition([2, 1, 1, 1]), 3), (Partition([1] * 6), 2), (Partition([3, 2]), 2)]:
             records = spectral_strata(p, g)
             assert len(records) == len(list(set_partitions(range(p.r))))
         with pytest.raises(AssertionError):
-            enumerate_strata(BANANA, cache=TutteCache())
+            enumerate_strata(BANANA)
 
     def test_vertex_guard(self, monkeypatch):
         monkeypatch.setattr(hypertoric, "set_partitions", None)
@@ -214,6 +210,53 @@ class TestStrata:
                 for g in (2, 3):
                     for rec in enumerate_strata(spectral_dual_quiver(p, g)):
                         assert rec.multiplicity == factorial(len(rec.vp.blocks) - 1), (p, g, rec.vp)
+
+
+def sphere_count(graph):
+    return _sphere_count(graph.vertex_count, graph.pair_multiplicities())
+
+
+class TestSphereCount:
+    """_sphere_count, the subset recursion, against T(1, 0) of the Tutte polynomial."""
+
+    def test_equals_tutte_oracle_on_seeded_multigraphs(self):
+        graphs = [MultiGraph(1, []), MultiGraph(1, [(0, 0)])]
+        graphs += [MultiGraph(2, [(0, 1)] * k) for k in range(1, 6)]
+        # trees: paths and stars on up to nine vertices
+        graphs += [MultiGraph(r, [(v - 1, v) for v in range(1, r)]) for r in range(2, 10)]
+        graphs += [MultiGraph(r, [(0, v) for v in range(1, r)]) for r in range(3, 10)]
+        rng = random.Random(26)
+        while len(graphs) < 1200:
+            graph = random_connected_multigraph(rng, max_vertices=9, max_edges=20, allow_loops=len(graphs) % 4 == 0)
+            edges = list(graph.edges)
+            if edges:
+                # one edge doubled, so that most graphs have a parallel class
+                edges.append(rng.choice(edges))
+            graphs.append(MultiGraph(graph.vertex_count, edges))
+        assert sum(betti1(g) == 0 for g in graphs) >= 20
+        assert {g.vertex_count for g in graphs} == set(range(1, 10))
+        memo = {}
+        for graph in graphs:
+            assert sphere_count(graph) == top_betti_reference(graph, cache=memo), graph.edges
+
+    def test_known_values(self):
+        for k in range(1, 8):
+            assert sphere_count(MultiGraph(2, [(0, 1)] * k)) == 1
+        assert sphere_count(MultiGraph(4, [(0, 1), (1, 2), (2, 3)])) == 1
+        assert sphere_count(MultiGraph(1, [])) == 1
+        # a loop is a factor y of T, so T(1, 0) = 0
+        assert sphere_count(MultiGraph(1, [(0, 0)])) == 0
+        assert sphere_count(MultiGraph(3, [(0, 1), (1, 2), (2, 0), (1, 1)])) == 0
+        # the n-cycle: T = x + ... + x^(n-1) + y
+        assert [sphere_count(MultiGraph(n, [(v, (v + 1) % n) for v in range(n)])) for n in (3, 5, 9)] == [2, 4, 8]
+
+    def test_complete_underlying_graph_counts_factorial(self):
+        from math import factorial
+
+        for n in range(2, 7):
+            for p in partitions_of(n):
+                for genus in (2, 3):
+                    assert sphere_count(spectral_dual_graph(p, genus)) == factorial(p.r - 1), (p, genus)
 
 
 def assert_strictly_small(quiver):

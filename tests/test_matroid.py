@@ -15,18 +15,22 @@ from ngostrings.matroid import (
     KEY_SEARCH_NODES,
     MAX_F_VECTOR_RANK,
     CographicMatroid,
-    TutteCache,
     TuttePolynomial,
     f_h_vectors,
     spectral_tutte_polynomial,
     _times_y_geometric,
     _tutte,
-    top_betti,
     tutte_polynomial,
 )
 from ngostrings.partitions import Partition, partitions_of
 
-from conftest import random_connected_multigraph, tutte_cold_pairs, tutte_polynomial_naive, tutte_reference
+from conftest import (
+    random_connected_multigraph,
+    top_betti_reference,
+    tutte_cold_pairs,
+    tutte_polynomial_naive,
+    tutte_reference,
+)
 
 BANANA2 = MultiGraph(2, [(0, 1), (0, 1)])
 TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -221,7 +225,7 @@ class TestTutte:
         rng = random.Random(17)
         for _ in range(100):
             g = random_connected_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=True)
-            poly = tutte_polynomial(g, cache=TutteCache())
+            poly = tutte_polynomial(g, cache={})
             assert poly == tutte_polynomial_naive(g)
             assert all(c > 0 for c in poly.coeffs.values())
 
@@ -231,7 +235,7 @@ class TestTutte:
         # series vertex) that the recursion keys; the counts pin which cores
         # those are, so a change of key, reduction or bundle order shows here.
         # The graph itself is such a core, and its key is stored
-        cache = TutteCache()
+        cache = {}
         g = spectral_dual_graph(Partition([1] * n), 2)
         tutte_polynomial(g, cache=cache)
         assert len(cache) == entries
@@ -245,18 +249,18 @@ class TestTutte:
             quivers.append(Quiver.from_graph(g))
         for q in quivers:
             g = q.underlying()
-            assert tutte_polynomial(q, cache=TutteCache()) == tutte_polynomial(g, cache=TutteCache())
-            assert top_betti(q, cache=TutteCache()) == top_betti(g, cache=TutteCache())
+            assert tutte_polynomial(q, cache={}) == tutte_polynomial(g, cache={})
+            assert top_betti_reference(q) == top_betti_reference(g)
             assert betti1(q) == betti1(g)
             assert canonical_key(q) == canonical_key(g)
             mq, mg = CographicMatroid(q), CographicMatroid(g)
             assert (mq.rank, mq.size) == (mg.rank, mg.size)
-            assert f_h_vectors(mq, cache=TutteCache()) == f_h_vectors(mg, cache=TutteCache())
+            assert f_h_vectors(mq, cache={}) == f_h_vectors(mg, cache={})
 
     def test_warm_cache_identical(self):
         # 2,1,1 at genus 2 is a triangle of bundles 4, 4, 2: one reduced core,
         # stored cold and hit warm
-        cache = TutteCache()
+        cache = {}
         g = spectral_dual_graph(Partition([2, 1, 1]), 2)
         cold = tutte_polynomial(g, cache=cache)
         assert len(cache) > 0
@@ -324,7 +328,7 @@ class TestReducedCores:
 
     def test_cycles(self):
         for n in (3, 4, 10, 60, 200):
-            poly = tutte_polynomial(cycle(n), cache=TutteCache())
+            poly = tutte_polynomial(cycle(n), cache={})
             assert poly == TuttePolynomial({**{(i, 0): 1 for i in range(1, n)}, (0, 1): 1})
             # Kirchhoff: an n-cycle has n spanning trees
             assert poly.evaluate(1, 1) == n
@@ -334,7 +338,7 @@ class TestReducedCores:
     def test_prisms(self):
         for n in range(6, 15, 2):
             g = prism(n)
-            poly = tutte_polynomial(g, cache=TutteCache())
+            poly = tutte_polynomial(g, cache={})
             assert poly.evaluate(1, 1) == spanning_tree_count(g)
             assert poly.evaluate(2, 2) == 2**g.edge_count
             if n <= 8:
@@ -345,10 +349,10 @@ class TestReducedCores:
 
     def test_same_as_reference_on_benchmark_graphs(self):
         for r, pairs in tutte_cold_pairs(1) + tutte_cold_pairs(2)[:3]:
-            assert _tutte(r, pairs, TutteCache()) == tutte_reference(r, pairs, TutteCache())
+            assert _tutte(r, pairs, {}) == tutte_reference(r, pairs, {})
 
     def test_stored_keys_are_reduced_cores(self):
-        cache = TutteCache()
+        cache = {}
         graphs = [prism(10), spectral_dual_graph(Partition([2, 1, 1, 1]), 2)]
         for r, pairs in tutte_cold_pairs(4)[:3]:
             graphs.append(MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)]))
@@ -369,7 +373,7 @@ class TestReducedCores:
                 assert minus.is_connected()
                 link = [(u if w == v else w, k) for (u, w), k in pairs.items() if v in (u, w)]
                 assert not (len(link) == 2 and link[0][1] == link[1][1] == 1)
-            assert poly == tutte_polynomial(g, cache=TutteCache())
+            assert poly == tutte_polynomial(g, cache={})
 
     def test_without_keys_same_answers(self, monkeypatch):
         # a budget of no search node: no core is keyed, no entry stored
@@ -377,15 +381,15 @@ class TestReducedCores:
         rng = random.Random(41)
         for _ in range(30):
             g = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
-            cache = TutteCache()
+            cache = {}
             assert tutte_polynomial(g, cache=cache) == tutte_polynomial_naive(g)
             assert len(cache) == 0
 
     def test_deterministic_memo(self):
         for g in (prism(14), prism(10), spectral_dual_graph(Partition([1] * 6), 2)):
-            first, second = TutteCache(), TutteCache()
+            first, second = {}, {}
             assert tutte_polynomial(g, cache=first) == tutte_polynomial(g, cache=second)
-            assert first.items() == second.items()
+            assert list(first.items()) == list(second.items())
 
 
 class TestPerCallMemo:
@@ -394,7 +398,6 @@ class TestPerCallMemo:
     def test_no_module_holds_a_memo(self):
         g = spectral_dual_graph(Partition([1] * 5), 2)
         tutte_polynomial(g)
-        top_betti(g)
         f_h_vectors(CographicMatroid(g))
         enumerate_strata(spectral_dual_quiver(Partition([1] * 4), 2))
         held = [
@@ -402,7 +405,7 @@ class TestPerCallMemo:
             for name, module in list(sys.modules.items())
             if name.split(".")[0] == "ngostrings"
             for attr, value in vars(module).items()
-            if isinstance(value, TutteCache)
+            if isinstance(value, dict) and any(isinstance(v, TuttePolynomial) for v in value.values())
         ]
         assert held == []
 
@@ -410,11 +413,10 @@ class TestPerCallMemo:
         g = spectral_dual_graph(Partition([1] * 4), 2)
         quiver = spectral_dual_quiver(Partition([1] * 4), 2)
         cold = tutte_polynomial(g), enumerate_strata(quiver)
-        cache = TutteCache()
+        cache = {}
         tutte_polynomial(g, cache=cache)
-        enumerate_strata(quiver, cache=cache)
         poison = TuttePolynomial({(0, 0): 999})
-        cache.load([(key, poison) for key, _ in cache.items()])
+        cache.update((key, poison) for key in cache)
         assert tutte_polynomial(g, cache=cache) == poison
         assert (tutte_polynomial(g), enumerate_strata(quiver)) == cold
 
@@ -422,14 +424,14 @@ class TestPerCallMemo:
 class TestTopBetti:
     def test_banana_family(self):
         for k in range(2, 8):
-            assert top_betti(MultiGraph(2, [(0, 1)] * k)) == 1
+            assert top_betti_reference(MultiGraph(2, [(0, 1)] * k)) == 1
 
     def test_doubled_triangle(self):
-        assert top_betti(spectral_dual_graph(Partition([1, 1, 1]), 2)) == 2
+        assert top_betti_reference(spectral_dual_graph(Partition([1, 1, 1]), 2)) == 2
 
     def test_tree_convention(self):
-        assert top_betti(MultiGraph(4, [(0, 1), (1, 2), (2, 3)])) == 1
-        assert top_betti(MultiGraph(1, [])) == 1
+        assert top_betti_reference(MultiGraph(4, [(0, 1), (1, 2), (2, 3)])) == 1
+        assert top_betti_reference(MultiGraph(1, [])) == 1
 
     def test_factorial_identity_small(self):
         from math import factorial
@@ -438,7 +440,7 @@ class TestTopBetti:
             for p in partitions_of(n):
                 for genus in (2, 3):
                     g = spectral_dual_graph(p, genus)
-                    assert top_betti(g) == factorial(p.r - 1)
+                    assert top_betti_reference(g) == factorial(p.r - 1)
 
 
 class TestFHVectors:
@@ -460,7 +462,7 @@ class TestFHVectors:
 
     def test_rank_limit_before_work(self):
         g = MultiGraph(2, [(0, 1)] * (MAX_F_VECTOR_RANK + 2))
-        cache = TutteCache()
+        cache = {}
         with pytest.raises(ResourceLimitError):
             f_h_vectors(CographicMatroid(g), cache=cache)
         assert len(cache) == 0
@@ -473,7 +475,7 @@ class TestFHVectors:
                     continue
                 m = CographicMatroid(g)
                 _, h = f_h_vectors(m)
-                assert h[-1] == top_betti(g)
+                assert h[-1] == top_betti_reference(g)
 
 
 class TestSpectralTutte:
@@ -485,7 +487,7 @@ class TestSpectralTutte:
 
     def test_equals_deletion_contraction(self):
         # the memoized deletion-contraction of the built graph is the oracle
-        cache = TutteCache()
+        cache = {}
         for p, g in self.ORACLE_INPUTS:
             expected = tutte_polynomial(spectral_dual_graph(p, g), cache=cache)
             assert spectral_tutte_polynomial(p, g) == expected, (p, g)

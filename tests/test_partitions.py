@@ -8,13 +8,18 @@ from ngostrings.partitions import (
     Partition,
     admissible_partitions,
     local_system_rank,
-    partition_count,
     partitions_of,
     set_partitions,
     stabilizer_order,
 )
 
-from conftest import grouping_count, grouping_enumerate, grouping_types, partition_tuples_reference
+from conftest import (
+    grouping_count,
+    grouping_enumerate,
+    grouping_types,
+    partition_count,
+    partition_tuples_reference,
+)
 
 
 def count_partitions(n):
@@ -131,6 +136,8 @@ class TestPartitionsOf:
 
     def test_refuses_more_than_max_partitions(self):
         largest = max(n for n in range(1, 100) if partition_count(n) <= MAX_PARTITIONS)
+        # the values the MAX_PARTITIONS comment quotes
+        assert (largest, partition_count(41), partition_count(42)) == (41, 44583, 53174)
         assert len(partitions_of(largest)) == partition_count(largest)
         for n in (largest + 1, 1000, 10**9):
             with pytest.raises(ResourceLimitError):
