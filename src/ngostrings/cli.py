@@ -10,12 +10,8 @@ flags with plain values) is read without argparse, and each subcommand
 imports only the modules it uses.  Every other line goes to argparse, which
 alone writes usage, help and error text.
 
-``tutte`` and ``matroid`` take a persistent Tutte memo cache with
-``--cache PATH``, the only way to name one; ``strata`` accepts the option and
-ignores it.  Corrupt or version-mismatched cache files are ignored with a
-warning.  A run rewrites the file only when the memo gained entries or the
-file was not a valid cache with entries, so a run that added nothing never
-overwrites entries another process wrote meanwhile.
+``tutte``, ``matroid`` and ``strata`` accept ``--cache PATH`` and read no
+file; ``tutte`` and ``matroid`` create a missing PATH as EMPTY_CACHE.
 
 ``run`` is the in-process API: it returns the exit status and never exits.
 ``main``, the entry point of ``python -m ngostrings`` and of the console
@@ -32,83 +28,23 @@ import sys
 from .errors import ModelInconsistencyError, ResourceLimitError
 
 CACHE_FORMAT = "ngostrings-cache/1"
+# the whole text of a cache file that ``--cache`` creates: no run reads one
+EMPTY_CACHE = '{"entries":{},"format":"%s"}\n' % CACHE_FORMAT
 # tutte --eval refuses a value that may have more decimal digits than this,
 # CPython's default limit of the int -> str conversion
 MAX_EVAL_DIGITS = 4300
 
 
-def _read_cache(path):
-    """(entries, warning) of a Tutte cache file: [(key bytes, poly)] and None, or [] and why not.
-
-    A missing file has no entries and needs no warning.
-    """
-    import json
-
-    from .matroid import TuttePolynomial
-
+def _create_cache(path):
+    """Create a missing ``--cache`` file as EMPTY_CACHE, or warn; an existing file, valid or not, stays as it is."""
+    if not path:
+        return
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        return [], None
-    except (OSError, ValueError, RecursionError) as exc:
-        return [], "warning: ignoring unreadable cache %s (%s)" % (path, exc)
-    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        return [], "warning: ignoring cache %s with unsupported format" % path
-    try:
-        items = []
-        for key_text, terms in payload["entries"].items():
-            # the last duplicate (i, j) wins, then zero coefficients drop
-            coeffs = {(int(i), int(j)): int(c) for i, j, c in terms}
-            if 0 in coeffs.values():
-                coeffs = {k: c for k, c in coeffs.items() if c}
-            items.append((key_text.encode("ascii"), TuttePolynomial._of(coeffs)))
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return [], "warning: ignoring malformed cache %s" % path
-    return items, None
-
-
-def cache_load(path):
-    """Load a Tutte cache file; any problem yields a warning and a cold cache."""
-    items, warning = _read_cache(path)
-    if warning:
-        print(warning, file=sys.stderr)
-    return dict(items)
-
-
-def cache_store(path, cache):
-    """Write the cache as one compact JSON line; failures warn rather than fail the command.
-
-    Just before writing, the file is read again and its entries are merged
-    in, the in-memory one winning for a key in both, so entries another
-    process stored since this one loaded the file are kept.  The text goes
-    to a temp file in the same directory, renamed over the old one, so a
-    failed or concurrent write never leaves a truncated cache behind.  Two
-    writers can still race between one's read and the other's rename; the
-    later rename then drops what only the earlier one added.  ``dumps``
-    without ``indent`` takes the C encoder.
-    """
-    import json
-
-    merged = dict(_read_cache(path)[0])
-    merged.update(cache.items())
-    entries = {}
-    for key, poly in merged.items():
-        entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
-    text = json.dumps({"format": CACHE_FORMAT, "entries": entries}, sort_keys=True, separators=(",", ":"))
-    tmp = "%s.%d.tmp" % (path, os.getpid())
-    created = False
-    try:
-        with open(tmp, "x", encoding="ascii") as handle:
-            created = True
-            handle.write(text + "\n")
-        os.replace(tmp, path)
+        with open(path, "x", encoding="ascii") as handle:
+            handle.write(EMPTY_CACHE)
+    except FileExistsError:
+        pass
     except OSError as exc:
-        if created:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
         print("warning: could not write cache %s (%s)" % (path, exc), file=sys.stderr)
 
 
@@ -197,25 +133,6 @@ def _resolve_quiver(args, check=None):
     if check is not None:
         check(*spectral)
     return spectral_dual_quiver(*spectral)
-
-
-def _with_cache(args, work):
-    """Run work(cache) with an optional persistent cache around it.
-
-    The file is rewritten only when the memo gained entries, or when it held
-    none: a missing, unreadable, wrong-format, malformed or empty file.  The
-    memo only grows, by one entry per new key, so a longer memo means new
-    entries.
-    """
-    path = args.cache
-    if not path:
-        return work(None)
-    cache = cache_load(path)
-    loaded = len(cache)
-    result = work(cache)
-    if loaded == 0 or len(cache) > loaded:
-        cache_store(path, cache)
-    return result
 
 
 def cmd_strings(args):
@@ -367,15 +284,11 @@ def cmd_tutte(args):
 
     from .matroid import spectral_tutte_polynomial, tutte_polynomial
 
-    # partition inputs take the exponential-formula engine, which builds no
-    # graph and leaves the cache entries as they are; _with_cache still writes
-    # a missing file, which the cache_warm benchmark's set-up copies
+    # partition inputs take the exponential-formula engine, which builds no graph
     spectral = _spectral_input(args)
-    if spectral is None:
-        quiver = _resolve_quiver(args)
-        poly = _with_cache(args, lambda cache: tutte_polynomial(quiver, cache=cache))
-    else:
-        poly = _with_cache(args, lambda cache: spectral_tutte_polynomial(*spectral))
+    poly = tutte_polynomial(_resolve_quiver(args)) if spectral is None else spectral_tutte_polynomial(*spectral)
+    # the cache_warm benchmark's set-up copies the file a run creates
+    _create_cache(args.cache)
     value = None
     if args.eval:
         x, y = args.eval
@@ -416,14 +329,13 @@ def cmd_matroid(args):
     if spectral is None:
         matroid = CographicMatroid(_resolve_quiver(args))
         edges, rank = matroid.size, matroid.rank
-        f, h = _with_cache(args, lambda cache: f_h_vectors(matroid, cache=cache))
+        f, h = f_h_vectors(matroid)
     else:
         partition, genus = spectral
         edges = spectral_edge_count(partition, genus)
         rank = edges - partition.r + 1
-        f, h = _with_cache(
-            args, lambda cache: _f_h_vectors(rank, lambda: spectral_tutte_polynomial(partition, genus))
-        )
+        f, h = _f_h_vectors(rank, lambda: spectral_tutte_polynomial(partition, genus))
+    _create_cache(args.cache)
     # h[-1] is T_graphic(1, 0), the sphere count printed as top_betti
     _print_fields(args, [("edges", edges), ("rank", rank), ("f", f), ("h", h), ("top_betti", h[-1])])
     return 0

@@ -7,10 +7,10 @@ partition {n_i} at genus g has one vertex per part and n_i*n_j*(2g-2)
 parallel edges between distinct vertices i, j.
 
 canonical_key produces a byte string invariant under vertex relabelling and
-edge reordering; it is the memoization key for Tutte computations and the
-tie-breaker for stratum tables.  It is a brute-force minimal adjacency
-encoding with color refinement, twin pruning and prefix pruning, which is
-entirely adequate at the sizes arising here (at most a dozen vertices).
+edge reordering; it groups and sorts the rows of stratum tables.  It is a
+brute-force minimal adjacency encoding with color refinement, twin pruning
+and prefix pruning, which is entirely adequate at the sizes arising here
+(at most a dozen vertices).
 """
 
 from collections import Counter, deque
@@ -414,16 +414,12 @@ def _refined_colors(r, pairs):
             return colors
 
 
-class _SearchBudgetExceeded(Exception):
-    pass
-
-
 def canonical_key(graph):
     """Canonical byte string: equal for isomorphic multigraphs, distinct otherwise."""
     return pairs_canonical_key(graph.vertex_count, graph.pair_multiplicities())
 
 
-def pairs_canonical_key(r, pairs, budget=None):
+def pairs_canonical_key(r, pairs):
     """canonical_key of the multigraph on 0..r-1 with multiplicities {(u, v): k}, u <= v.
 
     Every k must be positive; loops are the (v, v) entries.  Minimizes the
@@ -431,8 +427,7 @@ def pairs_canonical_key(r, pairs, budget=None):
     refined color classes, pruning lexicographically dominated prefixes,
     repeated (placed-set, prefix) states and twin vertices.  The encoding
     contains the full multiplicity matrix, so the key determines the graph
-    up to isomorphism.  With a budget, the search gives up and returns None
-    once it has entered more than budget nodes.
+    up to isomorphism.
     """
     adj = [[0] * r for _ in range(r)]
     for (u, v), k in pairs.items():
@@ -460,14 +455,9 @@ def pairs_canonical_key(r, pairs, budget=None):
 
     best = None
     visited = set()
-    left = budget
 
     def dfs(placed, mask, prefix):
-        nonlocal best, left
-        if budget is not None:
-            left -= 1
-            if left < 0:
-                raise _SearchBudgetExceeded
+        nonlocal best
         k = len(placed)
         if best is not None and prefix > best[: len(prefix)]:
             return
@@ -489,10 +479,7 @@ def pairs_canonical_key(r, pairs, budget=None):
             row = adj[v]
             dfs(placed + (v,), mask | 1 << v, prefix + (row[v],) + tuple(map(row.__getitem__, placed)))
 
-    try:
-        dfs((), 0, ())
-    except _SearchBudgetExceeded:
-        return None
+    dfs((), 0, ())
     return repr((r, best)).encode("ascii")
 
 

@@ -10,34 +10,27 @@ T_graphic(1, 0).  Independent sets are enumerated only by the brute-force
 homology oracle; the sphere counts of `strata --quiver` take no polynomial
 (hypertoric._sphere_count).
 
-tutte_polynomial takes any connected multigraph (the `--quiver` inputs).
-The engine runs on the pair multiplicities {(u, v): k} alone, rewrites them
-only through graphs._relabel, and reduces before it keys, as Haggard, Pearce
-and Royle do ("Computing Tutte polynomials", ACM TOMS 37(3), 2010): loops
-are a factor y^loops, two vertices are one bundle x + y + ... + y^(k-1), a
-cut vertex splits the graph into blocks whose polynomials multiply, and a
-series vertex is removed by T = x T(G - v) + T(G - v + ab).  Only a
-2-connected loopless core with no series vertex takes a canonical key, from
-a search capped at KEY_SEARCH_NODES nodes, and a deletion plus a
-geometric-series-weighted contraction of a whole parallel class.  The memo
-is a plain dict {key bytes: TuttePolynomial} holding exactly the cores whose
-key fits the cap; an entry written for any other graph stays correct, since
-a key determines its graph.
-
-spectral_tutte_polynomial takes a partition and a genus (the `--partition`
-inputs of `tutte` and `matroid`) and never builds the graph.  Vertices with
-equal parts are twins, so a vertex set is a sub-multiset of the partition,
-and the random-cluster expansion is summed by the exponential formula over
-sub-multisets (Sokal, arXiv:math/0503607; Bjorklund-Husfeldt-Kaski-Koivisto,
-arXiv:0711.2585).  It reads and writes no memo.
+tutte_polynomial takes any connected multigraph (the `--quiver` inputs), as
+its pair multiplicities {(u, v): k}.  Loops are a factor y^loops and a graph
+with a cut vertex is the product of its blocks.  A block of two vertices is
+a bundle; each other block goes to the cheaper of two engines by work
+estimates made in linear steps before any work, and a graph whose estimates
+sum past MAX_TUTTE_WORK is refused: a frontier sweep over
+edge subsets, for sparse blocks, or the exponential formula over twin
+classes, for dense twin-rich ones.  spectral_tutte_polynomial takes a
+partition and a genus (the `--partition` inputs of `tutte` and `matroid`),
+whose equal parts are twins, and runs the exponential formula without
+building the graph.  Neither keeps anything from one call to the next.
 """
 
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, product
 from math import comb, prod
+from operator import mul
 
 from .errors import ResourceLimitError
-from .graphs import _links, _relabel, betti1, pairs_canonical_key, spectral_edge_count
+from .graphs import _links, _relabel, betti1, spectral_edge_count
 
 
 class TuttePolynomial:
@@ -172,70 +165,37 @@ class CographicMatroid:
         return [iset for iset in self.independent_sets() if len(iset) == self.rank]
 
 
-# Search nodes that the canonical key of one core of the Tutte recursion may
-# take.  A core whose key search runs past it is computed with no memo lookup
-# or store, while its minors still try their own keys.  On random quivers
-# with 7 to 10 vertices and 18 to 24 edges, colour refinement separates most
-# vertices: of 16 264 core keys the median took 6 nodes and the largest 343.
-# On a cycle or a prism it separates none, every independent vertex set is a
-# tied all-zero prefix, and an exact key takes exponentially many nodes.
-KEY_SEARCH_NODES = 1000
+def _blocks(r, core):
+    """[(b, pairs)] of the blocks of a connected loopless multigraph, each renumbered 0..b-1 in vertex order.
 
-
-def _bundle(k):
-    """Tutte polynomial x + y + ... + y^(k-1) of k parallel edges."""
-    coeffs = {(0, j): 1 for j in range(1, k)}
-    coeffs[(1, 0)] = 1
-    return TuttePolynomial._of(coeffs)
-
-
-def _shift(poly, di, dj):
-    """poly * x^di * y^dj."""
-    return TuttePolynomial._of({(i + di, j + dj): c for (i, j), c in poly.coeffs.items()})
-
-
-def _times_y_geometric(poly, k):
-    """poly * (1 + y + ... + y^(k-1)): a window of k coefficients summed along each x-degree."""
-    if k == 1:
-        return poly
-    rows = {}
-    for (i, j), c in poly.coeffs.items():
-        rows.setdefault(i, {})[j] = c
-    out = {}
-    for i, row in rows.items():
-        total = 0
-        for j in range(min(row), max(row) + k):
-            total += row.get(j, 0) - row.get(j - k, 0)
-            if total:
-                out[(i, j)] = total
-    return TuttePolynomial._of(out)
-
-
-def _blocks(links):
-    """Vertex lists of the blocks of a connected loopless graph; None when it is one block.
-
-    One iterative Hopcroft-Tarjan depth-first search from vertex 0: a tree
-    edge (p, v) closes a block when no descendant of v reaches above p, and
-    the block is p with the vertices found since v.
+    One iterative Hopcroft-Tarjan depth-first search from vertex 0 that
+    stacks the tree and back edges it meets: a tree edge (p, v) closes a
+    block when no descendant of v reaches above p, and the block's edges are
+    (p, v) and those stacked after it.  Linear in the size of the graph.
     """
-    disc = [-1] * len(links)
-    low = [0] * len(links)
+    links = _links(r, core)
+    disc = [-1] * r
+    low = [0] * r
+    at = [0] * r  # where the tree edge into a vertex sits in edges
     disc[0] = 0
     count = 1
-    found = [0]  # discovered vertices not yet in a closed block, in discovery order
+    edges = []  # (u, w, k) met and not yet in a closed block
     stack = [(0, -1, iter(links[0]))]
     blocks = []
     while stack:
         v, parent, neighbours = stack[-1]
-        for w, _ in neighbours:
+        for w, k in neighbours:
             if disc[w] < 0:
                 disc[w] = low[w] = count
                 count += 1
-                found.append(w)
+                at[w] = len(edges)
+                edges.append((v, w, k))
                 stack.append((w, v, iter(links[w])))
                 break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
+            if w != parent and disc[w] < disc[v]:
+                edges.append((v, w, k))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
         else:
             stack.pop()
             if stack:
@@ -243,112 +203,317 @@ def _blocks(links):
                 if low[v] < low[p]:
                     low[p] = low[v]
                 if low[v] >= disc[p]:
-                    cut = found.index(v)
-                    blocks.append([p] + found[cut:])
-                    del found[cut:]
-    return blocks if len(blocks) > 1 else None
+                    block = edges[at[v] :]
+                    del edges[at[v] :]
+                    index = {u: i for i, u in enumerate(sorted({u for e in block for u in e[:2]}))}
+                    blocks.append((len(index), _relabel({(u, w): k for u, w, k in block}, index)[0]))
+    return blocks
 
 
-def _tutte(r, pairs, cache):
+def _base_digits(value, K):
+    """The base-2^K digits of an integer value >= 0, least significant first; K is a multiple of 4."""
+    width = K // 4
+    text = format(value, "x")
+    return [int(text[max(end - width, 0) : end], 16) for end in range(len(text), 0, -width)]
+
+
+def _coefficient_bits(links):
+    """K, a multiple of 4 with 2^K above every coefficient of the Tutte polynomial of a connected loopless graph.
+
+    A spanning tree rooted at a vertex of largest degree picks a distinct
+    parent edge at every other vertex, so the product of their degrees
+    bounds T(1, 1), which bounds every coefficient.
+    """
+    degrees = Counter(sum(k for _, k in link) for link in links)
+    degrees[max(degrees)] -= 1
+    # powers of the distinct degrees: a product of many small factors one at a time is quadratic
+    return -(-prod(d**c for d, c in degrees.items()).bit_length() // 4) * 4
+
+
+def _sweep(links):
+    """The steps of _frontier_tutte on a connected loopless graph, in a greedy vertex order.
+
+    None is the next vertex joining the end of the frontier, (i, j, k) a
+    bundle of k edges between frontier positions i and j, and (i,) the
+    vertex at position i leaving after its last bundle.  The next vertex has
+    the most placed neighbours, then the fewest unplaced, then the earliest
+    placed neighbour (the oldest frontier vertices leave first), then the
+    least index.
+    """
+    r = len(links)
+    placed = [0] * r  # placed neighbours of an unplaced vertex; -1 once placed
+    unplaced = [len(link) for link in links]
+    oldest = [r] * r  # when its first neighbour was placed
+    heap = [(0, unplaced[v], r, v) for v in range(r)]
+    heapify(heap)
+    frontier, steps = [], []
+    t = 0
+    while heap:
+        minus, _, _, v = heappop(heap)
+        if -minus != placed[v]:
+            continue  # a stale entry
+        placed[v] = -1
+        t += 1
+        steps.append(None)
+        frontier.append(v)
+        for u, k in links[v]:
+            unplaced[u] -= 1
+            if placed[u] < 0:
+                steps.append((frontier.index(u), len(frontier) - 1, k))
+            else:
+                placed[u] += 1
+                oldest[u] = min(oldest[u], t)
+                heappush(heap, (-placed[u], unplaced[u], oldest[u], u))
+        for i in reversed(range(len(frontier))):
+            if not unplaced[frontier[i]]:
+                steps.append((i,))
+                del frontier[i]
+    return steps
+
+
+def _frontier_tutte(steps, K, b1):
+    """Tutte polynomial of a connected loopless multigraph of first Betti number b1, by a frontier sweep.
+
+    T = sum over edge sets A of (x-1)^(c(A)-1) (y-1)^(|A|-r+c(A)), c(A) the
+    number of components, is summed at x = X = 2^(K(b1+1)) and y = Y = 2^K
+    over the steps of _sweep (Sekine, Imai and Tani, "Computing the Tutte
+    polynomial of a graph of moderate size", ISAAC 1995).  A state is the
+    partition of the frontier into the classes of A, one byte per frontier
+    vertex, the labels in order of first appearance; its value is the sum of
+    (X-1)^closed (Y-1)^nullity over the subsets of the bundles swept so far.
+    A bundle of k edges inside one class multiplies the value by Y^k; across
+    two classes it also adds the merged state, at 1 + Y + ... + Y^(k-1)
+    times the value.  A vertex that leaves alone in its class closes it,
+    a factor X-1, except for the last class of all.  2^K exceeds every
+    coefficient of T, so they are the base-2^K digits of T(X, Y).
+    """
+    X = K * (b1 + 1)  # bits of X
+    states = {b"": 1}
+    tables = {}
+    for step in steps:
+        if step is None:
+            states = {state + bytes([max(state, default=-1) + 1]): value for state, value in states.items()}
+        elif len(step) == 3:
+            i, j, k = step
+            geometric = ((1 << K * k) - 1) // ((1 << K) - 1)
+            # in place: a merge adds to a state with one class fewer, which
+            # comes earlier in this order, so no value is swept twice
+            for state in sorted(states, key=max):
+                a, b = state[i], state[j]
+                if a == b:
+                    states[state] <<= K * k
+                    continue
+                lo, hi = (a, b) if a < b else (b, a)
+                if (lo, hi) not in tables:
+                    # class hi joins class lo, and the labels above hi drop by one
+                    tables[lo, hi] = bytes([lo if x == hi else x - (x > hi) for x in range(256)])
+                merged = state.translate(tables[lo, hi])
+                states[merged] = states.get(merged, 0) + states[state] * geometric
+        else:
+            (i,) = step
+            swept = {}
+            while states:
+                state, value = states.popitem()
+                label = state[i]
+                rest = state[:i] + state[i + 1 :]
+                if rest and label not in rest:
+                    value = (value << X) - value
+                if state.index(label) == i:
+                    # the class is gone or now first appears later: renumber
+                    seen = bytes(dict.fromkeys(rest))
+                    rest = rest.translate(bytes.maketrans(seen, bytes(range(len(seen)))))
+                swept[rest] = swept.get(rest, 0) + value
+            states = swept
+    return TuttePolynomial._of({divmod(p, b1 + 1): c for p, c in enumerate(_base_digits(states[b""], K)) if c})
+
+
+def _twin_classes(links):
+    """The twin classes of a loopless multigraph, as sorted vertex lists in order of their least vertices.
+
+    u and v are twins when they have equal multiplicities to every other
+    vertex: equal open neighbourhoods, or, joined by k edges, equal
+    neighbourhoods once each adds itself at multiplicity k.  Twins are
+    transitive and pairwise joined by one multiplicity, so each vertex is in
+    at most one group of equal signatures with another.
+    """
+    neighbours = [dict(link) for link in links]
+    groups = {}
+    for v, near in enumerate(neighbours):
+        signature = frozenset(near.items())
+        groups.setdefault(signature, []).append(v)
+        for k in set(near.values()):
+            groups.setdefault(signature | {(v, k)}, []).append(v)
+    twins = [group for group in groups.values() if len(group) > 1]
+    paired = {v for group in twins for v in group}
+    return sorted(twins + [[v] for v in range(len(links)) if v not in paired])
+
+
+def _class_matrix(links, classes):
+    """matrix[c][d], the multiplicity between a vertex of twin class c and another of class d."""
+    # d[-1] is another vertex than c[0] unless c is d and has one vertex
+    return [[near.get(d[-1], 0) for d in classes] for near in [dict(links[c[0]]) for c in classes]]
+
+
+def _class_tutte(sizes, matrix, K):
+    """Tutte polynomial of a graph with twin classes of the given sizes, by the exponential formula.
+
+    Class c has sizes[c] vertices, and a vertex of class c is joined to
+    another of class d by matrix[c][d] edges.  A vertex set is then a
+    sub-multiset a of the classes, with e(a) internal edges.  With v* a
+    vertex of the first nonempty class of a, and c(a, b) the number of vertex
+    sets of type b that contain v* inside one of type a:
+
+    - Chat(a) = y^e(a) - sum over v* in b < a of c(a, b) Chat(b) y^e(a-b)
+      sums (y-1)^|A| over the connected spanning edge sets A of a;
+    - C(a) = Chat(a) / (y-1)^(|a|-1), an exact division;
+    - P(a) = sum over v* in b <= a of c(a, b) (x-1) C(b) P(a-b), P(0) = 1;
+    - T = P(all) / (x-1)
+
+    (Sokal, arXiv:math/0503607; Bjorklund-Husfeldt-Kaski-Koivisto,
+    arXiv:0711.2585).  A polynomial in y is held as its value at y = 2^K, one
+    integer; K is a multiple of 4 and 2^K exceeds every coefficient of T, so
+    they are the base-2^K digits of the values.
+    """
+    r = sum(sizes)
+    # every sub-multiset in lexicographic order: a sits at position
+    # sum_k a_k * strides[k], so every b <= a comes before it
+    states = list(product(*[range(m + 1) for m in sizes]))
+    strides = [prod(m + 1 for m in sizes[k + 1 :]) for k in range(len(sizes))]
+    # e(a) = (a M a - sum_c a_c M_cc) / 2, times K
+    shift = [
+        K * sum(x * (sum(map(mul, a, row)) - row[c]) for c, (x, row) in enumerate(zip(a, matrix))) // 2
+        for a in states
+    ]
+    powers = [1]
+    for _ in range(r - 1):
+        powers.append(powers[-1] * ((1 << K) - 1))
+
+    chat = [0] * len(states)
+    conn = [0] * len(states)
+    cluster = [[1]] + [None] * (len(states) - 1)  # P(a) as coefficients of (x-1)^d
+    for i in range(1, len(states)):
+        a = states[i]
+        # every b <= a with b_first >= 1, as (position, c(a, b)) factors per class
+        first = next(k for k, x in enumerate(a) if x)
+        choices = [[(0, 1)]] * first
+        choices.append([(b * strides[first], comb(a[first] - 1, b - 1)) for b in range(1, a[first] + 1)])
+        for k in range(first + 1, len(a)):
+            choices.append([(b * strides[k], comb(a[k], b)) for b in range(a[k] + 1)])
+        subsets = [(sum(j for j, _ in pick), prod(c for _, c in pick)) for pick in product(*choices)]
+
+        value = 1 << shift[i]
+        for j, c in subsets:
+            if j != i:
+                value -= (c * chat[j]) << shift[i - j]
+        chat[i] = value
+        conn[i] = value // powers[sum(a) - 1]
+
+        out = [0] * (sum(a) + 1)
+        for j, c in subsets:
+            weight = c * conn[j]
+            for d, v in enumerate(cluster[i - j]):
+                if v:
+                    out[d + 1] += weight * v
+        cluster[i] = out
+
+    # T = sum_d P_d (x-1)^(d-1) over all vertices, expanded in powers of x
+    last = cluster[-1]
+    coeffs = {}
+    for i in range(r):
+        value = sum(comb(d - 1, i) * (-1) ** (d - 1 - i) * last[d] for d in range(i + 1, r + 1))
+        for j, c in enumerate(_base_digits(value, K)):
+            if c:
+                coeffs[(i, j)] = c
+    return TuttePolynomial._of(coeffs)
+
+
+def _block_plan(r, pairs):
+    """(work, engine, args): engine(*args) is the Tutte polynomial of a 2-connected loopless block.
+
+    Each engine has a work estimate, in units of about a nanosecond (2-core
+    Xeon, Python 3.11), and the cheaper one runs:
+
+    - the frontier sweep: at each step, Bell(frontier width) states, each a
+      few operations on at most the s + r K (b1 + 1) bits of T(X, Y), at
+      about a nanosecond per 64 bits;
+    - the exponential formula: for each of its P = prod_c C(m_c+2, 2) pairs
+      of nested sub-multisets and each of the r x-coefficients, 100 for the
+      interpreter and 2^-20 L^2 for a product of two L = K (b1 + 1) bit
+      integers.
+    """
+    links = _links(r, pairs)
+    K = _coefficient_bits(links)
+    s = sum(pairs.values())
+    b1 = s - r + 1
+    steps = _sweep(links)
+    states = width = 0
+    bell, row = [1], [1]  # Bell numbers, by the Bell triangle
+    for step in steps:
+        width += step is None
+        # a frontier of width 64 already has more states than any sweep could take
+        while len(bell) <= min(width, 64):
+            row = list(accumulate(row, initial=row[-1]))
+            bell.append(row[0])
+        states += bell[min(width, 64)]
+        if step is not None and len(step) == 1:
+            width -= 1
+    sweep = states * (s + r * K * (b1 + 1)) // 64
+    classes = _twin_classes(links)
+    sizes = Counter(len(c) for c in classes)
+    formula = prod(comb(m + 2, 2) ** c for m, c in sizes.items()) * r * (100 + (K * (b1 + 1)) ** 2 // 2**20)
+    if sweep <= formula:
+        return sweep, _frontier_tutte, (steps, K, b1)
+    return formula, _class_tutte, ([len(c) for c in classes], _class_matrix(links, classes), K)
+
+
+def _tutte(r, pairs):
     """Tutte polynomial of the connected multigraph with the given pair multiplicities.
 
-    Loops are peeled off as a factor y^loops; the loopless core goes to
-    _core_tutte.
+    Loops are a factor y^loops, and a graph with a cut vertex is the product
+    of its blocks: a block of two vertices is a bundle, and any other is
+    computed by the engine _block_plan picks.  Raises
+    ResourceLimitError before any engine runs when the blocks' work
+    estimates sum past MAX_TUTTE_WORK.
     """
     core, loops = _relabel(pairs, range(r))
-    poly = _core_tutte(r, core, cache)
-    return _shift(poly, 0, loops) if loops else poly
-
-
-def _core_tutte(r, core, cache):
-    """Tutte polynomial of a connected loopless multigraph, reduced before any canonical key.
-
-    Two vertices are one bundle.  A graph with a cut vertex is the product of
-    its blocks.  A series vertex v of a 2-connected graph, joined to a and b
-    by one edge each, gives T = x T(G - v) + T(G - v + ab): deleting the edge
-    va leaves vb a bridge, contracting it turns vb into an edge ab.  Only a
-    2-connected core with at least three vertices and no series vertex takes
-    a canonical key and a deletion-contraction step (_keyed_tutte).
-    """
-    series = []  # the x T(G - v) terms of the series steps taken so far
-    while True:
-        if r == 1:
-            poly = TuttePolynomial.one()
-        elif r == 2:
-            poly = _bundle(core[(0, 1)])
-        else:
-            links = _links(r, core)
-            blocks = _blocks(links)
-            if blocks is not None:
-                poly = TuttePolynomial.one()
-                for block in blocks:
-                    # the block's vertices, renumbered 0..b-1 in order; the rest deleted
-                    index = [None] * r
-                    for i, u in enumerate(sorted(block)):
-                        index[u] = i
-                    poly = poly * _core_tutte(len(block), _relabel(core, index)[0], cache)
-            else:
-                # the least series vertex: joined to exactly two others, each by one edge
-                v = next(
-                    (v for v, link in enumerate(links) if len(link) == 2 and link[0][1] == link[1][1] == 1),
-                    None,
-                )
-                if v is not None:
-                    index = [u - (u > v) for u in range(r)]
-                    index[v] = None
-                    deleted = _relabel(core, index)[0]
-                    series.append(_shift(_core_tutte(r - 1, deleted, cache), 1, 0))
-                    a, b = sorted(index[w] for w, _ in links[v])
-                    deleted[(a, b)] = deleted.get((a, b), 0) + 1
-                    r, core = r - 1, deleted
-                    continue
-                poly = _keyed_tutte(r, core, cache)
-        break
-    for term in series:
-        poly = poly + term
+    blocks = _blocks(r, core)
+    plans = [_block_plan(b, block) for b, block in blocks if b > 2]
+    work = sum(plan[0] for plan in plans)
+    if work > MAX_TUTTE_WORK:
+        raise ResourceLimitError(
+            "the Tutte polynomial of a graph with %d vertices and %d edges needs about 2^%d units of work; "
+            "the limit is about 2^%d" % (r, sum(pairs.values()), work.bit_length(), MAX_TUTTE_WORK.bit_length())
+        )
+    poly = TuttePolynomial.monomial(0, loops)
+    for b, block in blocks:
+        if b == 2:
+            # a bundle of k edges: x + y + ... + y^(k-1)
+            (k,) = block.values()
+            poly = poly * TuttePolynomial._of({(1, 0): 1, **{(0, j): 1 for j in range(1, k)}})
+    for _, engine, args in plans:
+        poly = poly * engine(*args)
     return poly
 
 
-def _keyed_tutte(r, core, cache):
-    """_core_tutte of a reduced core: memo lookup, then deletion-contraction of its heaviest bundle.
-
-    The core is 2-connected with at least three vertices, so deleting a
-    bundle leaves it connected; contracting it merges its two ends.  The
-    memo is keyed by the canonical key when its search fits
-    KEY_SEARCH_NODES, and not used at all otherwise.
-    """
-    key = pairs_canonical_key(r, core, KEY_SEARCH_NODES)
-    if key is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    (u, v), k = max(core.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
-    rest = dict(core)
-    del rest[(u, v)]
-    # v merges into u < v and leaves the numbering
-    index = [w - (w > v) for w in range(r)]
-    index[v] = u
-    contracted = _relabel(rest, index)[0]
-    poly = _core_tutte(r, rest, cache) + _times_y_geometric(_core_tutte(r - 1, contracted, cache), k)
-    if key is not None:
-        cache[key] = poly
-    return poly
-
-
-def tutte_polynomial(graph, cache=None):
+def tutte_polynomial(graph):
     """Tutte polynomial of the graphic matroid of a connected multigraph.
 
-    Deletion-contraction on parallel classes of the pair multiplicities,
-    after the reductions of _core_tutte.  The memo, a dict keyed by the
-    canonical form of the reduced cores, is a fresh one for this call unless
-    one is passed.
+    See _tutte.  Raises ResourceLimitError before any work when the work
+    estimate exceeds MAX_TUTTE_WORK.
     """
     if not graph.is_connected():
         raise ValueError("Tutte polynomial requires a connected graph")
-    if cache is None:
-        cache = {}
-    return _tutte(graph.vertex_count, graph.pair_multiplicities(), cache)
+    return _tutte(graph.vertex_count, graph.pair_multiplicities())
 
+
+# Bound on the work estimates of tutte_polynomial (_block_plan), checked
+# before any engine runs.  Near it (2-core Xeon, Python 3.11, in process),
+# seeded random quivers of 19 to 26 vertices and 57 to 77 edges take 0.8 to
+# 10 s and up to 470 MiB; tests/tutte_timings.py's seeded d14 (2^32 units)
+# takes 3.4 s and 180 MiB, and its seeded r24 (2^35) is refused.  The block
+# split and the estimates before the check take linear steps: a cycle of
+# 400 000 vertices is refused after 8 s of them.
+MAX_TUTTE_WORK = 8 * 10**9
 
 # Bound on the work estimate of spectral_tutte_polynomial, checked before
 # anything is allocated.  The estimate is P * r * L^2: P = prod_k C(m_k+2, 2)
@@ -390,24 +555,13 @@ def _spectral_work(partition, genus):
 def spectral_tutte_polynomial(partition, genus):
     """Tutte polynomial of spectral_dual_graph(partition, genus), without building the graph.
 
-    Equal to tutte_polynomial of that graph, coefficient for coefficient.  A
-    vertex set of the graph is a sub-multiset a of the partition, with
-    e(a) = (g-1)(N(a)^2 - Q(a)) internal edges, N the sum and Q the sum of
-    squares of its parts.  With v* a vertex of the first nonempty class of a,
-    and c(a, b) the number of vertex sets of type b that contain v* inside
-    one of type a:
-
-    - Chat(a) = y^e(a) - sum over v* in b < a of c(a, b) Chat(b) y^e(a-b)
-      sums (y-1)^|A| over the connected spanning edge sets A of a;
-    - C(a) = Chat(a) / (y-1)^(|a|-1), an exact division;
-    - P(a) = sum over v* in b <= a of c(a, b) (x-1) C(b) P(a-b), P(0) = 1;
-    - T = P(partition) / (x-1).
-
-    A polynomial in y is held as its value at y = 2^K, one integer, where
-    2^K exceeds the spanning-tree count (2g-2)^(r-1) n^(r-2) prod n_i =
-    T(1, 1).  That bounds every coefficient of T, so they are the base-2^K
-    digits of the values.  Raises ResourceLimitError before any work when
-    the work estimate exceeds MAX_SPECTRAL_WORK.
+    Equal to tutte_polynomial of that graph, coefficient for coefficient.
+    Vertices with equal parts are twins, so _class_tutte takes one class per
+    distinct part, with e(a) = (g-1)(N(a)^2 - Q(a)) edges inside a vertex set
+    of type a, N the sum and Q the sum of squares of its parts.  2^K exceeds
+    the spanning-tree count (2g-2)^(r-1) n^(r-2) prod n_i = T(1, 1).  Raises
+    ResourceLimitError before any work when the work estimate exceeds
+    MAX_SPECTRAL_WORK.
     """
     if genus < 2:
         raise ValueError("genus must be at least 2, got %r" % genus)
@@ -427,65 +581,11 @@ def spectral_tutte_polynomial(partition, genus):
     K = -(-trees.bit_length() // 4) * 4  # whole hex digits
     counts = Counter(partition.parts)
     values = sorted(counts, reverse=True)
-    mults = [counts[v] for v in values]
-    # every sub-multiset in lexicographic order: a sits at position
-    # sum_k a_k * strides[k], so every b <= a comes before it
-    states = list(product(*[range(m + 1) for m in mults]))
-    strides = [prod(m + 1 for m in mults[k + 1 :]) for k in range(len(mults))]
-    shift = []
-    for a in states:
-        total = sum(k * v for k, v in zip(a, values))
-        squares = sum(k * v * v for k, v in zip(a, values))
-        shift.append(K * (genus - 1) * (total * total - squares))
-    powers = [1]
-    for _ in range(r - 1):
-        powers.append(powers[-1] * ((1 << K) - 1))
-
-    chat = [0] * len(states)
-    conn = [0] * len(states)
-    cluster = [[1]] + [None] * (len(states) - 1)  # P(a) as coefficients of (x-1)^d
-    for i in range(1, len(states)):
-        a = states[i]
-        # every b <= a with b_first >= 1, as (position, c(a, b)) factors per class
-        first = next(k for k, x in enumerate(a) if x)
-        choices = [[(0, 1)]] * first
-        choices.append([(b * strides[first], comb(a[first] - 1, b - 1)) for b in range(1, a[first] + 1)])
-        for k in range(first + 1, len(a)):
-            choices.append([(b * strides[k], comb(a[k], b)) for b in range(a[k] + 1)])
-        subsets = [(sum(j for j, _ in pick), prod(c for _, c in pick)) for pick in product(*choices)]
-
-        value = 1 << shift[i]
-        for j, c in subsets:
-            if j != i:
-                value -= (c * chat[j]) << shift[i - j]
-        chat[i] = value
-        conn[i] = value // powers[sum(a) - 1]
-
-        out = [0] * (sum(a) + 1)
-        for j, c in subsets:
-            weight = c * conn[j]
-            for d, v in enumerate(cluster[i - j]):
-                if v:
-                    out[d + 1] += weight * v
-        cluster[i] = out
-
-    # T = sum_d P_d (x-1)^(d-1) over the whole partition, expanded in powers of x
-    last = cluster[-1]
-    digits = K // 4
-    coeffs = {}
-    for i in range(r):
-        value = sum(comb(d - 1, i) * (-1) ** (d - 1 - i) * last[d] for d in range(i + 1, r + 1))
-        text = format(value, "x")
-        text = "0" * (-len(text) % digits) + text
-        degree = len(text) // digits - 1
-        for k in range(degree + 1):
-            c = int(text[k * digits : (k + 1) * digits], 16)
-            if c:
-                coeffs[(i, degree - k)] = c
-    return TuttePolynomial(coeffs)
+    matrix = [[(2 * genus - 2) * u * v for v in values] for u in values]
+    return _class_tutte([counts[v] for v in values], matrix, K)
 
 
-def f_h_vectors(matroid, cache=None):
+def f_h_vectors(matroid):
     """f- and h-vector of the matroid complex; exact integers.
 
     f[i] is the number of independent sets of size i for i = 0..rank.  The
@@ -496,7 +596,7 @@ def f_h_vectors(matroid, cache=None):
     Raises ResourceLimitError before any work when the rank exceeds
     MAX_F_VECTOR_RANK.
     """
-    return _f_h_vectors(matroid.rank, lambda: tutte_polynomial(matroid.graph, cache=cache))
+    return _f_h_vectors(matroid.rank, lambda: tutte_polynomial(matroid.graph))
 
 
 def _f_h_vectors(rank, tutte):

@@ -10,18 +10,20 @@ from itertools import islice
 from pathlib import Path
 
 from ngostrings import strings
-from ngostrings.cli import CACHE_FORMAT
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
     Quiver,
     VertexPartition,
+    _links,
+    _relabel,
     betti1,
     pairs_canonical_key,
     pairs_connected,
 )
 from ngostrings.hypertoric import StratumRecord
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix
+from ngostrings import matroid
 from ngostrings.matroid import TuttePolynomial, _tutte
 from ngostrings.partitions import (
     Partition,
@@ -140,20 +142,20 @@ def certify_small_bell_walk(quiver):
     return tuple(violations)
 
 
-def top_betti_reference(graph, cache=None):
+def top_betti_reference(graph):
     """Oracle: T_graphic(1, 0) of a connected multigraph, its Tutte polynomial from _tutte evaluated.
 
     That is the number of top-dimensional spheres in the matroid complex of
-    the cographic matroid; cache, when given, is the memo dict of _tutte.
+    the cographic matroid.
     """
     if not graph.is_connected():
         raise ValueError("top_betti_reference requires a connected graph")
     pairs = graph.pair_multiplicities()
-    return _tutte(graph.vertex_count, pairs, {} if cache is None else cache).evaluate(1, 0)
+    return _tutte(graph.vertex_count, pairs).evaluate(1, 0)
 
 
-def enumerate_strata_reference(quiver, cache=None):
-    """Oracle: the strata with a canonical key and a memoized T(1, 0) computed for every record.
+def enumerate_strata_reference(quiver):
+    """Oracle: the strata with a canonical key and T(1, 0) computed for every record.
 
     Contracts the pair multiplicities along each vertex partition, whatever
     the quiver, and sorts by (codimension, canonical key, blocks).
@@ -163,8 +165,6 @@ def enumerate_strata_reference(quiver, cache=None):
         raise ResourceLimitError("stratum enumeration is capped at 12 vertices (Bell growth); got %d" % r)
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
-    if cache is None:
-        cache = {}
     pairs = quiver.pair_multiplicities()
     keyed = []
     for blocks in set_partitions(range(r)):
@@ -182,7 +182,7 @@ def enumerate_strata_reference(quiver, cache=None):
         sc = quiver.edge_count - dropped
         b1c = sc - len(vp) + 1
         key = pairs_canonical_key(len(vp), contracted)
-        multiplicity = _tutte(len(vp), contracted, cache).evaluate(1, 0) if b1c else 1
+        multiplicity = _tutte(len(vp), contracted).evaluate(1, 0) if b1c else 1
         record = StratumRecord(
             vp=vp,
             s_contracted=sc,
@@ -323,38 +323,22 @@ def tutte_reference(r, pairs, cache, key=None):
     return poly
 
 
-def cache_load_reference(path):
-    """Oracle: the two-pass cache decoder, each term converted by a dict and again by TuttePolynomial."""
-    cache = {}
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        return cache
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
-        print("warning: ignoring unreadable cache %s (%s)" % (path, exc), file=sys.stderr)
-        return cache
-    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        print("warning: ignoring cache %s with unsupported format" % path, file=sys.stderr)
-        return cache
-    try:
-        items = []
-        for key_text, terms in payload["entries"].items():
-            poly = TuttePolynomial({(int(i), int(j)): int(c) for i, j, c in terms})
-            items.append((key_text.encode("ascii"), poly))
-        cache.update(items)
-    except (KeyError, TypeError, ValueError, AttributeError):
-        print("warning: ignoring malformed cache %s" % path, file=sys.stderr)
-        return {}
-    return cache
+def engine_tutte(engine, r, pairs):
+    """The Tutte polynomial of a connected multigraph with r >= 2 vertices by one engine of matroid alone.
 
-
-def indented_cache_text(cache):
-    """The cache file text of the earlier writer: sorted keys, indent=1, a final newline."""
-    entries = {}
-    for key, poly in sorted(cache.items()):
-        entries[key.decode("ascii")] = [[i, j, str(c)] for (i, j), c in poly.terms()]
-    return json.dumps({"format": CACHE_FORMAT, "entries": entries}, indent=1, sort_keys=True) + "\n"
+    Loops are a factor y^loops; the loopless rest goes whole, without the
+    block split, to the frontier sweep (engine "frontier") or to the
+    exponential formula over its twin classes (engine "classes").
+    """
+    core, loops = _relabel(dict(pairs), range(r))
+    links = _links(r, core)
+    K = matroid._coefficient_bits(links)
+    if engine == "frontier":
+        poly = matroid._frontier_tutte(matroid._sweep(links), K, sum(core.values()) - r + 1)
+    else:
+        classes = matroid._twin_classes(links)
+        poly = matroid._class_tutte([len(c) for c in classes], matroid._class_matrix(links, classes), K)
+    return TuttePolynomial.monomial(0, loops) * poly
 
 
 def tutte_polynomial_naive(graph):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,26 +14,23 @@ from pathlib import Path
 import pytest
 
 from ngostrings import cli, graphs, hypertoric
-from ngostrings.cli import CACHE_FORMAT, cache_load, cache_store, run
+from ngostrings.cli import CACHE_FORMAT, EMPTY_CACHE, run
 from ngostrings.graphs import (
     Quiver,
-    canonical_key,
+    VertexPartition,
     dump_graph,
-    pairs_canonical_key,
     spectral_dual_quiver,
     spectral_edge_count,
 )
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, IntMatrix
-from ngostrings.matroid import TuttePolynomial
 from ngostrings.partitions import Partition, set_partitions
 from ngostrings.strings import string_table, table_report
 
+from tutte_timings import INPUTS as TIMING_INPUTS
+
 from conftest import (
     bench_workloads,
-    cache_load_reference,
     contract_counting_loops,
-    enumerate_strata_reference,
-    indented_cache_text,
     json_text_reference,
     seed_string_rank,
     tutte_reference,
@@ -194,23 +192,15 @@ class TestGraphCommands:
         [
             (["tutte", "--quiver", "DEEP"], True),
             (["graph", "--quiver", "DEEP", "--emit"], True),
-            (["tutte", "--quiver", "OK", "--cache", "DEEP"], False),
         ],
     )
     def test_deeply_nested_json(self, capture, tmp_path, argv, graph_file):
         # the decoder gives up on this with RecursionError, not JSONDecodeError
-        deep, ok = tmp_path / "deep.json", tmp_path / "ok.json"
+        deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000)
-        ok.write_text(dump_graph(spectral_dual_quiver(Partition((2, 1, 1)), 2)))
-        status, out, err = capture(*[{"DEEP": str(deep), "OK": str(ok)}.get(a, a) for a in argv])
+        status, out, err = capture(*[{"DEEP": str(deep)}.get(a, a) for a in argv])
         reason = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
-        if graph_file:
-            assert (status, out, err) == (1, "", "error: not a graph file: %s\n" % reason)
-            return
-        # an unreadable cache: a cold run, and the file replaced by a valid cache
-        assert (status, out) == capture("tutte", "--quiver", str(ok))[:2]
-        assert err == "warning: ignoring unreadable cache %s (%s)\n" % (deep, reason)
-        assert json.loads(deep.read_text())["format"] == CACHE_FORMAT
+        assert (status, out, err) == (1, "", "error: not a graph file: %s\n" % reason)
 
     @pytest.mark.parametrize("command", ["tutte", "matroid", "strata", "gale"])
     def test_huge_vertex_count(self, capture, tmp_path, command):
@@ -385,6 +375,30 @@ class TestTutteCommand:
         assert "h: 1, 1, 1, 1" in out
         assert "top_betti: 1" in out
 
+    @pytest.mark.parametrize("command", ["tutte", "matroid"])
+    def test_quiver_refused_before_work(self, tmp_path, command):
+        # seeded r24, the first input of tests/tutte_timings.py past MAX_TUTTE_WORK
+        path = tmp_path / "r24.json"
+        path.write_text(dump_graph(Quiver(*TIMING_INPUTS["seeded r24"]())))
+        start = time.perf_counter()
+        status, out, err = run_process([command, "--quiver", str(path)], tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (1, "")
+        assert err.startswith("error: the Tutte polynomial of a graph with 24 vertices and 68 edges needs about 2^")
+        assert err.count("\n") == 1
+
+    def test_emitted_spectral_graph_as_quiver(self, capture, tmp_path):
+        # the spectral graph of 1^12 at genus 2 read back as a quiver: a
+        # block whose frontier sweep is past MAX_TUTTE_WORK, answered by the
+        # twin-class formula as by the partition engine
+        partition = ",".join(["1"] * 12)
+        _, emitted, _ = capture("graph", "--partition", partition, "--genus", "2", "--emit")
+        path = tmp_path / "g.json"
+        path.write_text(emitted)
+        status, out, err = capture("tutte", "--quiver", str(path))
+        assert (status, out, err) == capture("tutte", "--partition", partition, "--genus", "2")
+        assert status == 0
+
     def test_matroid_homology_command(self, capture):
         status, out, _ = capture("matroid-homology", "--partition", "1,1,1", "--genus", "2")
         assert status == 0
@@ -547,184 +561,8 @@ class TestStrataAndDims:
         assert lines[1].startswith("2,2")
 
 
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = {b"(2, (0, 0, 2))": TuttePolynomial({(1, 0): 1, (0, 1): 1})}
-        cache_store(path, cache)
-        loaded = cache_load(path)
-        assert loaded == cache
-
-    def test_missing_file_is_cold(self, tmp_path, capsys):
-        cache = cache_load(str(tmp_path / "absent.json"))
-        assert len(cache) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_corrupt_file_warns(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{{{{")
-        cache = cache_load(str(path))
-        assert len(cache) == 0
-        assert "warning" in capsys.readouterr().err
-
-    def test_version_mismatch_warns(self, tmp_path, capsys):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"format": "ngostrings-cache/0", "entries": {}}))
-        cache = cache_load(str(path))
-        assert len(cache) == 0
-        assert "warning" in capsys.readouterr().err
-
-    def test_failed_write_keeps_old_file(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "cache.json"
-        cache = {b"(2, (0, 0, 2))": TuttePolynomial({(1, 0): 1, (0, 1): 1})}
-        cache_store(str(path), cache)
-        before = path.read_bytes()
-
-        class FullDisk:
-            """A file handle that writes part of the text, then fails as a full disk does."""
-
-            def __init__(self, handle):
-                self.handle = handle
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.handle.close()
-
-            def write(self, text):
-                self.handle.write(text[:10])
-                self.handle.flush()
-                raise OSError("disk full")
-
-        # cache_store opens the temp file with the builtin open, mode "x"; a
-        # module global of that name shadows it, and passes reads through
-        def full_disk_open(file, mode="r", **kwargs):
-            handle = open(file, mode, **kwargs)
-            return FullDisk(handle) if mode == "x" else handle
-
-        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
-        cache[b"(1, (1,))"] = TuttePolynomial({(0, 1): 1})
-        cache_store(str(path), cache)
-        assert path.read_bytes() == before
-        assert "warning: could not write cache" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
-
-    def test_earlier_cache_file_still_hits(self, capture, tmp_path):
-        # a file as the earlier recursion and writer left it, with a key at
-        # every node.  K4 is 2-connected with no series vertex, so its key is
-        # the first one the recursion computes, on K4 and on K4 with a pendant
-        # edge and a loop alike: both runs hit it and add nothing
-        k4 = {(u, v): 1 for u in range(4) for v in range(u + 1, 4)}
-        earlier = {}
-        tutte_reference(4, k4, earlier)
-        top = pairs_canonical_key(4, k4)
-        # K4's key as the earlier key search wrote it into cache files
-        assert top == b"(4, (0, 0, 1, 0, 1, 1, 0, 1, 1, 1))"
-        assert earlier.get(top) is not None
-        graphs = {
-            "k4": (Quiver(4, list(k4)), "x^3 + 3*x^2 + 4*x*y + 2*x + y^3 + 3*y^2 + 2*y"),
-            "pendant": (
-                Quiver(5, list(k4) + [(4, 0), (4, 4)]),
-                "x^4*y + 3*x^3*y + 4*x^2*y^2 + 2*x^2*y + x*y^4 + 3*x*y^3 + 2*x*y^2",
-            ),
-        }
-        for name, (quiver, poly) in graphs.items():
-            graph = tmp_path / ("%s.json" % name)
-            graph.write_text(dump_graph(quiver))
-            warm, cold = tmp_path / ("%s-warm.json" % name), tmp_path / ("%s-cold.json" % name)
-            warm.write_text(indented_cache_text(earlier))
-            before = warm.read_bytes()
-            args = ("tutte", "--quiver", str(graph), "--eval", "1", "1", "--cache")
-            expected = (0, "T = %s\nT(1,1) = 16\n" % poly, "")
-            assert capture(*args, str(warm)) == expected
-            assert warm.read_bytes() == before
-            assert capture(*args, str(cold)) == expected
-            assert json.loads(cold.read_text())["entries"][top.decode("ascii")] == [
-                [i, j, str(c)] for (i, j), c in earlier.get(top).terms()
-            ]
-
-    def test_concurrent_writers_keep_both_entries(self, tmp_path):
-        # two runs load the same file, each adds a different key, and they
-        # store one after the other: the second store merges the first's
-        path = str(tmp_path / "cache.json")
-        seeded = {FOREIGN_KEY: FOREIGN_POLY}
-        cache_store(path, seeded)
-        first, second = cache_load(path), cache_load(path)
-        first[b"(1, (1,))"] = TuttePolynomial({(0, 1): 1})
-        second[b"(1, (2,))"] = TuttePolynomial({(0, 2): 1})
-        cache_store(path, first)
-        cache_store(path, second)
-        assert cache_load(path) == {
-            FOREIGN_KEY: FOREIGN_POLY,
-            b"(1, (1,))": TuttePolynomial({(0, 1): 1}),
-            b"(1, (2,))": TuttePolynomial({(0, 2): 1}),
-        }
-        # for a key in both, the entry in memory wins
-        second[FOREIGN_KEY] = TuttePolynomial.one()
-        cache_store(path, second)
-        assert cache_load(path)[FOREIGN_KEY] == TuttePolynomial.one()
-        assert len(cache_load(path)) == 3
-
-    def test_two_runs_same_output_and_file(self, capture, tmp_path):
-        # the 14-vertex prism's top key runs out of search budget, so it is
-        # computed without the memo; everything else is keyed as usual
-        m = 7
-        prism = [(v, (v + 1) % m) for v in range(m)] + [(m + v, m + (v + 1) % m) for v in range(m)]
-        prism += [(v, m + v) for v in range(m)]
-        for name, graph in (("prism", Quiver(2 * m, prism)), ("cached", CACHED_GRAPH)):
-            path = tmp_path / ("%s.json" % name)
-            path.write_text(dump_graph(graph))
-            runs = []
-            for i in range(2):
-                cache = tmp_path / ("%s-%d-cache.json" % (name, i))
-                runs.append((capture("tutte", "--quiver", str(path), "--cache", str(cache)), cache.read_bytes()))
-            assert runs[0] == runs[1]
-            assert runs[0][0][0] == 0
-            assert json.loads(runs[0][1])["entries"]
-
-    @pytest.mark.parametrize("command", ["tutte", "matroid"])
-    def test_partition_runs_leave_entries(self, capture, tmp_path, command):
-        path = tmp_path / "cache.json"
-        cache = {b"(2, (0, 0, 2))": TuttePolynomial({(1, 0): 1, (0, 1): 1})}
-        cache_store(str(path), cache)
-        before = path.read_bytes()
-        status, _, _ = capture(command, "--partition", "2,1,1", "--genus", "2", "--cache", str(path))
-        assert status == 0
-        assert path.read_bytes() == before
-
-    def test_warm_cold_identical_output(self, capture, tmp_path):
-        path = str(tmp_path / "cache.json")
-        args = ("tutte", "--partition", "2,2", "--genus", "2", "--eval", "1", "0", "--cache", path)
-        s1, cold, _ = capture(*args)
-        s2, warm, _ = capture(*args)
-        assert s1 == s2 == 0
-        assert cold == warm
-
-    def test_environment_names_no_cache(self, capture, tmp_path, monkeypatch):
-        # a K4 cache with every entry poisoned to T = 999, named only by the
-        # environment variable: a run without --cache neither reads nor writes it
-        graph = tmp_path / "k4.json"
-        graph.write_text(dump_graph(Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
-        path = tmp_path / "poisoned.json"
-        commands = [(name, "--quiver", str(graph)) for name in ("tutte", "matroid", "strata")]
-        cold = [capture(*argv) for argv in commands]
-        for argv in commands:
-            assert capture(*argv, "--cache", str(path))[0] == 0
-        entries = {key: [[0, 0, "999"]] for key in json.loads(path.read_text())["entries"]}
-        path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-        # the poison bites tutte and matroid, which name the file; strata
-        # reads no cache file
-        for argv, (_, out, _) in zip(commands, cold):
-            assert (capture(*argv, "--cache", str(path))[1] == out) == (argv[0] == "strata")
-        before = path.read_bytes()
-        monkeypatch.setenv("NGO_STRINGS_CACHE", str(path))
-        assert [capture(*argv) for argv in commands] == cold
-        assert path.read_bytes() == before
-
-
 # every command that takes --cache, on a graph file and on a partition;
-# "{graph}" stands for the path of CACHED_GRAPH
+# "{graph}" stands for the path of the graph file
 CACHED_COMMANDS = {
     "tutte --quiver": ("tutte", "--quiver", "{graph}", "--eval", "1", "0"),
     "matroid --quiver": ("matroid", "--quiver", "{graph}"),
@@ -733,36 +571,31 @@ CACHED_COMMANDS = {
     "tutte --partition": ("tutte", "--partition", "2,1,1", "--genus", "2", "--eval", "1", "0"),
     "matroid --partition": ("matroid", "--partition", "2,1,1", "--genus", "2"),
 }
-# --partition runs of tutte and matroid take the exponential-formula engine,
-# which reads and adds no memo entry; strata accepts --cache and ignores it,
-# so its rows read, write and warn about nothing
-ADDS_ENTRIES = {"tutte --quiver", "matroid --quiver"}
-IGNORES_CACHE = {"strata --quiver", "strata --partition"}
+# tutte and matroid create a missing --cache file; strata accepts the option and leaves the path alone
+CREATES_FILE = {label for label in CACHED_COMMANDS if not label.startswith("strata")}
 CACHED_GRAPH = Quiver(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])
-# a memo entry no command above reaches: the bundle of 30 parallel edges
-FOREIGN_KEY = pairs_canonical_key(2, {(0, 1): 30})
-FOREIGN_POLY = TuttePolynomial({(1, 0): 1, **{(0, j): 1 for j in range(1, 30)}})
+K4 = Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+
+
+def poisoned_k4_cache():
+    """A cache file that maps every key the keyed Tutte recursion met on K4 and its contractions to T = 999."""
+    memo = {}
+    for blocks in set_partitions(range(4)):
+        contracted, _ = contract_counting_loops(K4, VertexPartition(blocks))
+        tutte_reference(contracted.vertex_count, contracted.pair_multiplicities(), memo)
+    entries = {key.decode("ascii"): [[0, 0, "999"]] for key in memo}
+    return json.dumps({"format": CACHE_FORMAT, "entries": entries})
 
 
 @pytest.fixture
-def cached_run(capture, tmp_path, monkeypatch):
-    """Run a CACHED_COMMANDS entry with --cache PATH; returns (status, out, err, cache_store calls)."""
-    graph = tmp_path / "graph.json"
-    graph.write_text(dump_graph(CACHED_GRAPH))
-    stores = []
-    real_store = cli.cache_store
+def cached_run(capture, tmp_path):
+    """Run a CACHED_COMMANDS entry on a graph file, with --cache PATH when a path is given."""
 
-    def counting_store(path, cache):
-        stores.append(path)
-        real_store(path, cache)
-
-    monkeypatch.setattr(cli, "cache_store", counting_store)
-
-    def invoke(label, path):
-        argv = [arg.format(graph=graph) for arg in CACHED_COMMANDS[label]]
-        before = len(stores)
-        status, out, err = capture(*argv, "--cache", str(path))
-        return status, out, err, len(stores) - before
+    def invoke(label, path=None, graph=CACHED_GRAPH, *extra):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text(dump_graph(graph))
+        argv = [arg.format(graph=graph_file) for arg in CACHED_COMMANDS[label]] + list(extra)
+        return capture(*argv, *(["--cache", str(path)] if path else []))
 
     return invoke
 
@@ -772,172 +605,76 @@ def file_state(path):
     return path.read_bytes(), stat.st_mtime_ns, stat.st_ino
 
 
-class TestCacheStores:
-    """The cache file is rewritten only when the memo grew or the file held no valid entries."""
+class TestCache:
+    """No run reads a --cache file; tutte and matroid create a missing one as the empty cache."""
 
+    @pytest.mark.parametrize("json_flag", [False, True])
     @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
-    def test_store_decisions(self, cached_run, tmp_path, label):
-        cold = tmp_path / "cold.json"
-        status, cold_out, err, stores = cached_run(label, cold)
-        writes = label not in IGNORES_CACHE
-        assert (status, err, stores, cold.exists()) == (0, "", int(writes), writes)
-        new_entries = json.loads(cold.read_text())["entries"] if writes else {}
-        assert bool(new_entries) == (label in ADDS_ENTRIES)
-
-        path = tmp_path / "cache.json"
-        seeded = {FOREIGN_KEY: FOREIGN_POLY}
-        cache_store(str(path), seeded)
-        old_entries = json.loads(path.read_text())["entries"]
+    def test_poisoned_file_changes_nothing(self, cached_run, tmp_path, label, json_flag):
+        # a K4 cache file with every entry poisoned to T = 999: the cold
+        # output, nothing on stderr, and the file as it was
+        path = tmp_path / "poisoned.json"
+        path.write_text(poisoned_k4_cache())
+        extra = ["--json"] if json_flag else []
+        cold = cached_run(label, None, K4, *extra)
+        assert cold[0] == 0 and cold[2] == ""
         before = file_state(path)
-        status, out, err, stores = cached_run(label, path)
-        assert (status, out, err) == (0, cold_out, "")
-        if label in ADDS_ENTRIES:
-            assert stores == 1
-            assert json.loads(path.read_text()) == {
-                "format": CACHE_FORMAT,
-                "entries": {**old_entries, **new_entries},
-            }
-        else:
-            assert stores == 0
-            assert file_state(path) == before
-
-        # a second run on the same valid file adds nothing and leaves it alone
-        before = file_state(path)
-        assert cached_run(label, path) == (0, cold_out, "", 0)
+        assert cached_run(label, path, K4, *extra) == cold
         assert file_state(path) == before
 
     @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
+    def test_missing_file(self, cached_run, tmp_path, label):
+        path = tmp_path / "cache.json"
+        assert cached_run(label, path) == cached_run(label)
+        if label in CREATES_FILE:
+            assert path.read_text() == EMPTY_CACHE == '{"entries":{},"format":"ngostrings-cache/1"}\n'
+        else:
+            assert not path.exists()
+        # and nothing else is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "graph.json"][label not in CREATES_FILE :]
+
+    @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
     @pytest.mark.parametrize(
-        "text, warning",
+        "text",
         [
-            ("{{{{", "warning: ignoring unreadable cache {path} ("),
-            (
-                json.dumps({"format": "ngostrings-cache/0", "entries": {}}),
-                "warning: ignoring cache {path} with unsupported format\n",
-            ),
-            (
-                json.dumps({"format": CACHE_FORMAT, "entries": {"(1, (0,))": [[0, 0]]}}),
-                "warning: ignoring malformed cache {path}\n",
-            ),
+            EMPTY_CACHE,
+            "",
+            "{{{{",
+            "[" * 100000,
+            json.dumps({"format": "ngostrings-cache/0", "entries": {}}),
+            json.dumps({"format": CACHE_FORMAT, "entries": {"(1, (0,))": [[0, 0]]}}),
         ],
     )
-    def test_invalid_file_is_replaced(self, cached_run, tmp_path, label, text, warning):
-        cold = tmp_path / "cold.json"
-        _, cold_out, _, _ = cached_run(label, cold)
+    def test_existing_file_left_alone(self, cached_run, tmp_path, label, text):
+        # valid or not, a file is neither read nor replaced, and draws no warning
         path = tmp_path / "cache.json"
         path.write_text(text)
         before = file_state(path)
-        status, out, err, stores = cached_run(label, path)
-        if label in IGNORES_CACHE:
-            assert (status, out, err, stores) == (0, cold_out, "", 0)
-            assert file_state(path) == before
-            return
-        assert (status, out, stores) == (0, cold_out, 1)
-        assert err.startswith(warning.format(path=path))
-        assert path.read_bytes() == cold.read_bytes()
-
-    @pytest.mark.parametrize("label", sorted(CACHED_COMMANDS))
-    def test_warm_cold_and_indented_file(self, cached_run, tmp_path, capsys, label):
-        path = tmp_path / "cache.json"
-        status, cold_out, _, _ = cached_run(label, path)
-        assert status == 0
-        assert cached_run(label, path)[:3] == (0, cold_out, "")
-
-        indented = tmp_path / "indented.json"
-        indented.write_text(indented_cache_text(cache_load(str(path))))
-        entries = cache_load(str(path))
-        assert cache_load(str(indented)) == entries
-        assert cache_load_reference(str(indented)) == entries
-        assert capsys.readouterr().err == ""
-        before = file_state(indented)
-        status, out, err, stores = cached_run(label, indented)
-        assert (status, out, err) == (0, cold_out, "")
-        if entries:
-            assert stores == 0
-            assert file_state(indented) == before
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("strata", "--quiver", "K4"),
-            ("strata", "--quiver", "K4", "--json"),
-            ("strata", "--partition", "1,1,1,1", "--genus", "2"),
-            ("strata", "--partition", "1,1,1,1", "--genus", "2", "--json"),
-        ],
-    )
-    def test_strata_ignores_a_poisoned_cache(self, capture, tmp_path, argv):
-        # every memo key that the Tutte-per-record strata of K4 reach, mapped
-        # to T = 999: strata takes no Tutte polynomial, so it prints the cold
-        # table, warns about nothing and leaves the file as it is
-        k4 = Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        memo = {}
-        enumerate_strata_reference(k4, cache=memo)
-        path = tmp_path / "poisoned.json"
-        entries = {key.decode("ascii"): [[0, 0, "999"]] for key in memo}
-        path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-        # the poison bites strata computed through the memo
-        poisoned = enumerate_strata_reference(k4, cache=cache_load(str(path)))
-        assert {rec.multiplicity for rec in poisoned} == {1, 999}
-        graph = tmp_path / "k4.json"
-        graph.write_text(dump_graph(k4))
-        argv = [str(graph) if a == "K4" else a for a in argv]
-        status, cold_out, err = capture(*argv)
-        assert (status, err) == (0, "")
-        before = file_state(path)
-        assert capture(*argv, "--cache", str(path)) == (0, cold_out, "")
+        assert cached_run(label, path) == cached_run(label)
         assert file_state(path) == before
 
-    def test_file_is_one_compact_line(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = {FOREIGN_KEY: FOREIGN_POLY, b"(1, (0,))": TuttePolynomial.one()}
-        cache_store(str(path), cache)
-        text = path.read_text()
-        assert text.count("\n") == 1 and text.endswith("\n")
-        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    def test_failed_write_warns(self, capture, tmp_path):
+        # a path whose directory is missing: the answer as without --cache, and one warning
+        argv = ("tutte", "--partition", "2,1,1", "--genus", "2")
+        _, cold, _ = capture(*argv)
+        path = tmp_path / "missing" / "cache.json"
+        status, out, err = capture(*argv, "--cache", str(path))
+        assert (status, out) == (0, cold)
+        assert err.startswith("warning: could not write cache %s (" % path)
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C accelerator for json")
-    def test_writer_takes_the_c_encoder(self, tmp_path, monkeypatch):
-        # json.dump and any indent go through the pure-Python _make_iterencode
-        def pure_python_encoder(*args, **kwargs):
-            raise AssertionError("cache_store took the pure-Python JSON encoder")
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
-        cache = {FOREIGN_KEY: FOREIGN_POLY}
-        cache_store(str(tmp_path / "cache.json"), cache)
-        assert cache_load(str(tmp_path / "cache.json")) == cache
-
-
-class TestCacheDecoder:
-    """cache_load decodes every file as the two-pass reference decoder does."""
-
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            {"(2, (0, 0, 2))": [[1, 0, "1"], [1, 0, "3"], [0, 1, "1"]]},
-            {"(2, (0, 0, 2))": [[1, 0, "0"], [0, 1, "2"]]},
-            {"(2, (0, 0, 2))": [[0, 1, "5"], [0, 1, "0"]]},
-            {"(2, (0, 0, 2))": [[0, 1, "0"], [1, 0, "1"], [0, 1, "4"]]},
-            {"(2, (0, 0, 2))": [[1, 0, 2], ["0", "1", "7"], [0, 2, 2.5], [0, 3, True]]},
-            {"(2, (0, 0, 2))": [], "(1, (0,))": [[0, 0, "1"]]},
-            {},
-            {"(2, (0, 0, 2))": [[1, 0]]},
-            {"(2, (0, 0, 2))": [[1, 0, "x"]]},
-            {"(2, (0, 0, 2))": [[1, 0, None]]},
-            {"(2, (0, 0, 2))": [[[1], 0, "1"]]},
-            {"(2, (0, 0, 2))": 7},
-            {"\u00e9": [[0, 0, "1"]]},
-            [["(1, (0,))", [[0, 0, "1"]]]],
-        ],
-    )
-    def test_same_as_reference_decoder(self, tmp_path, capsys, entries):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-
-        def decoded(load):
-            cache = load(str(path))
-            return [(key, list(poly.coeffs.items())) for key, poly in cache.items()], capsys.readouterr().err
-
-        assert decoded(cache_load) == decoded(cache_load_reference)
+    def test_environment_names_no_cache(self, cached_run, tmp_path, monkeypatch):
+        # a poisoned K4 cache, and a missing path, named only by the
+        # environment variable: no run reads the one or creates the other
+        path, missing = tmp_path / "poisoned.json", tmp_path / "missing.json"
+        path.write_text(poisoned_k4_cache())
+        before = file_state(path)
+        cold = {label: cached_run(label, None, K4) for label in CACHED_COMMANDS}
+        for name in (path, missing):
+            monkeypatch.setenv("NGO_STRINGS_CACHE", str(name))
+            assert {label: cached_run(label, None, K4) for label in CACHED_COMMANDS} == cold
+        assert file_state(path) == before
+        assert not missing.exists()
 
 
 class TestTextDetails:
@@ -954,21 +691,22 @@ class TestTextDetails:
 
 
 class TestSparseQuivers:
-    """Cycles and prisms leave colour refinement one class, where an exact key takes exponential search."""
+    """Cycles and prisms, sparse blocks of the frontier sweep, answered by a fresh process."""
 
-    def run_fresh(self, tmp_path, graph):
+    def run_fresh(self, tmp_path, graph, *extra):
         path = tmp_path / "graph.json"
         path.write_text(dump_graph(graph))
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        argv = [sys.executable, "-m", "ngostrings", "tutte", "--quiver", str(path), "--eval", "1", "1"]
+        argv = [sys.executable, "-m", "ngostrings", "tutte", "--quiver", str(path), "--eval", "1", "1", *extra]
         done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
         assert (done.returncode, done.stderr) == (0, "")
         return done.stdout
 
-    def test_cycle_60(self, tmp_path):
-        out = self.run_fresh(tmp_path, Quiver(60, [(v, (v + 1) % 60) for v in range(60)]))
-        powers = " + ".join(["x^%d" % i for i in range(59, 1, -1)] + ["x", "y"])
-        assert out == "T = %s\nT(1,1) = 60\n" % powers
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_cycle(self, tmp_path, n):
+        out = self.run_fresh(tmp_path, Quiver(n, [(v, (v + 1) % n) for v in range(n)]))
+        powers = " + ".join(["x^%d" % i for i in range(n - 1, 1, -1)] + ["x", "y"])
+        assert out == "T = %s\nT(1,1) = %d\n" % (powers, n)
 
     def test_prism_14(self, tmp_path):
         m = 7
@@ -976,6 +714,40 @@ class TestSparseQuivers:
         out = self.run_fresh(tmp_path, Quiver(2 * m, edges + [(v, m + v) for v in range(m)]))
         # Kirchhoff's count of the 7-prism's spanning trees
         assert out.startswith("T = x^13 + ") and out.endswith("\nT(1,1) = 35287\n")
+
+    @pytest.mark.parametrize("shape", ["path", "tree"])
+    def test_long_tree(self, tmp_path, shape):
+        # 20 000 blocks of one edge each, split in one pass
+        n = 20000
+        rng = random.Random(n)
+        parent = [v - 1 if shape == "path" else rng.randrange(v) for v in range(1, n)]
+        out = self.run_fresh(tmp_path, Quiver(n, [(u, v) for v, u in enumerate(parent, 1)]))
+        assert out == "T = x^%d\nT(1,1) = 1\n" % (n - 1)
+
+    def test_long_cycle_refused_quickly(self, tmp_path):
+        # one block of 20 000 vertices: planned in linear steps, then refused
+        n = 20000
+        path = tmp_path / "graph.json"
+        path.write_text(dump_graph(Quiver(n, [(v, (v + 1) % n) for v in range(n)])))
+        start = time.perf_counter()
+        status, out, err = run_process(["tutte", "--quiver", str(path)], tmp_path)
+        assert time.perf_counter() - start < 2.0
+        assert (status, out) == (1, "")
+        assert err.startswith("error: the Tutte polynomial of a graph with 20000 vertices and 20000 edges")
+
+    def test_cycle_of_bundles(self, tmp_path):
+        # C_50 with every edge a bundle of 20.  Summed over which m bundles
+        # an edge set leaves empty, T = (y-1) g^n + ((g + x - 1)^n - g^n) / (x - 1),
+        # with g = 1 + y + ... + y^(k-1) per nonempty bundle
+        n, k = 50, 20
+        graph = Quiver(n, [(v, (v + 1) % n) for v in range(n) for _ in range(k)])
+        payload = json.loads(self.run_fresh(tmp_path, graph, "--json"))
+        assert payload["value"] == str(n * k ** (n - 1))
+        terms = [(int(i), int(j), int(c)) for i, j, c in payload["terms"]]
+        for x, y in [(1, 0), (2, 2), (3, 2), (2, 3)]:
+            g = (y**k - 1) // (y - 1) if y != 1 else k
+            spread = n * g ** (n - 1) if x == 1 else ((g + x - 1) ** n - g**n) // (x - 1)
+            assert sum(c * x**i * y**j for i, j, c in terms) == (y - 1) * g**n + spread
 
 
 class TestParser:
@@ -1212,6 +984,9 @@ class TestStartup:
             "TutteCache",
             "top_betti",
             "partition_count",
+            "cache_load",
+            "cache_store",
+            "KEY_SEARCH_NODES",
         ],
     )
     def test_removed_names_stay_removed(self, name):
@@ -1423,15 +1198,13 @@ class TestProcessIdentity:
     def test_every_subcommand_has_a_success(self):
         assert list(PROCESS_SUCCESSES) == list(cli.SUBCOMMANDS)
 
-    def test_cache_file_complete_when_the_process_ends(self, capture, capsys, tmp_path):
+    def test_cache_file_complete_when_the_process_ends(self, capture, tmp_path):
         quiver = tmp_path / "q.graph"
         quiver.write_text(dump_graph(spectral_dual_quiver(Partition((2, 1, 1)), 2)))
         argv = ["tutte", "--quiver", str(quiver), "--cache"]
         expected = capture(*argv, str(tmp_path / "cold.json"))
         assert run_process([*argv, str(tmp_path / "fresh.json")], tmp_path) == expected
-        fresh, cold = (cache_load(str(tmp_path / name)) for name in ("fresh.json", "cold.json"))
-        assert capsys.readouterr().err == ""  # neither file drew a warning
-        assert fresh and fresh == cold
+        assert (tmp_path / "fresh.json").read_text() == (tmp_path / "cold.json").read_text() == EMPTY_CACHE
 
 
 def process_on(stdout, argv, **kwargs):

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from ngostrings import graphs, matroid
+from ngostrings import graphs, hypertoric
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
@@ -395,43 +395,35 @@ class TestCanonicalKey:
             assert pairs_canonical_key(g.vertex_count, pairs) == pairs_canonical_key_reference(g.vertex_count, pairs)
 
     def test_same_bytes_as_reference_on_recursion_keys(self, monkeypatch):
-        # every key the Tutte recursion completes on the benchmark's random quivers
+        # every key that enumerate_strata computes, once per vertex partition,
+        # on the benchmark's 7- and 8-vertex random quivers
         met = []
-        budgeted = matroid.pairs_canonical_key
+        exact = hypertoric.pairs_canonical_key
 
-        def recording(r, pairs, budget=None):
-            key = budgeted(r, pairs, budget)
+        def recording(r, pairs):
+            key = exact(r, pairs)
             met.append((r, dict(pairs), key))
             return key
 
-        monkeypatch.setattr(matroid, "pairs_canonical_key", recording)
-        for seed in (1, 2):
-            for r, pairs in tutte_cold_pairs(seed):
-                matroid._tutte(r, pairs, {})
-        done = [(r, pairs, key) for r, pairs, key in met if key is not None]
-        assert len(done) > 1000
-        for r, pairs, key in done:
-            assert key == pairs_canonical_key_reference(r, pairs)
+        monkeypatch.setattr(hypertoric, "pairs_canonical_key", recording)
+        for r, pairs in tutte_cold_pairs(1):
+            if r <= 8:
+                hypertoric.enumerate_strata(Quiver(r, [e for e, k in pairs.items() for _ in range(k)]))
+        distinct = {(r, tuple(sorted(pairs.items()))): key for r, pairs, key in met}
+        assert len(distinct) > 1000
+        for (r, pairs), key in distinct.items():
+            assert key == pairs_canonical_key_reference(r, dict(pairs))
 
     def test_budget(self):
-        # a cycle leaves colour refinement one class and ties every
-        # independent vertex set: the search runs out and answers None
+        # colour refinement at its weakest and strongest: a cycle stays one
+        # class and ties every independent vertex set, the lopsided graph has
+        # every vertex separated, and twins collapse a complete graph
         cycle = {(v, v + 1): 1 for v in range(9)}
         cycle[(0, 9)] = 1
-        exact = pairs_canonical_key(10, cycle)
-        assert exact == pairs_canonical_key_reference(10, cycle)
-        assert pairs_canonical_key(10, cycle, 50) is None
-        assert pairs_canonical_key(10, cycle, 10**6) == exact
-        # colour refinement separates every vertex of this one: one path of r + 1 nodes
         lopsided = {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 2): 4}
-        exact = pairs_canonical_key(4, lopsided)
-        assert exact == pairs_canonical_key_reference(4, lopsided)
-        assert pairs_canonical_key(4, lopsided, 5) == exact
-        assert pairs_canonical_key(4, lopsided, 4) is None
-        # twins collapse a complete graph to one path of r + 1 nodes
         complete = {(u, v): 2 for u in range(12) for v in range(u + 1, 12)}
-        assert pairs_canonical_key(12, complete, 13) == pairs_canonical_key(12, complete)
-        assert pairs_canonical_key(12, complete, 12) is None
+        for r, pairs in ((10, cycle), (4, lopsided), (12, complete)):
+            assert pairs_canonical_key(r, pairs) == pairs_canonical_key_reference(r, pairs)
 
 
 class TestSerialization:

@@ -111,13 +111,12 @@ class TestStrata:
         quivers += [spectral_dual_quiver(p, 2) for n in range(2, 5) for p in partitions_of(n)]
         for quiver in quivers:
             records = enumerate_strata(quiver)
-            oracle_cache = {}
             expected = []
             for blocks in set_partitions(range(quiver.vertex_count)):
                 vp = VertexPartition(blocks)
                 contracted, dropped = contract_counting_loops(quiver, vp)
                 b1 = betti1(contracted)
-                fields = (contracted.edge_count, dropped, b1, top_betti_reference(contracted, cache=oracle_cache))
+                fields = (contracted.edge_count, dropped, b1, top_betti_reference(contracted))
                 expected.append(((2 * b1, b1 + contracted.edge_count, canonical_key(contracted), vp.blocks), fields))
             expected.sort(key=lambda item: item[0])
             assert [rec.vp.blocks for rec in records] == [key[3] for key, _ in expected], quiver
@@ -138,7 +137,7 @@ class TestStrata:
         for _ in range(40):
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
             quiver = Quiver.from_graph(graph)
-            assert enumerate_strata(quiver) == enumerate_strata_reference(quiver, cache={})
+            assert enumerate_strata(quiver) == enumerate_strata_reference(quiver)
 
     def test_coarsening_classes_count_no_spheres(self, monkeypatch):
         def no_count(*args, **kwargs):
@@ -235,9 +234,8 @@ class TestSphereCount:
             graphs.append(MultiGraph(graph.vertex_count, edges))
         assert sum(betti1(g) == 0 for g in graphs) >= 20
         assert {g.vertex_count for g in graphs} == set(range(1, 10))
-        memo = {}
         for graph in graphs:
-            assert sphere_count(graph) == top_betti_reference(graph, cache=memo), graph.edges
+            assert sphere_count(graph) == top_betti_reference(graph), graph.edges
 
     def test_known_values(self):
         for k in range(1, 8):

@@ -1,4 +1,3 @@
-import ast
 import random
 import sys
 import time
@@ -12,19 +11,20 @@ from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectra
 from ngostrings import matroid
 from ngostrings.hypertoric import enumerate_strata
 from ngostrings.matroid import (
-    KEY_SEARCH_NODES,
     MAX_F_VECTOR_RANK,
     CographicMatroid,
     TuttePolynomial,
     f_h_vectors,
     spectral_tutte_polynomial,
-    _times_y_geometric,
     _tutte,
     tutte_polynomial,
 )
 from ngostrings.partitions import Partition, partitions_of
 
+from tutte_timings import INPUTS as TIMING_INPUTS
+
 from conftest import (
+    engine_tutte,
     random_connected_multigraph,
     top_betti_reference,
     tutte_cold_pairs,
@@ -150,14 +150,6 @@ class TestPolynomial:
         assert (y + minus_y).coeffs == {}
         assert TuttePolynomial.monomial(3, 3, 0) == TuttePolynomial.zero()
 
-    def test_y_geometric_product(self):
-        rng = random.Random(8)
-        for _ in range(50):
-            p = TuttePolynomial({(rng.randrange(4), rng.randrange(6)): rng.randint(-3, 3) for _ in range(6)})
-            k = rng.randint(1, 5)
-            geometric = TuttePolynomial({(0, j): 1 for j in range(k)})
-            assert _times_y_geometric(p, k) == p * geometric
-
 
 class TestIndependence:
     def test_banana(self):
@@ -221,25 +213,13 @@ class TestTutte:
             assert tutte_polynomial(g).evaluate(1, 1) == spanning_tree_count(g)
             done += 1
 
-    def test_memoized_equals_naive(self):
+    def test_equals_naive(self):
         rng = random.Random(17)
         for _ in range(100):
             g = random_connected_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=True)
-            poly = tutte_polynomial(g, cache={})
+            poly = tutte_polynomial(g)
             assert poly == tutte_polynomial_naive(g)
             assert all(c > 0 for c in poly.coeffs.values())
-
-    @pytest.mark.parametrize("n, entries", [(6, 42), (7, 99), (8, 219)])
-    def test_memo_entries_on_spectral_graphs(self, n, entries):
-        # one entry per reduced core (2-connected, three or more vertices, no
-        # series vertex) that the recursion keys; the counts pin which cores
-        # those are, so a change of key, reduction or bundle order shows here.
-        # The graph itself is such a core, and its key is stored
-        cache = {}
-        g = spectral_dual_graph(Partition([1] * n), 2)
-        tutte_polynomial(g, cache=cache)
-        assert len(cache) == entries
-        assert cache.get(canonical_key(g)) is not None
 
     def test_quiver_same_as_underlying(self):
         rng = random.Random(23)
@@ -249,25 +229,13 @@ class TestTutte:
             quivers.append(Quiver.from_graph(g))
         for q in quivers:
             g = q.underlying()
-            assert tutte_polynomial(q, cache={}) == tutte_polynomial(g, cache={})
+            assert tutte_polynomial(q) == tutte_polynomial(g)
             assert top_betti_reference(q) == top_betti_reference(g)
             assert betti1(q) == betti1(g)
             assert canonical_key(q) == canonical_key(g)
             mq, mg = CographicMatroid(q), CographicMatroid(g)
             assert (mq.rank, mq.size) == (mg.rank, mg.size)
-            assert f_h_vectors(mq, cache={}) == f_h_vectors(mg, cache={})
-
-    def test_warm_cache_identical(self):
-        # 2,1,1 at genus 2 is a triangle of bundles 4, 4, 2: one reduced core,
-        # stored cold and hit warm
-        cache = {}
-        g = spectral_dual_graph(Partition([2, 1, 1]), 2)
-        cold = tutte_polynomial(g, cache=cache)
-        assert len(cache) > 0
-        stored = len(cache)
-        warm = tutte_polynomial(g, cache=cache)
-        assert cold == warm
-        assert len(cache) == stored
+            assert f_h_vectors(mq) == f_h_vectors(mg)
 
     def test_cographic_duality_against_subset_oracle(self):
         graphs = [
@@ -308,27 +276,12 @@ def prism(n):
     return MultiGraph(n, edges + [(v, m + v) for v in range(m)])
 
 
-def key_graph(key):
-    """(r, pair multiplicities) of the multigraph a canonical key encodes."""
-    r, rows = ast.literal_eval(key.decode("ascii"))
-    pairs = {}
-    at = 0
-    for k in range(r):
-        row = rows[at : at + k + 1]
-        at += k + 1
-        for i, m in enumerate(row):
-            if m:
-                # row k lists the loops of the k-th vertex, then its edges to the earlier ones
-                pairs[(i - 1, k) if i else (k, k)] = m
-    return r, pairs
-
-
 class TestReducedCores:
-    """The Tutte recursion keys only 2-connected loopless cores with no series vertex."""
+    """Cycles, prisms and the benchmark's random quivers, whole blocks of one engine or the other."""
 
     def test_cycles(self):
         for n in (3, 4, 10, 60, 200):
-            poly = tutte_polynomial(cycle(n), cache={})
+            poly = tutte_polynomial(cycle(n))
             assert poly == TuttePolynomial({**{(i, 0): 1 for i in range(1, n)}, (0, 1): 1})
             # Kirchhoff: an n-cycle has n spanning trees
             assert poly.evaluate(1, 1) == n
@@ -338,62 +291,77 @@ class TestReducedCores:
     def test_prisms(self):
         for n in range(6, 15, 2):
             g = prism(n)
-            poly = tutte_polynomial(g, cache={})
+            poly = tutte_polynomial(g)
             assert poly.evaluate(1, 1) == spanning_tree_count(g)
             assert poly.evaluate(2, 2) == 2**g.edge_count
             if n <= 8:
                 assert poly == tutte_polynomial_naive(g)
-        # the 14-vertex prism's top key runs out of search budget
-        pairs = prism(14).pair_multiplicities()
-        assert matroid.pairs_canonical_key(14, pairs, KEY_SEARCH_NODES) is None
 
     def test_same_as_reference_on_benchmark_graphs(self):
         for r, pairs in tutte_cold_pairs(1) + tutte_cold_pairs(2)[:3]:
-            assert _tutte(r, pairs, {}) == tutte_reference(r, pairs, {})
+            assert _tutte(r, pairs) == tutte_reference(r, pairs, {})
 
-    def test_stored_keys_are_reduced_cores(self):
-        cache = {}
-        graphs = [prism(10), spectral_dual_graph(Partition([2, 1, 1, 1]), 2)]
-        for r, pairs in tutte_cold_pairs(4)[:3]:
-            graphs.append(MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)]))
+
+def seeded_multigraphs(count, seed):
+    """Connected multigraphs with 2 to 7 vertices and up to 14 edges, most with a parallel edge, some with loops."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_connected_multigraph(rng, max_vertices=7, max_edges=12, allow_loops=len(graphs) % 3 == 0)
+        if g.vertex_count < 2:
+            continue
+        edges = list(g.edges) + [rng.choice(g.edges) for _ in range(rng.randint(0, 2))]
+        graphs.append(MultiGraph(g.vertex_count, edges))
+    return graphs
+
+
+class TestEngines:
+    """The frontier sweep and the exponential formula over twin classes, each against the keyed oracle."""
+
+    @pytest.mark.parametrize("engine", ["frontier", "classes"])
+    def test_each_engine_equals_reference(self, engine):
+        graphs = seeded_multigraphs(300, 2718)
+        assert max(g.edge_count for g in graphs) == 14
+        assert sum(max(g.pair_multiplicities().values()) > 1 for g in graphs) > 200
         for g in graphs:
-            tutte_polynomial(g, cache=cache)
-        assert len(cache) > 50
-        for key, poly in cache.items():
-            r, pairs = key_graph(key)
-            g = MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)])
-            assert matroid.pairs_canonical_key(r, pairs) == key
-            assert r >= 3 and all(u != v for u, v in pairs)
-            assert g.is_connected()
-            for v in range(r):
-                # no cut vertex, and no vertex joined to two others by one edge each
-                rest = [u for u in range(r) if u != v]
-                index = {u: i for i, u in enumerate(rest)}
-                minus = MultiGraph(r - 1, [(index[a], index[b]) for a, b in g.edges if v not in (a, b)])
-                assert minus.is_connected()
-                link = [(u if w == v else w, k) for (u, w), k in pairs.items() if v in (u, w)]
-                assert not (len(link) == 2 and link[0][1] == link[1][1] == 1)
-            assert poly == tutte_polynomial(g, cache={})
+            pairs = dict(g.pair_multiplicities())
+            assert engine_tutte(engine, g.vertex_count, pairs) == tutte_reference(g.vertex_count, pairs, {}), g
 
-    def test_without_keys_same_answers(self, monkeypatch):
-        # a budget of no search node: no core is keyed, no entry stored
-        monkeypatch.setattr(matroid, "KEY_SEARCH_NODES", 0)
-        rng = random.Random(41)
-        for _ in range(30):
-            g = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
-            cache = {}
-            assert tutte_polynomial(g, cache=cache) == tutte_polynomial_naive(g)
-            assert len(cache) == 0
+    def test_twin_classes(self):
+        # K_4 minus the edge 03: 0 and 3 are twins with no edge between them,
+        # 1 and 2 twins joined by one edge
+        pairs = {(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1}
+        links = matroid._links(4, pairs)
+        assert matroid._twin_classes(links) == [[0, 3], [1, 2]]
+        assert matroid._class_matrix(links, [[0, 3], [1, 2]]) == [[0, 1], [1, 1]]
+        # a triangle with one double edge: its ends are twins, the third vertex is not
+        pairs = {(0, 1): 2, (1, 2): 1, (0, 2): 1}
+        links = matroid._links(3, pairs)
+        assert matroid._twin_classes(links) == [[0, 1], [2]]
+        assert matroid._class_matrix(links, [[0, 1], [2]]) == [[2, 1], [1, 0]]
 
-    def test_deterministic_memo(self):
-        for g in (prism(14), prism(10), spectral_dual_graph(Partition([1] * 6), 2)):
-            first, second = {}, {}
-            assert tutte_polynomial(g, cache=first) == tutte_polynomial(g, cache=second)
-            assert list(first.items()) == list(second.items())
+    @pytest.mark.parametrize(
+        "name, graph, engine",
+        [
+            ("K10", MultiGraph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)]), "_class_tutte"),
+            ("1^10 at g=2", spectral_dual_graph(Partition([1] * 10), 2), "_class_tutte"),
+            ("seeded r16", MultiGraph(*TIMING_INPUTS["seeded r16"]()), "_frontier_tutte"),
+            ("prism C10xK2", prism(20), "_frontier_tutte"),
+            ("C_60", cycle(60), "_frontier_tutte"),
+        ]
+        + [
+            ("tutte_cold slot %d" % slot, MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)]), "_frontier_tutte")
+            for slot, (r, pairs) in enumerate(tutte_cold_pairs(1))
+        ],
+    )
+    def test_chosen_engine(self, name, graph, engine):
+        # the engine the work estimates pick for every block of three or more vertices
+        blocks = matroid._blocks(graph.vertex_count, graph.pair_multiplicities())
+        assert {matroid._block_plan(b, pairs)[1].__name__ for b, pairs in blocks if b > 2} == {engine}
 
 
 class TestPerCallMemo:
-    """A call made without cache= keeps its memo to itself."""
+    """No module keeps a memo from one call to the next."""
 
     def test_no_module_holds_a_memo(self):
         g = spectral_dual_graph(Partition([1] * 5), 2)
@@ -408,17 +376,6 @@ class TestPerCallMemo:
             if isinstance(value, dict) and any(isinstance(v, TuttePolynomial) for v in value.values())
         ]
         assert held == []
-
-    def test_explicit_cache_does_not_reach_a_later_call(self):
-        g = spectral_dual_graph(Partition([1] * 4), 2)
-        quiver = spectral_dual_quiver(Partition([1] * 4), 2)
-        cold = tutte_polynomial(g), enumerate_strata(quiver)
-        cache = {}
-        tutte_polynomial(g, cache=cache)
-        poison = TuttePolynomial({(0, 0): 999})
-        cache.update((key, poison) for key in cache)
-        assert tutte_polynomial(g, cache=cache) == poison
-        assert (tutte_polynomial(g), enumerate_strata(quiver)) == cold
 
 
 class TestTopBetti:
@@ -462,10 +419,8 @@ class TestFHVectors:
 
     def test_rank_limit_before_work(self):
         g = MultiGraph(2, [(0, 1)] * (MAX_F_VECTOR_RANK + 2))
-        cache = {}
         with pytest.raises(ResourceLimitError):
-            f_h_vectors(CographicMatroid(g), cache=cache)
-        assert len(cache) == 0
+            f_h_vectors(CographicMatroid(g))
 
     def test_top_h_equals_sphere_count(self):
         for n in range(2, 5):
@@ -479,17 +434,16 @@ class TestFHVectors:
 
 
 class TestSpectralTutte:
-    ORACLE_INPUTS = (
-        [(p, g) for n in range(1, 7) for p in partitions_of(n) for g in (2, 3)]
-        + [(Partition([1] * r), 2) for r in (7, 8, 9)]
-        + [(Partition([2, 1, 1, 1]), 4)]
-    )
+    ORACLE_INPUTS = [(p, g) for n in range(2, 7) for p in partitions_of(n) if p.r > 1 for g in (2, 3)] + [
+        (Partition([1] * r), 2) for r in (7, 8)
+    ]
 
-    def test_equals_deletion_contraction(self):
-        # the memoized deletion-contraction of the built graph is the oracle
-        cache = {}
+    def test_equals_frontier_sweep(self):
+        # the frontier sweep of the built graph is the oracle: it shares no
+        # step with the exponential formula
         for p, g in self.ORACLE_INPUTS:
-            expected = tutte_polynomial(spectral_dual_graph(p, g), cache=cache)
+            graph = spectral_dual_graph(p, g)
+            expected = engine_tutte("frontier", graph.vertex_count, graph.pair_multiplicities())
             assert spectral_tutte_polynomial(p, g) == expected, (p, g)
 
     def test_single_part_is_one(self):

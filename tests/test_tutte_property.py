@@ -1,4 +1,4 @@
-"""Property test: the reduced Tutte recursion against the keyed-at-every-node oracle."""
+"""Property test: the Tutte engines against the keyed-at-every-node oracle."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ngostrings.graphs import MultiGraph  # noqa: E402
 from ngostrings.matroid import _tutte  # noqa: E402
 
-from conftest import tutte_reference  # noqa: E402
+from conftest import engine_tutte, tutte_reference  # noqa: E402
 
 
 @st.composite
@@ -48,11 +48,10 @@ def glued_multigraphs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(glued_multigraphs())
 def test_same_as_reference(graph):
-    pairs = dict(graph.pair_multiplicities())
-    cache = {}
-    poly = _tutte(graph.vertex_count, pairs, cache)
-    assert poly == tutte_reference(graph.vertex_count, pairs, {})
-    # warm: the memo returns the same polynomial and gains nothing
-    stored = len(cache)
-    assert _tutte(graph.vertex_count, pairs, cache) == poly
-    assert len(cache) == stored
+    r, pairs = graph.vertex_count, dict(graph.pair_multiplicities())
+    expected = tutte_reference(r, pairs, {})
+    assert _tutte(r, pairs) == expected
+    # each engine alone, on the whole loopless graph, cut vertices and all
+    if r > 1:
+        assert engine_tutte("frontier", r, pairs) == expected
+        assert engine_tutte("classes", r, pairs) == expected
