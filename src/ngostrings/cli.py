@@ -284,7 +284,7 @@ def cmd_tutte(args):
 
     from .matroid import spectral_tutte_polynomial, tutte_polynomial
 
-    # partition inputs take the exponential-formula engine, which builds no graph
+    # partition inputs go to the same engines as pair multiplicities, with no edge list
     spectral = _spectral_input(args)
     poly = tutte_polynomial(_resolve_quiver(args)) if spectral is None else spectral_tutte_polynomial(*spectral)
     # the cache_warm benchmark's set-up copies the file a run creates

@@ -25,8 +25,8 @@ GRAPH_FORMAT = "graph/1"
 # prints its costliest outputs, --json in about 3-4 s and 200 MiB and --emit
 # in about 1 s and 200 MiB (fresh process, 2-core Xeon, Python 3.11).  The
 # spectral dual graphs of interest stay well below it (2,1,1 at genus 20000
-# has 199 990 edges).  Graph statistics on a partition check it but build no
-# graph; `tutte`, `matroid` and `strata` on a partition neither check nor build.
+# has 199 990 edges).  Graph statistics, `tutte` and `matroid` on a partition
+# check it but build no edge list; `strata` on a partition does neither.
 MAX_GRAPH_SIZE = 10**6
 
 
@@ -235,14 +235,17 @@ def checked_spectral_edge_count(partition, genus):
     return s
 
 
+def _spectral_pairs(parts, genus):
+    """The spectral dual graph's pair multiplicities {(i, j): n_i n_j (2g - 2)}, i < j, in lexicographic order."""
+    r = len(parts)
+    return {(i, j): parts[i] * parts[j] * (2 * genus - 2) for i in range(r) for j in range(i + 1, r)}
+
+
 def _spectral_edges(partition, genus):
     checked_spectral_edge_count(partition, genus)
-    parts = partition.parts
-    r = len(parts)
     edges = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            edges.extend([(i, j)] * (parts[i] * parts[j] * (2 * genus - 2)))
+    for pair, k in _spectral_pairs(partition.parts, genus).items():
+        edges.extend([pair] * k)
     return edges
 
 

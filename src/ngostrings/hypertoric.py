@@ -29,6 +29,7 @@ from .errors import ResourceLimitError
 from .graphs import (
     VertexPartition,
     _relabel,
+    _spectral_pairs,
     boundary_matrix,
     pairs_canonical_key,
     spectral_edge_count,
@@ -113,10 +114,11 @@ def circuit_relations(quiver):
     ]
 
 
-def _strata(r, label_of, stratum_of):
+def _strata(r, stratum_of):
     """Records of the vertex partitions of range(r), sorted by (codimension, key, blocks).
 
-    stratum_of(vp, label) -> (s, deleted loops, key, multiplicity) runs once per label.
+    stratum_of(vp) -> (label, fields) runs once per vertex partition, and
+    fields() -> (s, deleted loops, key, multiplicity) once per label.
     """
     if r > MAX_STRATA_VERTICES:
         raise ResourceLimitError(
@@ -129,10 +131,10 @@ def _strata(r, label_of, stratum_of):
         # the blocks of set_partitions are disjoint and each in order: only
         # the block order needs sorting, and nothing needs checking
         vp = VertexPartition._from_sorted(sorted(map(tuple, blocks)))
-        label = label_of(vp)
+        label, fields_of = stratum_of(vp)
         stratum = classes.get(label)
         if stratum is None:
-            s, dropped, key, multiplicity = stratum_of(vp, label)
+            s, dropped, key, multiplicity = fields_of()
             b1 = s - len(vp) + 1  # contracting a connected quiver leaves it connected
             fields = (s, dropped, b1, b1 + s, 2 * b1, b1, multiplicity)
             stratum = classes[label] = ((2 * b1, b1 + s, key), fields)
@@ -190,15 +192,13 @@ def enumerate_strata(quiver):
     pairs = quiver.pair_multiplicities()
 
     # the contraction along vp: its blocks numbered as in vp.block_of(), the
-    # edges inside a block deleted and counted
-    def key_of(vp):
-        return pairs_canonical_key(len(vp), _relabel(pairs, vp.block_of())[0])
-
-    def stratum_of(vp, key):
+    # edges inside a block deleted and counted; its canonical key is the label
+    def stratum_of(vp):
         contracted, dropped = _relabel(pairs, vp.block_of())
-        return quiver.edge_count - dropped, dropped, key, _sphere_count(len(vp), contracted)
+        key = pairs_canonical_key(len(vp), contracted)
+        return key, lambda: (quiver.edge_count - dropped, dropped, key, _sphere_count(len(vp), contracted))
 
-    return _strata(quiver.vertex_count, key_of, stratum_of)
+    return _strata(quiver.vertex_count, stratum_of)
 
 
 def spectral_strata(partition, genus):
@@ -215,16 +215,16 @@ def spectral_strata(partition, genus):
     total = spectral_edge_count(partition, genus)
     part_of = partition.parts.__getitem__
 
-    def mu_of(vp):
-        return tuple(sorted([sum(map(part_of, b)) for b in vp.blocks]))
-
-    def stratum_of(vp, mu):
-        k = len(mu)
-        pairs = {(a, b): mu[a] * mu[b] * (2 * genus - 2) for a in range(k) for b in range(a + 1, k)}
+    def fields(mu):
+        pairs = _spectral_pairs(mu, genus)
         s = sum(pairs.values())
-        return s, total - s, pairs_canonical_key(k, pairs), factorial(k - 1)
+        return s, total - s, pairs_canonical_key(len(mu), pairs), factorial(len(mu) - 1)
 
-    return _strata(partition.r, mu_of, stratum_of)
+    def stratum_of(vp):
+        mu = tuple(sorted([sum(map(part_of, b)) for b in vp.blocks]))
+        return mu, lambda: fields(mu)
+
+    return _strata(partition.r, stratum_of)
 
 
 def local_model_dims(partition, genus):

@@ -11,16 +11,16 @@ homology oracle; the sphere counts of `strata --quiver` take no polynomial
 (hypertoric._sphere_count).
 
 tutte_polynomial takes any connected multigraph (the `--quiver` inputs), as
-its pair multiplicities {(u, v): k}.  Loops are a factor y^loops and a graph
-with a cut vertex is the product of its blocks.  A block of two vertices is
-a bundle; each other block goes to the cheaper of two engines by work
-estimates made in linear steps before any work, and a graph whose estimates
-sum past MAX_TUTTE_WORK is refused: a frontier sweep over
-edge subsets, for sparse blocks, or the exponential formula over twin
-classes, for dense twin-rich ones.  spectral_tutte_polynomial takes a
+its pair multiplicities {(u, v): k}, and spectral_tutte_polynomial a
 partition and a genus (the `--partition` inputs of `tutte` and `matroid`),
-whose equal parts are twins, and runs the exponential formula without
-building the graph.  Neither keeps anything from one call to the next.
+as the pair multiplicities of its spectral dual graph, with no edge list.
+Both go to _tutte.  Loops are a factor y^loops and a graph with a cut vertex
+is the product of its blocks.  A block of two vertices is a bundle; each
+other block goes to the cheaper of two engines by work estimates made
+before any work, and a graph whose estimates sum past MAX_TUTTE_WORK is
+refused: a frontier sweep over edge subsets, for sparse blocks, or the
+exponential formula over twin classes, for dense twin-rich ones such as
+spectral dual graphs.  Nothing is kept from one call to the next.
 """
 
 from collections import Counter
@@ -30,7 +30,7 @@ from math import comb, prod
 from operator import mul
 
 from .errors import ResourceLimitError
-from .graphs import _links, _relabel, betti1, spectral_edge_count
+from .graphs import _links, _relabel, _spectral_pairs, betti1, checked_spectral_edge_count
 
 
 class TuttePolynomial:
@@ -75,6 +75,8 @@ class TuttePolynomial:
         return TuttePolynomial._of(out)
 
     def __mul__(self, other):
+        if self.coeffs == {(0, 0): 1}:
+            return other  # the polynomial 1: no copy of every term
         out = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
@@ -174,6 +176,9 @@ def _blocks(r, core):
     (p, v) and those stacked after it.  Linear in the size of the graph.
     """
     links = _links(r, core)
+    # every vertex with r/2 neighbours or more: 2-connected (Dirac), one block
+    if 2 * min(map(len, links)) >= r:
+        return [(r, core)]
     disc = [-1] * r
     low = [0] * r
     at = [0] * r  # where the tree edge into a vertex sits in edges
@@ -231,7 +236,7 @@ def _coefficient_bits(links):
 
 
 def _sweep(links):
-    """The steps of _frontier_tutte on a connected loopless graph, in a greedy vertex order.
+    """Yield the steps of _frontier_tutte on a connected loopless graph, in a greedy vertex order.
 
     None is the next vertex joining the end of the frontier, (i, j, k) a
     bundle of k edges between frontier positions i and j, and (i,) the
@@ -246,7 +251,7 @@ def _sweep(links):
     oldest = [r] * r  # when its first neighbour was placed
     heap = [(0, unplaced[v], r, v) for v in range(r)]
     heapify(heap)
-    frontier, steps = [], []
+    frontier = []
     t = 0
     while heap:
         minus, _, _, v = heappop(heap)
@@ -254,21 +259,20 @@ def _sweep(links):
             continue  # a stale entry
         placed[v] = -1
         t += 1
-        steps.append(None)
+        yield None
         frontier.append(v)
         for u, k in links[v]:
             unplaced[u] -= 1
             if placed[u] < 0:
-                steps.append((frontier.index(u), len(frontier) - 1, k))
+                yield frontier.index(u), len(frontier) - 1, k
             else:
                 placed[u] += 1
                 oldest[u] = min(oldest[u], t)
                 heappush(heap, (-placed[u], unplaced[u], oldest[u], u))
         for i in reversed(range(len(frontier))):
             if not unplaced[frontier[i]]:
-                steps.append((i,))
+                yield (i,)
                 del frontier[i]
-    return steps
 
 
 def _frontier_tutte(steps, K, b1):
@@ -354,6 +358,28 @@ def _class_matrix(links, classes):
     return [[near.get(d[-1], 0) for d in classes] for near in [dict(links[c[0]]) for c in classes]]
 
 
+def _sub_multisets(sizes, matrix):
+    """(|a|, e(a), subsets) for each sub-multiset a of the twin classes of _class_tutte, in lexicographic order.
+
+    a sits at position sum_k a_k * strides[k], so every b <= a comes first;
+    subsets lists (position of b, c(a, b)) for each b <= a that holds v*.
+    """
+    strides = [prod(m + 1 for m in sizes[k + 1 :]) for k in range(len(sizes))]
+    for a in product(*[range(m + 1) for m in sizes]):
+        # e(a) = (a M a - sum_c a_c M_cc) / 2
+        edges = sum(x * (sum(map(mul, a, row)) - row[c]) for c, (x, row) in enumerate(zip(a, matrix))) // 2
+        subsets = []
+        if any(a):
+            # every b <= a with b_first >= 1, as (position, c(a, b)) factors per class
+            first = next(k for k, x in enumerate(a) if x)
+            choices = [[(0, 1)]] * first
+            choices.append([(b * strides[first], comb(a[first] - 1, b - 1)) for b in range(1, a[first] + 1)])
+            for k in range(first + 1, len(a)):
+                choices.append([(b * strides[k], comb(a[k], b)) for b in range(a[k] + 1)])
+            subsets = [(sum(j for j, _ in pick), prod(c for _, c in pick)) for pick in product(*choices)]
+        yield sum(a), edges, subsets
+
+
 def _class_tutte(sizes, matrix, K):
     """Tutte polynomial of a graph with twin classes of the given sizes, by the exponential formula.
 
@@ -375,46 +401,30 @@ def _class_tutte(sizes, matrix, K):
     they are the base-2^K digits of the values.
     """
     r = sum(sizes)
-    # every sub-multiset in lexicographic order: a sits at position
-    # sum_k a_k * strides[k], so every b <= a comes before it
-    states = list(product(*[range(m + 1) for m in sizes]))
-    strides = [prod(m + 1 for m in sizes[k + 1 :]) for k in range(len(sizes))]
-    # e(a) = (a M a - sum_c a_c M_cc) / 2, times K
-    shift = [
-        K * sum(x * (sum(map(mul, a, row)) - row[c]) for c, (x, row) in enumerate(zip(a, matrix))) // 2
-        for a in states
-    ]
     powers = [1]
     for _ in range(r - 1):
         powers.append(powers[-1] * ((1 << K) - 1))
 
-    chat = [0] * len(states)
-    conn = [0] * len(states)
-    cluster = [[1]] + [None] * (len(states) - 1)  # P(a) as coefficients of (x-1)^d
-    for i in range(1, len(states)):
-        a = states[i]
-        # every b <= a with b_first >= 1, as (position, c(a, b)) factors per class
-        first = next(k for k, x in enumerate(a) if x)
-        choices = [[(0, 1)]] * first
-        choices.append([(b * strides[first], comb(a[first] - 1, b - 1)) for b in range(1, a[first] + 1)])
-        for k in range(first + 1, len(a)):
-            choices.append([(b * strides[k], comb(a[k], b)) for b in range(a[k] + 1)])
-        subsets = [(sum(j for j, _ in pick), prod(c for _, c in pick)) for pick in product(*choices)]
-
+    shift, chat, conn = [], [0], [0]
+    cluster = [[1]]  # P(a) as coefficients of (x-1)^d
+    for i, (size, edges, subsets) in enumerate(_sub_multisets(sizes, matrix)):
+        shift.append(K * edges)
+        if not i:
+            continue
         value = 1 << shift[i]
         for j, c in subsets:
             if j != i:
                 value -= (c * chat[j]) << shift[i - j]
-        chat[i] = value
-        conn[i] = value // powers[sum(a) - 1]
+        chat.append(value)
+        conn.append(value // powers[size - 1])
 
-        out = [0] * (sum(a) + 1)
+        out = [0] * (size + 1)
         for j, c in subsets:
             weight = c * conn[j]
             for d, v in enumerate(cluster[i - j]):
                 if v:
                     out[d + 1] += weight * v
-        cluster[i] = out
+        cluster.append(out)
 
     # T = sum_d P_d (x-1)^(d-1) over all vertices, expanded in powers of x
     last = cluster[-1]
@@ -427,55 +437,95 @@ def _class_tutte(sizes, matrix, K):
     return TuttePolynomial._of(coeffs)
 
 
+def _product_work(a, b):
+    """About the nanoseconds CPython takes to multiply an a-bit by a b-bit integer (2-core Xeon, Python 3.11).
+
+    On 30-bit digits: schoolbook, a nanosecond a pair, up to 70 digits in the
+    shorter factor, then Karatsuba, 70 (d / 70)^0.585 per longer digit.
+    """
+    short, long = sorted((a // 30 + 1, b // 30 + 1))
+    return int(long * min(short, 70 * (short / 70) ** 0.585))
+
+
 def _block_plan(r, pairs):
     """(work, engine, args): engine(*args) is the Tutte polynomial of a 2-connected loopless block.
 
     Each engine has a work estimate, in units of about a nanosecond (2-core
-    Xeon, Python 3.11), and the cheaper one runs:
+    Xeon, Python 3.11), and the cheaper one runs; engine and args are None
+    when both pass MAX_TUTTE_WORK.  Both charge 8000 for each of the
+    r (b1 + 1) terms of T, so MAX_TUTTE_WORK bounds an answer at about a
+    million terms, as MAX_GRAPH_SIZE bounds a bundle's, and price products
+    of big integers by _product_work:
 
-    - the frontier sweep: at each step, Bell(frontier width) states, each a
-      few operations on at most the s + r K (b1 + 1) bits of T(X, Y), at
-      about a nanosecond per 64 bits;
-    - the exponential formula: for each of its P = prod_c C(m_c+2, 2) pairs
-      of nested sub-multisets and each of the r x-coefficients, 100 for the
-      interpreter and 2^-20 L^2 for a product of two L = K (b1 + 1) bit
-      integers.
+    - the frontier sweep, summed step by step until it passes
+      MAX_TUTTE_WORK, before the quadratic steps of a dense block: Bell(frontier
+      width) states a step, each a few operations on at most the s + r L
+      bits of T(X, Y), L = K (b1 + 1), a nanosecond per 64 bits; at a bundle
+      of k > 1 edges between two classes also the value, at most K e + L c
+      bits after e edges and c leaving vertices, times 1 + Y + ... + Y^(k-1);
+    - the exponential formula, summed pair by pair until it passes the
+      sweep's: 100 for each of its P = prod_c C(m_c+2, 2) pairs b <= a of
+      sub-multisets and r x-coefficients, and the products of C(b), at most
+      K e(b) bits, by the coefficients of P(a-b), at most K e(a-b) bits.
     """
-    links = _links(r, pairs)
-    K = _coefficient_bits(links)
     s = sum(pairs.values())
     b1 = s - r + 1
-    steps = _sweep(links)
-    states = width = 0
+    terms = r * (b1 + 1) * 8000
+    if terms > MAX_TUTTE_WORK:
+        return terms, None, None
+    links = _links(r, pairs)
+    K = _coefficient_bits(links)
+    L = K * (b1 + 1)
+    steps = []
+    states = products = width = swept = left = 0
     bell, row = [1], [1]  # Bell numbers, by the Bell triangle
-    for step in steps:
+    for step in _sweep(links):
+        steps.append(step)
         width += step is None
-        # a frontier of width 64 already has more states than any sweep could take
-        while len(bell) <= min(width, 64):
+        w = min(width, 64)  # a frontier of width 64 already has more states than any sweep could take
+        while len(bell) <= w:
             row = list(accumulate(row, initial=row[-1]))
             bell.append(row[0])
-        states += bell[min(width, 64)]
-        if step is not None and len(step) == 1:
+        states += bell[w]
+        if step is not None and len(step) == 3:
+            if step[2] > 1:
+                products += (bell[w] - bell[w - 1]) * _product_work(K * swept + L * left, K * (step[2] - 1) + 1)
+            swept += step[2]
+        elif step is not None:
             width -= 1
-    sweep = states * (s + r * K * (b1 + 1)) // 64
+            left += 1
+        sweep = terms + states * (s + r * L) // 64 + products
+        if sweep > MAX_TUTTE_WORK:
+            break
     classes = _twin_classes(links)
-    sizes = Counter(len(c) for c in classes)
-    formula = prod(comb(m + 2, 2) ** c for m, c in sizes.items()) * r * (100 + (K * (b1 + 1)) ** 2 // 2**20)
+    sizes = [len(c) for c in classes]
+    formula = terms + prod(comb(m + 2, 2) ** c for m, c in Counter(sizes).items()) * r * 100
+    if formula <= min(sweep, MAX_TUTTE_WORK):
+        matrix = _class_matrix(links, classes)
+        seen = []  # (|a|, K e(a)) by position
+        for i, (size, edges, subsets) in enumerate(_sub_multisets(sizes, matrix)):
+            seen.append((size, K * edges))
+            formula += sum(max(size - seen[j][0], 1) * _product_work(seen[j][1], seen[i - j][1]) for j, _ in subsets)
+            if formula > min(sweep, MAX_TUTTE_WORK):
+                break
+    if min(sweep, formula) > MAX_TUTTE_WORK:
+        return min(sweep, formula), None, None
     if sweep <= formula:
         return sweep, _frontier_tutte, (steps, K, b1)
-    return formula, _class_tutte, ([len(c) for c in classes], _class_matrix(links, classes), K)
+    return formula, _class_tutte, (sizes, matrix, K)
 
 
 def _tutte(r, pairs):
-    """Tutte polynomial of the connected multigraph with the given pair multiplicities.
+    """Tutte polynomial of the connected multigraph with pair multiplicities {(u, v): k}, u <= v.
 
-    Loops are a factor y^loops, and a graph with a cut vertex is the product
-    of its blocks: a block of two vertices is a bundle, and any other is
-    computed by the engine _block_plan picks.  Raises
-    ResourceLimitError before any engine runs when the blocks' work
+    Loops, the (v, v) entries, are a factor y^loops, and a graph with a cut
+    vertex is the product of its blocks: a block of two vertices is a
+    bundle, and any other is computed by the engine _block_plan picks.
+    Raises ResourceLimitError before any engine runs when the blocks' work
     estimates sum past MAX_TUTTE_WORK.
     """
-    core, loops = _relabel(pairs, range(r))
+    core = {pair: k for pair, k in pairs.items() if pair[0] != pair[1]}
+    loops = sum(pairs.values()) - sum(core.values())
     blocks = _blocks(r, core)
     plans = [_block_plan(b, block) for b, block in blocks if b > 2]
     work = sum(plan[0] for plan in plans)
@@ -506,29 +556,14 @@ def tutte_polynomial(graph):
     return _tutte(graph.vertex_count, graph.pair_multiplicities())
 
 
-# Bound on the work estimates of tutte_polynomial (_block_plan), checked
-# before any engine runs.  Near it (2-core Xeon, Python 3.11, in process),
-# seeded random quivers of 19 to 26 vertices and 57 to 77 edges take 0.8 to
-# 10 s and up to 470 MiB; tests/tutte_timings.py's seeded d14 (2^32 units)
-# takes 3.4 s and 180 MiB, and its seeded r24 (2^35) is refused.  The block
-# split and the estimates before the check take linear steps: a cycle of
-# 400 000 vertices is refused after 8 s of them.
+# Bound on the work estimates of _tutte (_block_plan), checked before any
+# engine runs.  Near it (2-core Xeon, Python 3.11), seeded random quivers of
+# 19 to 26 vertices and 57 to 77 edges take 0.8 to 10 s and up to 470 MiB in
+# process, seeded d14 of tests/tutte_timings.py 3 s and 180 MiB.  The last
+# partition inputs accepted take, by `tutte --json` in a fresh process: 1^39
+# at genus 2, 3.0 s and 35 MiB; 2,1,1 at genus 33 330, a million terms, 1.9 s
+# and 236 MiB; 1,1 at genus 500 000, a bundle, 4.0 s and 405 MiB.
 MAX_TUTTE_WORK = 8 * 10**9
-
-# Bound on the work estimate of spectral_tutte_polynomial, checked before
-# anything is allocated.  The estimate is P * r * L^2: P = prod_k C(m_k+2, 2)
-# pairs of nested sub-multisets of the partition (m_k the multiplicities of its
-# distinct parts), r the number of x-coefficients each pair multiplies, and
-# L = K * (b1 + 1) the bit length of one polynomial in y packed into an
-# integer, with K an upper bound on the bit length of the spanning-tree count.
-# L^2, the schoolbook cost of one product of L-bit integers, overstates
-# CPython's Karatsuba product, but it grows with the genus fast enough to
-# bound the output of r * (b1 + 1) terms as well.  Near the bound (2-core
-# Xeon, Python 3.11, one fresh process each), `tutte --json` answers 1^33 at
-# genus 2 in 1.0 s (1^34 is refused), 2,1,1 at genus 16 384 in 1.5 s and
-# 230 MiB, and 1,1 at genus 293 408 in 4.8 s and 550 MiB; 10,9,...,1 at genus
-# 2 would take 18 s.
-MAX_SPECTRAL_WORK = 2 * 10**15
 
 # f_h_vectors refuses a matroid of larger rank before any work.  The f-vector
 # has rank + 1 entries of up to s bits, and the Taylor shift that computes it
@@ -537,52 +572,13 @@ MAX_SPECTRAL_WORK = 2 * 10**15
 MAX_F_VECTOR_RANK = 5000
 
 
-def _spectral_work(partition, genus):
-    """Work estimate of spectral_tutte_polynomial, from the partition and genus alone."""
-    parts = partition.parts
-    r, n = len(parts), partition.n
-    b1 = spectral_edge_count(partition, genus) - r + 1
-    bits = (
-        (r - 1) * (2 * genus - 2).bit_length()
-        + (r - 2) * n.bit_length()
-        + sum(p.bit_length() for p in parts)
-    )
-    length = bits * (b1 + 1)
-    pairs = prod(comb(m + 2, 2) for m in Counter(parts).values())
-    return pairs * r * length * length
-
-
 def spectral_tutte_polynomial(partition, genus):
-    """Tutte polynomial of spectral_dual_graph(partition, genus), without building the graph.
+    """Tutte polynomial of spectral_dual_graph(partition, genus), by _tutte on its pair multiplicities.
 
-    Equal to tutte_polynomial of that graph, coefficient for coefficient.
-    Vertices with equal parts are twins, so _class_tutte takes one class per
-    distinct part, with e(a) = (g-1)(N(a)^2 - Q(a)) edges inside a vertex set
-    of type a, N the sum and Q the sum of squares of its parts.  2^K exceeds
-    the spanning-tree count (2g-2)^(r-1) n^(r-2) prod n_i = T(1, 1).  Raises
-    ResourceLimitError before any work when the work estimate exceeds
-    MAX_SPECTRAL_WORK.
+    Raises what spectral_dual_graph and then _tutte raise; builds no edge list.
     """
-    if genus < 2:
-        raise ValueError("genus must be at least 2, got %r" % genus)
-    r = partition.r
-    if r == 1:
-        return TuttePolynomial.one()
-    work = _spectral_work(partition, genus)
-    if work > MAX_SPECTRAL_WORK:
-        raise ResourceLimitError(
-            "the Tutte polynomial of the spectral dual graph of %s at genus %d needs about "
-            "2^%d units of work; the limit is about 2^%d"
-            % (partition, genus, work.bit_length(), MAX_SPECTRAL_WORK.bit_length())
-        )
-
-    n = partition.n
-    trees = (2 * genus - 2) ** (r - 1) * n ** (r - 2) * prod(partition.parts)
-    K = -(-trees.bit_length() // 4) * 4  # whole hex digits
-    counts = Counter(partition.parts)
-    values = sorted(counts, reverse=True)
-    matrix = [[(2 * genus - 2) * u * v for v in values] for u in values]
-    return _class_tutte([counts[v] for v in values], matrix, K)
+    checked_spectral_edge_count(partition, genus)
+    return _tutte(partition.r, _spectral_pairs(partition.parts, genus))
 
 
 def f_h_vectors(matroid):

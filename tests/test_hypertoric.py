@@ -139,6 +139,22 @@ class TestStrata:
             quiver = Quiver.from_graph(graph)
             assert enumerate_strata(quiver) == enumerate_strata_reference(quiver)
 
+    def test_each_vertex_partition_contracted_once(self, monkeypatch):
+        # a seeded 8-vertex quiver with a loop and parallel edges: one
+        # contraction per vertex partition, Bell(8) = 4140 of them
+        rng = random.Random(8)
+        edges = [(rng.randrange(v), v) for v in range(1, 8)] + [(3, 3), (1, 5), (1, 5)]
+        edges += [(rng.randrange(8), rng.randrange(8)) for _ in range(8)]
+        calls = []
+        relabel = hypertoric._relabel
+
+        def counting(*args):
+            calls.append(args)
+            return relabel(*args)
+
+        monkeypatch.setattr(hypertoric, "_relabel", counting)
+        assert len(enumerate_strata(Quiver(8, edges))) == len(calls) == 4140
+
     def test_coarsening_classes_count_no_spheres(self, monkeypatch):
         def no_count(*args, **kwargs):
             raise AssertionError("the spectral strata ran the sphere count")

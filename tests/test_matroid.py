@@ -348,6 +348,10 @@ class TestEngines:
             ("seeded r16", MultiGraph(*TIMING_INPUTS["seeded r16"]()), "_frontier_tutte"),
             ("prism C10xK2", prism(20), "_frontier_tutte"),
             ("C_60", cycle(60), "_frontier_tutte"),
+            # high-multiplicity blocks, where the sweep takes 3 to 9 times as long
+            ("2,1,1 at g=16384", spectral_dual_graph(Partition([2, 1, 1]), 16384), "_class_tutte"),
+            ("5,4,3,2,1 at g=100", spectral_dual_graph(Partition([5, 4, 3, 2, 1]), 100), "_class_tutte"),
+            ("3,3,2,2,1,1 at g=50", spectral_dual_graph(Partition([3, 3, 2, 2, 1, 1]), 50), "_class_tutte"),
         ]
         + [
             ("tutte_cold slot %d" % slot, MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)]), "_frontier_tutte")
@@ -358,6 +362,15 @@ class TestEngines:
         # the engine the work estimates pick for every block of three or more vertices
         blocks = matroid._blocks(graph.vertex_count, graph.pair_multiplicities())
         assert {matroid._block_plan(b, pairs)[1].__name__ for b, pairs in blocks if b > 2} == {engine}
+
+    def test_dense_block_refused_quickly(self):
+        # K_700: refused once both estimates pass MAX_TUTTE_WORK, before the
+        # frontier sweep's steps, which take quadratic time on a dense block
+        pairs = {(u, v): 1 for u in range(700) for v in range(u + 1, 700)}
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            _tutte(700, pairs)
+        assert time.perf_counter() - start < 0.3
 
 
 class TestPerCallMemo:
@@ -439,12 +452,13 @@ class TestSpectralTutte:
     ]
 
     def test_equals_frontier_sweep(self):
-        # the frontier sweep of the built graph is the oracle: it shares no
-        # step with the exponential formula
+        # the library picks one engine; each engine alone on the built graph
+        # is an oracle, and the two share no step
         for p, g in self.ORACLE_INPUTS:
             graph = spectral_dual_graph(p, g)
-            expected = engine_tutte("frontier", graph.vertex_count, graph.pair_multiplicities())
-            assert spectral_tutte_polynomial(p, g) == expected, (p, g)
+            poly = spectral_tutte_polynomial(p, g)
+            for engine in ("frontier", "classes"):
+                assert poly == engine_tutte(engine, graph.vertex_count, graph.pair_multiplicities()), (p, g, engine)
 
     def test_single_part_is_one(self):
         for n in (1, 2, 5):
@@ -476,7 +490,7 @@ class TestSpectralTutte:
 
     @pytest.mark.parametrize(
         "parts, genus",
-        [(range(13, 0, -1), 2), ([1] * 200, 2), ([2, 1, 1], 10**6), ([1, 1], 10**4000)],
+        [(range(13, 0, -1), 2), ([1] * 200, 2), ([2, 1, 1], 10**6), ([1, 1], 10**4000), ([1] * 1000, 2)],
     )
     def test_refused_before_work(self, parts, genus):
         start = time.perf_counter()

@@ -3,11 +3,13 @@
 Usage (from the root of a checkout): python3 tests/tutte_timings.py [NAME ...] [--timeout S]
 
 Each input is rebuilt from its seed or its shape and run in a fresh process
-on the checkout's own src/.  One line per input: the engine that ran
+on the checkout's own src/.  A graph (INPUTS) goes to tutte_polynomial, a
+partition and genus (PARTITIONS, named like "2,1,1 g=16384") to
+spectral_tutte_polynomial.  One line per input: the engine that ran
 (frontier, classes, or "-" when the checkout has neither), the in-process
-time of tutte_polynomial, the peak RSS of the process, and the first 16
-hex digits of the sha256 of str(T); or "refused" and the error, or
-"timeout".  pytest does not collect this file.
+time of the call, the peak RSS of the process, and the first 16 hex digits
+of the sha256 of str(T); or "refused" and the error, or "timeout".  pytest
+does not collect this file.
 """
 
 import hashlib
@@ -51,6 +53,12 @@ def complete(r, k=1):
     return r, [(u, v) for u in range(r) for v in range(u + 1, r) for _ in range(k)]
 
 
+def spectral(parts, genus):
+    """The spectral dual graph of the partition, its edges in the order of `graph --emit`."""
+    r = len(parts)
+    return r, [(i, j) for i in range(r) for j in range(i + 1, r) for _ in range(parts[i] * parts[j] * (2 * genus - 2))]
+
+
 INPUTS = {
     "seeded q10": lambda: seeded(10, 24),
     "seeded r16": lambda: seeded(16, 40),
@@ -67,6 +75,29 @@ INPUTS = {
     "K10": lambda: complete(10),
     "1^10 at g=2, built": lambda: complete(10, 2),
     "prism C10xK2 bundles of 6": lambda: prism(10, 6),
+    "2,1,1 g=16384, built": lambda: spectral((2, 1, 1), 16384),
+    "5,4,3,2,1 g=100, built": lambda: spectral((5, 4, 3, 2, 1), 100),
+    "3,3,2,2,1,1 g=50, built": lambda: spectral((3, 3, 2, 2, 1, 1), 50),
+}
+
+# partition inputs, as (parts, genus): the high-multiplicity blocks above and
+# the last accepted and first refused input of each family
+PARTITIONS = {
+    "1^33 g=2": ((1,) * 33, 2),
+    "1^34 g=2": ((1,) * 34, 2),
+    "1^39 g=2": ((1,) * 39, 2),
+    "1^40 g=2": ((1,) * 40, 2),
+    "2,1,1 g=16384": ((2, 1, 1), 16384),
+    "2,1,1 g=33330": ((2, 1, 1), 33330),
+    "2,1,1 g=33331": ((2, 1, 1), 33331),
+    "5,4,3,2,1 g=100": ((5, 4, 3, 2, 1), 100),
+    "3,3,2,2,1,1 g=50": ((3, 3, 2, 2, 1, 1), 50),
+    "1,1,1 g=30000": ((1, 1, 1), 30000),
+    "1,1,1 g=55550": ((1, 1, 1), 55550),
+    "1,1,1 g=55551": ((1, 1, 1), 55551),
+    "1,1 g=293408": ((1, 1), 293408),
+    "1,1 g=500000": ((1, 1), 500000),
+    "1,1 g=500001": ((1, 1), 500001),
 }
 
 
@@ -75,6 +106,7 @@ def run_one(name):
     from ngostrings import matroid
     from ngostrings.errors import ResourceLimitError
     from ngostrings.graphs import MultiGraph
+    from ngostrings.partitions import Partition
 
     engines = []
     for engine, label in (("_frontier_tutte", "frontier"), ("_class_tutte", "classes")):
@@ -86,10 +118,14 @@ def run_one(name):
                 return inner(*args)
 
             setattr(matroid, engine, recording)
-    graph = MultiGraph(*INPUTS[name]())
+    if name in PARTITIONS:
+        parts, genus = PARTITIONS[name]
+        args, tutte = (Partition(parts), genus), matroid.spectral_tutte_polynomial
+    else:
+        args, tutte = (MultiGraph(*INPUTS[name]()),), matroid.tutte_polynomial
     start = time.perf_counter()
     try:
-        poly = matroid.tutte_polynomial(graph)
+        poly = tutte(*args)
     except ResourceLimitError as exc:
         print("refused  %s" % exc)
         return
@@ -105,7 +141,7 @@ def main(argv):
         at = argv.index("--timeout")
         timeout = float(argv[at + 1])
         argv = argv[:at] + argv[at + 2 :]
-    for name in argv or INPUTS:
+    for name in argv or [*INPUTS, *PARTITIONS]:
         try:
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--one", name],
