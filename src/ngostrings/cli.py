@@ -53,8 +53,8 @@ def _json_text(obj, quote, newline):
 
     ``newline`` is the line break plus the indent of the enclosing level.
     Strings and keys take the C string encoder ``quote``, a list of plain
-    ints is joined in one go, and anything else (None, floats) goes to
-    json.dumps as it is.
+    ints is written by one format call, and anything else (None, floats)
+    goes to json.dumps as it is.
     """
     if obj is True:
         return "true"
@@ -69,7 +69,8 @@ def _json_text(obj, quote, newline):
         if not obj:
             return "[]"
         if set(map(type, obj)) == {int}:
-            items = '"' + ('",' + inner + '"').join(map(str, obj)) + '"'
+            # one format call for the row: "%d" per entry between the separators
+            items = '"' + ('",' + inner + '"').join(["%d"] * len(obj)) % tuple(obj) + '"'
         else:
             items = ("," + inner).join([_json_text(v, quote, inner) for v in obj])
         return "[" + inner + items + newline + "]"

@@ -64,17 +64,6 @@ class MultiGraph:
             return False
         return pairs_connected(self.vertex_count, self.pair_multiplicities())
 
-    def without_edges(self, indices):
-        """Copy with the edges at the given positions removed (order preserved)."""
-        drop = set(indices)
-        for i in drop:
-            if not (0 <= i < len(self.edges)):
-                raise ValueError("edge index %r out of range" % (i,))
-        return MultiGraph(
-            self.vertex_count,
-            [e for i, e in enumerate(self.edges) if i not in drop],
-        )
-
     def __eq__(self, other):
         # a quiver never equals a multigraph with the same edge list
         return (

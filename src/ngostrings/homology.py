@@ -5,18 +5,35 @@ cographic matroid is a wedge of top-dimensional spheres, and the rank of the
 top reduced homology group computed here must match the Tutte evaluation
 T(1, 0) from the matroid module.
 
-Boundary matrices are exact integer matrices assembled in a fixed
-lexicographic face order; ranks are computed fraction-free.  Degree -1 (the
-empty face) is part of every chain complex, so the complex {emptyset}
-reports reduced homology rank 1 in degree -1.
+Boundary maps are exact integer matrices over a fixed lexicographic face
+order, and their ranks are computed fraction-free by intlinalg._eliminate,
+with clearing (Chen and Kerber, "Persistent homology computation with a
+twist", EuroCG 2011).  The maps are taken from the top dimension down, each
+transposed: one row per k-face, holding its k + 1 signed (k-1)-faces.  Once
+the map from the (k+1)-faces is eliminated, its pivot columns P (k-faces)
+and pivot rows Q ((k+1)-faces) make a nonsingular minor D[P, Q] of the
+boundary D of the (k+1)-faces.  The boundary d of the k-faces has d D = 0,
+so d[:, P] D[P, Q] = -d[:, rest] D[rest, Q]: the boundary of every face of
+P is in the span of the boundaries of the other k-faces.  So the rows of P
+are left out, and the rank of d does not change.  Degree -1 (the empty
+face) is part of every chain complex, so the complex {emptyset} reports
+reduced homology rank 1 in degree -1.
 """
 
-from itertools import combinations
-
 from .errors import ResourceLimitError
-from .intlinalg import sparse_rank
+from .intlinalg import _eliminate
 
+# matroid_complex refuses a larger ground set before any work; a matroid
+# complex then has at most 2^16 faces.  The last inputs accepted, with 16
+# edges, take 0.65 to 0.95 s and 37 MiB by `matroid-homology` in a fresh
+# process (2-core Xeon, Python 3.11): one vertex with 16 loops (the full
+# 15-simplex), a bundle of 16 edges, and 2,2,1 at genus 2, 2,2 and 4,1 at
+# genus 3.
 MAX_GROUND_SET = 16
+# reduced_homology_ranks refuses a complex of more faces, the empty face
+# included, before building a boundary map.  No matroid complex reaches it;
+# the last complex accepted, the 19-simplex (2^20 faces), takes 20 s and
+# 399 MiB in process.
 MAX_FACES = 1 << 20
 
 
@@ -49,17 +66,22 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def faces_by_dim(self):
-        """Map dimension -> lexicographically sorted faces; includes () at dimension -1."""
+        """Map dimension -> lexicographically sorted faces; includes () at dimension -1.
+
+        From the top dimension down: the k-faces are the facets of k + 1
+        vertices and the boundary faces of the (k+1)-faces, so each face is
+        taken apart once rather than each facet into all its subsets.
+        """
         if not self.facets:
             return {}
-        buckets = {}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                buckets.setdefault(k - 1, set()).update(combinations(f, k))
-        out = {-1: [()]}
-        for k in sorted(buckets):
-            out[k] = sorted(buckets[k])
-        return out
+        layers = []
+        layer = set()
+        for k in range(self.dim, -1, -1):
+            layer = {f for f in self.facets if len(f) == k + 1}.union(
+                face[:m] + face[m + 1 :] for face in layer for m in range(k + 2)
+            )
+            layers.append(sorted(layer))
+        return {-1: [()], **dict(enumerate(reversed(layers)))}
 
     def face_count(self):
         return sum(len(faces) for faces in self.faces_by_dim().values())
@@ -85,25 +107,35 @@ def matroid_complex(matroid):
     return SimplicialComplex(matroid.bases())
 
 
-def _boundary_rank(lower, upper):
-    """Rank of the boundary map from faces ``upper`` to faces ``lower``."""
-    index = {face: i for i, face in enumerate(lower)}
-    rows = [dict() for _ in lower]
-    for j, face in enumerate(upper):
-        sign = 1
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            rows[index[sub]][j] = sign
-            sign = -sign
-    return sparse_rank(rows)
+def _boundary_ranks(faces):
+    """{k: rank of the boundary map from the k-faces to the (k-1)-faces} for k = 0..dim.
+
+    ``faces`` is faces_by_dim().  The maps go from the top dimension down,
+    transposed, and the rows of the k-faces that were pivot columns of the
+    map from the (k+1)-faces are cleared: see the module docstring.
+    """
+    ranks = {}
+    cleared = set()
+    for k in range(max(faces), -1, -1):
+        index = {face: j for j, face in enumerate(faces[k - 1])}
+        rows = []
+        for i, face in enumerate(faces[k]):
+            if i not in cleared:
+                rows.append({index[face[:m] + face[m + 1 :]]: 1 - 2 * (m & 1) for m in range(k + 1)})
+        pivots, _ = _eliminate(rows)
+        ranks[k] = len(pivots)
+        cleared = set(pivots)
+    return ranks
 
 
 def reduced_homology_ranks(complex_):
     """Ranks of reduced rational homology in degrees -1..dim, as a list.
 
-    Entry k of the list is the rank in degree k-1.  Exact: integer boundary
-    matrices in a fixed lexicographic face order, fraction-free rank
-    computation.
+    Entry k of the list is the rank in degree k-1: the number of (k-1)-faces
+    less the ranks of the boundary maps from and to them.  Exact: integer
+    boundary matrices in a fixed lexicographic face order, their ranks by
+    fraction-free elimination with clearing (_boundary_ranks), which leaves
+    out the rows that the boundary relation puts in the span of the others.
     """
     faces = complex_.faces_by_dim()
     if not faces:
@@ -113,14 +145,8 @@ def reduced_homology_ranks(complex_):
         raise ResourceLimitError(
             "complex has %d faces; the homology oracle is capped at %d" % (total, MAX_FACES)
         )
-    dim = max(faces)
-    counts = {k: len(faces[k]) for k in faces}
-    ranks = {}
-    for k in range(0, dim + 1):
-        ranks[k] = _boundary_rank(faces[k - 1], faces[k])
+    ranks = _boundary_ranks(faces)
     out = []
-    for k in range(-1, dim + 1):
-        value = counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        out.append(value)
+    for k in range(-1, max(faces) + 1):
+        out.append(len(faces[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0))
     return out
-

@@ -9,8 +9,10 @@ verify_exact certifies condition by condition.
 The sparse rank elimination pivots deterministically: in the shortest live
 row, on its entry of smallest magnitude, then fewest column rows, then
 lowest column.  Its unit pivots double as the exactness certificate of
-verify_exact, which decides from that certificate alone.  The Smith normal
-form that would decide every other pair is a test oracle (tests/conftest.py).
+verify_exact, which decides from that certificate alone, and its pivot
+columns are the faces the homology oracle clears (ngostrings.homology).  The
+Smith normal form that would decide every other pair is a test oracle
+(tests/conftest.py).
 """
 
 import math
@@ -72,7 +74,11 @@ class IntMatrix:
 
 
 def _eliminate(rows):
-    """Fraction-free elimination of sparse rows (dicts col -> value): (rank, unimodular).
+    """Fraction-free elimination of sparse rows (dicts col -> value): (pivots, unimodular).
+
+    ``pivots`` lists the pivot columns in the order they were taken; the rank
+    is their number, and the pivot rows and pivot columns of the input form
+    a nonsingular minor.
 
     Row combinations are integer cross-multiplications fr*row - fp*pivot row
     (fr, fp = p/g, a/g with g = gcd(p, a)) followed by a gcd renormalization,
@@ -110,7 +116,7 @@ def _eliminate(rows):
     # (length, index) of every live row, stale entries skipped when popped
     queue = [(len(row), i) for i, row in work.items()]
     heapify(queue)
-    rank = 0
+    pivots = []
     while queue:
         length, pi = heappop(queue)
         prow = work.get(pi)
@@ -151,16 +157,8 @@ def _eliminate(rows):
                 heappush(queue, (len(row), i))
             else:
                 del work[i]
-        rank += 1
-    return rank, unimodular
-
-
-def sparse_rank(rows):
-    """Rank over Q of a matrix given as sparse rows (dicts col -> value).
-
-    Exact and fraction-free; see _eliminate for the deterministic pivot rule.
-    """
-    return _eliminate(rows)[0]
+        pivots.append(pj)
+    return pivots, unimodular
 
 
 def _sparse_rows(data):
@@ -207,8 +205,9 @@ def verify_exact(A, B):
             % (A.rows, A.cols, B.rows, B.cols)
         )
     b_rows = _sparse_rows(B.data)
-    rank_a, a_unimodular = _eliminate(_sparse_rows(A.data))
-    rank_b, b_unimodular = _eliminate(b_rows)
+    pivots_a, a_unimodular = _eliminate(_sparse_rows(A.data))
+    pivots_b, b_unimodular = _eliminate(b_rows)
+    rank_a, rank_b = len(pivots_a), len(pivots_b)
     a_surjective = rank_a == A.rows
     if (a_surjective and not a_unimodular) or not b_unimodular:
         raise ValueError(

@@ -6,9 +6,9 @@ rank is the first Betti number b1.  Its Tutte polynomial is the graphic one
 with the variables exchanged, which is how everything here is computed: the
 f- and h-vectors of the matroid complex are read off T_graphic(1, y), and
 the top entry of h is the number of top-dimensional spheres in the complex,
-T_graphic(1, 0).  Independent sets are enumerated only by the brute-force
-homology oracle; the sphere counts of `strata --quiver` take no polynomial
-(hypertoric._sphere_count).
+T_graphic(1, 0).  Bases are listed, as spanning-tree complements, only for
+the brute-force homology oracle; the sphere counts of `strata --quiver`
+take no polynomial (hypertoric._sphere_count).
 
 tutte_polynomial takes any connected multigraph (the `--quiver` inputs), as
 its pair multiplicities {(u, v): k}, and spectral_tutte_polynomial a
@@ -17,15 +17,16 @@ as the pair multiplicities of its spectral dual graph, with no edge list.
 Both go to _tutte.  Loops are a factor y^loops and a graph with a cut vertex
 is the product of its blocks.  A block of two vertices is a bundle; each
 other block goes to the cheaper of two engines by work estimates made
-before any work, and a graph whose estimates sum past MAX_TUTTE_WORK is
-refused: a frontier sweep over edge subsets, for sparse blocks, or the
-exponential formula over twin classes, for dense twin-rich ones such as
-spectral dual graphs.  Nothing is kept from one call to the next.
+before any work: a frontier sweep over edge subsets, for sparse blocks, or
+the exponential formula over twin classes, for dense twin-rich ones such as
+spectral dual graphs.  A graph is refused when those estimates and the cost
+of multiplying the blocks' polynomials sum past MAX_TUTTE_WORK.  Nothing is
+kept from one call to the next.
 """
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import comb, prod
 from operator import mul
 
@@ -141,30 +142,32 @@ class CographicMatroid:
     def size(self):
         return self.graph.edge_count
 
-    def is_independent(self, subset):
-        """True iff the graph stays connected after deleting the given edges."""
-        subset = set(subset)
-        for i in subset:
-            if not (0 <= i < self.size):
-                raise ValueError("edge index %r out of range" % (i,))
-        return self.graph.without_edges(subset).is_connected()
-
-    def independent_sets(self):
-        """Yield every independent set as a sorted tuple, smallest sets first per branch."""
-
-        def extend(current, start):
-            yield tuple(current)
-            for e in range(start, self.size):
-                current.append(e)
-                if self.is_independent(current):
-                    yield from extend(current, e + 1)
-                current.pop()
-
-        yield from extend([], 0)
-
     def bases(self):
-        """Maximal independent sets; all have size equal to the rank."""
-        return [iset for iset in self.independent_sets() if len(iset) == self.rank]
+        """The bases, each a sorted tuple of edge positions, in lexicographic order.
+
+        A basis is the complement of a spanning tree.  Every (r - 1)-subset
+        of the edges is tested with a union-find, which turns down a loop, a
+        second parallel edge and every other cycle; a tree's complement has
+        b1 edges.  The lexicographic order of the trees is the reverse of
+        their complements', so the list is reversed at the end.
+        """
+        r, edges = self.graph.vertex_count, self.graph.edges
+        out = []
+        for tree in combinations(range(len(edges)), r - 1):
+            parent = list(range(r))
+            for e in tree:
+                u, v = edges[e]
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u == v:
+                    break
+                parent[u] = v
+            else:
+                out.append(tuple(sorted(set(range(len(edges))).difference(tree))))
+        out.reverse()
+        return out
 
 
 def _blocks(r, core):
@@ -515,6 +518,40 @@ def _block_plan(r, pairs):
     return formula, _class_tutte, (sizes, matrix, K)
 
 
+def _factor_work(bundles, others):
+    """About the units of work _tutte takes to multiply its factors, the bundles of k edges and then the other blocks.
+
+    ``others`` is a list [(b, pairs)] of the blocks of b > 2 vertices.
+
+    TuttePolynomial.__mul__ takes about 125 units for each pair of terms
+    (2-core Xeon, Python 3.11).  Of n bundles of k > 1 edges, with e the sum
+    of their k - 1, a term of the product takes x from a of them and y^j,
+    1 <= j <= k - 1, from each other one, so at each x-degree its y-degrees
+    run from n - a to at most e - a: at most (n + 1)(e - n + 1) terms.  The
+    polynomial of another block has at most b (b1 + 1) terms, and a product
+    of x-degree X and y-degree Y at most (X + 1)(Y + 1).  A product taken
+    while the running one is still a monomial, y^loops x^a, costs nothing,
+    so a graph of one bundle or one other block is charged nothing.
+    """
+    work = n = e = 0
+    terms = 1
+    for k in bundles:
+        if terms > 1:
+            work += terms * k
+        if k > 1:
+            n += 1
+            e += k - 1
+            terms = (n + 1) * (e - n + 1)
+    x, y = len(bundles), e
+    for b, pairs in others:
+        b1 = sum(pairs.values()) - b + 1
+        if terms > 1:
+            work += terms * b * (b1 + 1)
+        x, y = x + b - 1, y + b1
+        terms = min(terms * b * (b1 + 1), (x + 1) * (y + 1))
+    return 125 * work
+
+
 def _tutte(r, pairs):
     """Tutte polynomial of the connected multigraph with pair multiplicities {(u, v): k}, u <= v.
 
@@ -522,24 +559,24 @@ def _tutte(r, pairs):
     vertex is the product of its blocks: a block of two vertices is a
     bundle, and any other is computed by the engine _block_plan picks.
     Raises ResourceLimitError before any engine runs when the blocks' work
-    estimates sum past MAX_TUTTE_WORK.
+    estimates and _factor_work sum past MAX_TUTTE_WORK.
     """
     core = {pair: k for pair, k in pairs.items() if pair[0] != pair[1]}
     loops = sum(pairs.values()) - sum(core.values())
     blocks = _blocks(r, core)
-    plans = [_block_plan(b, block) for b, block in blocks if b > 2]
-    work = sum(plan[0] for plan in plans)
+    bundles = [k for b, block in blocks if b == 2 for k in block.values()]
+    others = [(b, block) for b, block in blocks if b > 2]
+    plans = [_block_plan(b, block) for b, block in others]
+    work = sum(plan[0] for plan in plans) + _factor_work(bundles, others)
     if work > MAX_TUTTE_WORK:
         raise ResourceLimitError(
             "the Tutte polynomial of a graph with %d vertices and %d edges needs about 2^%d units of work; "
             "the limit is about 2^%d" % (r, sum(pairs.values()), work.bit_length(), MAX_TUTTE_WORK.bit_length())
         )
     poly = TuttePolynomial.monomial(0, loops)
-    for b, block in blocks:
-        if b == 2:
-            # a bundle of k edges: x + y + ... + y^(k-1)
-            (k,) = block.values()
-            poly = poly * TuttePolynomial._of({(1, 0): 1, **{(0, j): 1 for j in range(1, k)}})
+    for k in bundles:
+        # a bundle of k edges: x + y + ... + y^(k-1)
+        poly = poly * TuttePolynomial._of({(1, 0): 1, **{(0, j): 1 for j in range(1, k)}})
     for _, engine, args in plans:
         poly = poly * engine(*args)
     return poly
@@ -556,13 +593,16 @@ def tutte_polynomial(graph):
     return _tutte(graph.vertex_count, graph.pair_multiplicities())
 
 
-# Bound on the work estimates of _tutte (_block_plan), checked before any
-# engine runs.  Near it (2-core Xeon, Python 3.11), seeded random quivers of
-# 19 to 26 vertices and 57 to 77 edges take 0.8 to 10 s and up to 470 MiB in
-# process, seeded d14 of tests/tutte_timings.py 3 s and 180 MiB.  The last
-# partition inputs accepted take, by `tutte --json` in a fresh process: 1^39
-# at genus 2, 3.0 s and 35 MiB; 2,1,1 at genus 33 330, a million terms, 1.9 s
-# and 236 MiB; 1,1 at genus 500 000, a bundle, 4.0 s and 405 MiB.
+# Bound on the work estimates of _tutte (_block_plan, _factor_work), checked
+# before any engine runs.  Near it (2-core Xeon, Python 3.11), seeded random
+# quivers of 19 to 26 vertices and 57 to 77 edges take 0.8 to 10 s and up to
+# 470 MiB in process, seeded d14 of tests/tutte_timings.py 3 s and 180 MiB.
+# The last partition inputs accepted take, by `tutte --json` in a fresh
+# process: 1^39 at genus 2, 3.0 s and 35 MiB; 2,1,1 at genus 33 330, a
+# million terms, 1.9 s and 236 MiB; 1,1 at genus 500 000, a bundle, 4.0 s
+# and 405 MiB.  The products of the factors count too (_factor_work): the
+# last path of m bundles of m edges accepted, m = 45, takes 8.2 s and 37 MiB
+# by `tutte --quiver` in a fresh process, and m = 46 is refused.
 MAX_TUTTE_WORK = 8 * 10**9
 
 # f_h_vectors refuses a matroid of larger rank before any work.  The f-vector

@@ -6,7 +6,7 @@ import json
 import math
 import sys
 from collections import Counter, namedtuple
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 from ngostrings import strings
@@ -22,7 +22,7 @@ from ngostrings.graphs import (
     pairs_connected,
 )
 from ngostrings.hypertoric import StratumRecord
-from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix
+from ngostrings.intlinalg import MAX_DENSE_ENTRIES, ExactnessReport, IntMatrix, _eliminate
 from ngostrings import matroid
 from ngostrings.matroid import TuttePolynomial, _tutte
 from ngostrings.partitions import (
@@ -152,6 +152,62 @@ def top_betti_reference(graph):
         raise ValueError("top_betti_reference requires a connected graph")
     pairs = graph.pair_multiplicities()
     return _tutte(graph.vertex_count, pairs).evaluate(1, 0)
+
+
+def independent_sets_reference(graph):
+    """Oracle: every independent set of the cographic matroid of a connected graph, as sorted tuples.
+
+    A depth-first walk over the edge positions in increasing order that
+    extends a set while deleting it leaves the graph connected, so the sets
+    come in lexicographic order.
+    """
+
+    def connected_without(subset):
+        drop = set(subset)
+        return MultiGraph(graph.vertex_count, [e for i, e in enumerate(graph.edges) if i not in drop]).is_connected()
+
+    def extend(current, start):
+        yield tuple(current)
+        for e in range(start, graph.edge_count):
+            current.append(e)
+            if connected_without(current):
+                yield from extend(current, e + 1)
+            current.pop()
+
+    return list(extend([], 0))
+
+
+def faces_by_dim_reference(complex_):
+    """Oracle: SimplicialComplex.faces_by_dim, every subset of every facet."""
+    if not complex_.facets:
+        return {}
+    buckets = {}
+    for f in complex_.facets:
+        for k in range(1, len(f) + 1):
+            buckets.setdefault(k - 1, set()).update(combinations(f, k))
+    return {-1: [()], **{k: sorted(buckets[k]) for k in sorted(buckets)}}
+
+
+def boundary_rows_reference(lower, upper):
+    """Oracle: the boundary map from the faces ``upper`` to the faces ``lower``, one sparse row per lower face."""
+    index = {face: i for i, face in enumerate(lower)}
+    rows = [dict() for _ in lower]
+    for j, face in enumerate(upper):
+        sign = 1
+        for i in range(len(face)):
+            rows[index[face[:i] + face[i + 1 :]]][j] = sign
+            sign = -sign
+    return rows
+
+
+def reduced_homology_ranks_reference(complex_):
+    """Oracle: homology.reduced_homology_ranks with no clearing, every boundary map whole and untransposed."""
+    faces = faces_by_dim_reference(complex_)
+    if not faces:
+        return []
+    dim = max(faces)
+    ranks = {k: len(_eliminate(boundary_rows_reference(faces[k - 1], faces[k]))[0]) for k in range(dim + 1)}
+    return [len(faces[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(-1, dim + 1)]
 
 
 def enumerate_strata_reference(quiver):
@@ -348,7 +404,7 @@ def tutte_polynomial_naive(graph):
     if graph.edge_count == 0:
         return TuttePolynomial.one()
     u, v = graph.edges[0]
-    rest = graph.without_edges([0])
+    rest = MultiGraph(graph.vertex_count, graph.edges[1:])
     if u == v:
         return TuttePolynomial.monomial(0, 1) * tutte_polynomial_naive(rest)
     contracted = _merge_vertices(rest, min(u, v), max(u, v))
@@ -685,7 +741,7 @@ def sparse_rank_reference(rows):
 def eliminate_reference(rows):
     """Oracle: intlinalg._eliminate with every row update a cross-multiplied copy.
 
-    (rank, unimodular) of sparse rows (dicts col -> value), with the same
+    (pivots, unimodular) of sparse rows (dicts col -> value), with the same
     pivot rule; a unit pivot is not special-cased.
     """
     from heapq import heapify, heappop, heappush
@@ -707,7 +763,7 @@ def eliminate_reference(rows):
 
     queue = [(len(row), i) for i, row in work.items()]
     heapify(queue)
-    rank = 0
+    pivots = []
     while queue:
         length, pi = heappop(queue)
         prow = work.get(pi)
@@ -747,8 +803,8 @@ def eliminate_reference(rows):
                 heappush(queue, (len(merged), i))
             else:
                 del work[i]
-        rank += 1
-    return rank, unimodular
+        pivots.append(pj)
+    return pivots, unimodular
 
 
 def partition_count(n):

@@ -19,7 +19,7 @@ from ngostrings.graphs import (
     spectral_dual_graph,
     spectral_dual_quiver,
 )
-from ngostrings.homology import matroid_complex, reduced_homology_ranks
+from ngostrings.homology import MAX_GROUND_SET, matroid_complex, reduced_homology_ranks
 from ngostrings.hypertoric import _sphere_count, circuit_relations, enumerate_strata, local_model_dims
 from ngostrings.intlinalg import verify_exact
 from ngostrings.matroid import CographicMatroid, f_h_vectors, tutte_polynomial
@@ -121,14 +121,15 @@ def test_criterion_06_multiplicity_three_way():
                     spheres = top_betti_reference(graph)
                     assert spheres == factorial(p.r - 1), (p, g)
                     assert _sphere_count(p.r, graph.pair_multiplicities()) == spheres, (p, g)
-                    if 0 < graph.edge_count <= 12:
+                    if 0 < graph.edge_count <= MAX_GROUND_SET:
                         ranks = reduced_homology_ranks(
                             matroid_complex(CographicMatroid(graph))
                         )
                         assert all(v == 0 for v in ranks[:-1])
                         assert ranks[-1] == spheres
                         homology_checked += 1
-        assert homology_checked >= 10  # includes the 12-edge rank-9 case below
+        # up to the 16-edge cap: 3,1,1 and 2,2,1 at genus 2, 2,2 and 4,1 at genus 3
+        assert homology_checked == 17
         big = spectral_dual_graph(Partition([1, 1, 1, 1]), 2)
         assert big.edge_count == 12
         ranks = reduced_homology_ranks(matroid_complex(CographicMatroid(big)))

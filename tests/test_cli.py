@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ngostrings import cli, graphs, hypertoric
+from ngostrings import cli, graphs, hypertoric, matroid
 from ngostrings.cli import CACHE_FORMAT, EMPTY_CACHE, run
 from ngostrings.graphs import (
     Quiver,
@@ -283,6 +283,25 @@ class TestGale:
         assert out == ""
         assert err.startswith("error: ") and "dense entries" in err
         assert "Traceback" not in err
+
+    def test_homology_quiver_at_the_ground_set_cap(self, capture, monkeypatch, tmp_path):
+        # the n-cycle has n edges; its matroid complex is n points
+        for n in (16, 17):
+            (tmp_path / ("c%d.json" % n)).write_text(dump_graph(Quiver(n, [(v, (v + 1) % n) for v in range(n)])))
+        status, out, err = capture("matroid-homology", "--quiver", str(tmp_path / "c16.json"))
+        assert (status, err) == (0, "")
+        assert out == "degree -1: 0\ndegree 0: 15\ntop degree: 0\nspheres: 15\nwedge: ok\n"
+
+        def no_bases(self):
+            raise AssertionError("listed the bases")
+
+        monkeypatch.setattr(matroid.CographicMatroid, "bases", no_bases)
+        for json_flag in ([], ["--json"]):
+            assert capture("matroid-homology", "--quiver", str(tmp_path / "c17.json"), *json_flag) == (
+                1,
+                "",
+                "error: ground set has 17 elements; the homology oracle is capped at 16\n",
+            )
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,18 @@ from ngostrings.homology import (
     matroid_complex,
     reduced_homology_ranks,
 )
-from ngostrings.intlinalg import sparse_rank
 from ngostrings.matroid import CographicMatroid
 from ngostrings.partitions import Partition, partitions_of
 
-from conftest import random_connected_multigraph, sparse_rank_reference, top_betti_reference
+from conftest import (
+    bench_workloads,
+    boundary_rows_reference,
+    faces_by_dim_reference,
+    random_connected_multigraph,
+    reduced_homology_ranks_reference,
+    sparse_rank_reference,
+    top_betti_reference,
+)
 
 BANANA2 = MultiGraph(2, [(0, 1), (0, 1)])
 BANANA3 = MultiGraph(2, [(0, 1)] * 3)
@@ -115,19 +123,60 @@ class TestReducedHomology:
             assert ranks[-1] == top_betti_reference(g)
 
 
+def random_complex(rng):
+    """On at most nine vertices: the union of one to three simplex boundaries (spheres) and up to four random facets."""
+    vertices = rng.randint(3, 9)
+    facets = []
+    for _ in range(rng.randint(1, 3)):
+        sphere = rng.sample(range(vertices), rng.randint(3, min(vertices, 6)))
+        facets += combinations(sphere, len(sphere) - 1)
+    for _ in range(rng.randint(0, 4)):
+        facets.append(rng.sample(range(vertices), rng.randint(1, min(vertices, 4))))
+    return SimplicialComplex(facets)
+
+
+class TestClearing:
+    def test_faces_match_reference(self):
+        rng = random.Random(28)
+        for _ in range(300):
+            c = random_complex(rng)
+            assert c.faces_by_dim() == faces_by_dim_reference(c), c
+
+    def test_ranks_match_uncleared_reference(self):
+        rng = random.Random(29)
+        spread = 0
+        for _ in range(300):
+            c = random_complex(rng)
+            ranks = reduced_homology_ranks(c)
+            assert ranks == reduced_homology_ranks_reference(c), c
+            spread += sum(1 for v in ranks if v) > 1
+        # homology in two or more degrees, where a wrongly cleared row shows
+        assert spread >= 60
+
+
+class TestCost:
+    def test_sixteen_edge_quiver_eliminates_only_uncleared_rows(self, monkeypatch):
+        # r = 5, s = 16, 60 620 faces: each map's elimination gets one row per
+        # face less the pivots of the map above, 30 322 rows in all
+        r, edges = bench_workloads().random_multigraph(random.Random("big/5"), 5, 16)
+        complex_ = matroid_complex(CographicMatroid(MultiGraph(r, edges)))
+        faces = complex_.faces_by_dim()
+        fed = []
+        eliminate = homology._eliminate
+        monkeypatch.setattr(homology, "_eliminate", lambda rows: fed.append(len(rows)) or eliminate(rows))
+        ranks = homology._boundary_ranks(faces)
+        dim = max(faces)
+        assert fed == [len(faces[k]) - ranks.get(k + 1, 0) for k in range(dim, -1, -1)]
+        assert reduced_homology_ranks(complex_) == [0] * 12 + [24]
+
+
 class TestBoundaryRanks:
     # the spectral matroid-homology inputs of the benchmark's oracles workload
     @pytest.mark.parametrize("parts, genus", [((2, 1), 3), ((1, 1, 1), 2), ((2, 1, 1), 2)])
-    def test_every_boundary_map_matches_reference_rank(self, monkeypatch, parts, genus):
-        checked = []
-
-        def both(rows):
-            rank = sparse_rank(rows)
-            assert rank == sparse_rank_reference(rows)
-            checked.append(rank)
-            return rank
-
-        monkeypatch.setattr(homology, "sparse_rank", both)
+    def test_every_cleared_map_matches_reference_rank(self, parts, genus):
         complex_ = matroid_complex(CographicMatroid(spectral_dual_graph(Partition(parts), genus)))
-        ranks = reduced_homology_ranks(complex_)
-        assert len(checked) == len(ranks) - 1
+        faces = complex_.faces_by_dim()
+        ranks = homology._boundary_ranks(faces)
+        assert sorted(ranks) == list(range(max(faces) + 1))
+        for k, rank in ranks.items():
+            assert rank == sparse_rank_reference(boundary_rows_reference(faces[k - 1], faces[k])), k

@@ -8,8 +8,8 @@ from ngostrings.graphs import Quiver, boundary_matrix, gale_dual, spectral_dual_
 from ngostrings.intlinalg import (
     MAX_DENSE_ENTRIES,
     IntMatrix,
+    _eliminate,
     _sparse_rows,
-    sparse_rank,
     verify_exact,
 )
 from ngostrings.partitions import Partition, partitions_of
@@ -180,6 +180,10 @@ class TestSmithNormalForm:
         assert (dec.U, dec.S, dec.V) == (U, S, V)
 
 
+def sparse_rank(rows):
+    return len(_eliminate(rows)[0])
+
+
 class TestRank:
     def test_known_ranks(self):
         assert sparse_rank([{0: 1}, {1: 1}, {2: 1}]) == 3
@@ -207,8 +211,8 @@ class TestSparseRank:
 
     @pytest.mark.parametrize("values", [(-1, 1), (-3, -2, -1, 1, 1, 1, 2, 4), (-6, -4, 2, 3, 9)])
     def test_elimination_matches_cross_multiplying_reference(self, values):
-        # rows are updated in place; rank, unimodularity and the input rows
-        # are as with a cross-multiplied copy per update
+        # rows are updated in place; pivot columns, unimodularity and the
+        # input rows are as with a cross-multiplied copy per update
         rng = random.Random(len(values))
         for _ in range(600):
             cols = rng.randint(1, 10)
@@ -219,6 +223,21 @@ class TestSparseRank:
             before = [dict(row) for row in rows]
             assert intlinalg._eliminate(rows) == eliminate_reference(rows), rows
             assert rows == before
+
+    def test_pivot_columns_have_full_rank(self):
+        # the columns the homology oracle clears by: a nonsingular minor lies in them
+        rng = random.Random(32)
+        values = (-3, -2, -1, 1, 2, 3)
+        for _ in range(300):
+            cols = rng.randint(1, 9)
+            rows = [
+                {j: rng.choice(values) for j in rng.sample(range(cols), rng.randint(0, cols))}
+                for _ in range(rng.randint(0, 9))
+            ]
+            pivots, _ = intlinalg._eliminate(rows)
+            assert len(set(pivots)) == len(pivots) == sparse_rank_reference(rows)
+            kept = [{j: v for j, v in row.items() if j in pivots} for row in rows]
+            assert sparse_rank_reference(kept) == len(pivots), rows
 
     def test_elimination_of_gale_pairs_matches_reference(self):
         rng = random.Random(31)
@@ -417,8 +436,8 @@ class TestVerifyExact:
             elif kind == "empty":
                 B = IntMatrix([[] for _ in range(s)])
             expected = verify_exact_via_smith(A, B)
-            rank_a, a_unit = intlinalg._eliminate(_sparse_rows(A.data))
-            certified = intlinalg._eliminate(_sparse_rows(B.data))[1] and (a_unit or rank_a < A.rows)
+            pivots_a, a_unit = intlinalg._eliminate(_sparse_rows(A.data))
+            certified = intlinalg._eliminate(_sparse_rows(B.data))[1] and (a_unit or len(pivots_a) < A.rows)
             if certified:
                 assert verify_exact(A, B) == expected, (A, B)
             else:

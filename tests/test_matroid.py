@@ -10,6 +10,7 @@ from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectral_dual_graph, spectral_dual_quiver
 from ngostrings import matroid
 from ngostrings.hypertoric import enumerate_strata
+from ngostrings.homology import MAX_GROUND_SET
 from ngostrings.matroid import (
     MAX_F_VECTOR_RANK,
     CographicMatroid,
@@ -25,6 +26,7 @@ from tutte_timings import INPUTS as TIMING_INPUTS
 
 from conftest import (
     engine_tutte,
+    independent_sets_reference,
     random_connected_multigraph,
     top_betti_reference,
     tutte_cold_pairs,
@@ -76,7 +78,7 @@ def brute_force_f_h(matroid):
     """Oracle: f counted over every independent set, h by the standard transform."""
     rank = matroid.rank
     f = [0] * (rank + 1)
-    for iset in matroid.independent_sets():
+    for iset in independent_sets_reference(matroid.graph):
         f[len(iset)] += 1
     h = [
         sum((-1) ** (j - i) * comb(rank - i, j - i) * f[i] for i in range(j + 1))
@@ -153,26 +155,62 @@ class TestPolynomial:
 
 class TestIndependence:
     def test_banana(self):
-        m = CographicMatroid(BANANA2)
-        assert m.is_independent([0])
-        assert m.is_independent([1])
-        assert not m.is_independent([0, 1])
-        assert m.rank == 1
+        assert independent_sets_reference(BANANA2) == [(), (0,), (1,)]
+        assert CographicMatroid(BANANA2).rank == 1
 
     def test_tree_rank_zero(self):
-        m = CographicMatroid(MultiGraph(3, [(0, 1), (1, 2)]))
-        assert m.rank == 0
-        assert m.is_independent([])
-        assert not m.is_independent([0])
-        assert not m.is_independent([1])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            CographicMatroid(BANANA2).is_independent([5])
+        tree = MultiGraph(3, [(0, 1), (1, 2)])
+        assert independent_sets_reference(tree) == [()]
+        assert CographicMatroid(tree).rank == 0
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             CographicMatroid(MultiGraph(2, []))
+
+
+def bases_reference(graph):
+    """The b1-subsets of the edges whose deletion leaves the graph connected, in lexicographic order."""
+    return [
+        c
+        for c in combinations(range(graph.edge_count), betti1(graph))
+        if MultiGraph(graph.vertex_count, [e for i, e in enumerate(graph.edges) if i not in c]).is_connected()
+    ]
+
+
+class TestBases:
+    def test_small_cases(self):
+        assert CographicMatroid(BANANA2).bases() == [(0,), (1,)]
+        assert CographicMatroid(MultiGraph(3, [(0, 1), (1, 2)])).bases() == [()]
+        # one vertex: every edge is a loop and the only basis is all of them
+        assert CographicMatroid(MultiGraph(1, [(0, 0), (0, 0)])).bases() == [(0, 1)]
+        assert CographicMatroid(MultiGraph(1, [])).bases() == [()]
+        # a loop is in every basis, and parallel edges are never all left out
+        bases = CographicMatroid(MultiGraph(2, [(0, 1), (1, 1), (0, 1), (0, 1)])).bases()
+        assert bases == [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
+
+    def test_spectral_graphs_match_reference(self):
+        checked = 0
+        for n in range(1, 5):
+            for genus in (2, 3):
+                for p in partitions_of(n):
+                    graph = spectral_dual_graph(p, genus)
+                    assert CographicMatroid(graph).bases() == bases_reference(graph), (p, genus)
+                    checked += 1
+        assert checked == 22
+
+    def test_random_multigraphs_match_reference(self):
+        rng = random.Random(29)
+        shapes = set()
+        for _ in range(200):
+            graph = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
+            assert CographicMatroid(graph).bases() == bases_reference(graph), graph
+            shapes.add(graph.vertex_count)
+            pairs = graph.pair_multiplicities()
+            if any(u == v for u, v in pairs):
+                shapes.add("loop")
+            if any(k > 1 for (u, v), k in pairs.items() if u != v):
+                shapes.add("parallel")
+        assert shapes == {1, 2, 3, 4, 5, 6, "loop", "parallel"}
 
 
 class TestTutte:
@@ -313,6 +351,54 @@ def seeded_multigraphs(count, seed):
         edges = list(g.edges) + [rng.choice(g.edges) for _ in range(rng.randint(0, 2))]
         graphs.append(MultiGraph(g.vertex_count, edges))
     return graphs
+
+
+class TestFactorProducts:
+    """The products of bundles and other blocks that _tutte makes after its engines, charged by _factor_work."""
+
+    def test_term_bounds_hold(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            bundles = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+            r = len(bundles) + 1
+            pairs = {(i, i + 1): k for i, k in enumerate(bundles)}
+            poly = _tutte(r, pairs)
+            n = sum(k > 1 for k in bundles)
+            e = sum(k - 1 for k in bundles)
+            assert len(poly.coeffs) <= (n + 1) * (e - n + 1)
+            # a triangle hung on the last vertex: at most (x + 1)(y + 1) terms
+            pairs.update({(r - 1, r): 1, (r, r + 1): 1, (r - 1, r + 1): 1})
+            poly = _tutte(r + 2, pairs)
+            assert len(poly.coeffs) <= (r + 2) * (e + 2)
+
+    @pytest.mark.parametrize("parts, genus", [((2, 1, 1), 33330), ((1, 1, 1), 55550)])
+    def test_one_block_partitions_at_the_bound(self, monkeypatch, parts, genus):
+        # the last partition inputs accepted, as MAX_TUTTE_WORK's comment
+        # records: one block, whose single factor is not charged as a product
+        for engine in ("_frontier_tutte", "_class_tutte"):
+            monkeypatch.setattr(matroid, engine, lambda *args: TuttePolynomial.monomial(0, 0))
+        spectral_tutte_polynomial(Partition(list(parts)), genus)
+        with pytest.raises(ResourceLimitError, match="units of work"):
+            spectral_tutte_polynomial(Partition(list(parts)), genus + 1)
+
+    def test_square_bundle_chains_at_the_bound(self):
+        # the last path of m bundles of m edges accepted, as MAX_TUTTE_WORK's comment records
+        assert matroid._factor_work([45] * 45, []) <= matroid.MAX_TUTTE_WORK
+        assert matroid._factor_work([46] * 46, []) > matroid.MAX_TUTTE_WORK
+
+    @pytest.mark.parametrize(
+        "r, pairs",
+        [
+            (201, {(i, i + 1): 200 for i in range(200)}),
+            (2001, {pair: 1 for i in range(0, 2000, 2) for pair in ((i, i + 1), (i + 1, i + 2), (i, i + 2))}),
+        ],
+        ids=["200 bundles of 200", "1000 triangles"],
+    )
+    def test_chains_refused_before_work(self, r, pairs):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="units of work"):
+            _tutte(r, pairs)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEngines:
