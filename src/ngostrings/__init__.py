@@ -10,8 +10,8 @@ imports the module that defines X on first use.
 _MODULES = {
     "errors": "ModelInconsistencyError ResourceLimitError",
     "graphs": (
-        "MultiGraph Quiver VertexPartition betti1 boundary_matrix canonical_key dump_graph gale_dual "
-        "load_graph spectral_dual_graph spectral_dual_quiver to_dot"
+        "MultiGraph VertexPartition betti1 boundary_matrix canonical_key dump_graph gale_dual load_graph "
+        "spectral_dual_graph to_dot"
     ),
     "homology": "SimplicialComplex matroid_complex reduced_homology_ranks",
     "hypertoric": (

@@ -10,6 +10,10 @@ flags with plain values) is read without argparse, and each subcommand
 imports only the modules it uses.  Every other line goes to argparse, which
 alone writes usage, help and error text.
 
+Every graph, of ``--quiver FILE`` or of ``--partition``/``--genus``, is one
+MultiGraph whose edges are (source, target) pairs: ``gale`` reads the
+orientations, and ``graph --dot`` draws them only with ``--directed``.
+
 ``tutte``, ``matroid`` and ``strata`` accept ``--cache PATH`` and read no
 file; ``tutte`` and ``matroid`` create a missing PATH as EMPTY_CACHE.
 
@@ -120,12 +124,12 @@ def _spectral_input(args):
 
 
 def _resolve_quiver(args, check=None):
-    """The quiver of --quiver FILE or of --partition/--genus.
+    """The graph of --quiver FILE or of --partition/--genus, its edges (source, target) pairs.
 
     For a partition, ``check(partition, genus)`` runs before the graph is
     built, so that a refusal that needs only the edge count costs nothing.
     """
-    from .graphs import load_graph, spectral_dual_quiver
+    from .graphs import load_graph, spectral_dual_graph
 
     spectral = _spectral_input(args)
     if spectral is None:
@@ -133,7 +137,7 @@ def _resolve_quiver(args, check=None):
             return load_graph(handle.read())
     if check is not None:
         check(*spectral)
-    return spectral_dual_quiver(*spectral)
+    return spectral_dual_graph(*spectral)
 
 
 def cmd_strings(args):
@@ -222,7 +226,7 @@ def cmd_graph(args):
         return 0
     quiver = _resolve_quiver(args)
     if args.dot:
-        sys.stdout.write(to_dot(quiver if args.directed else quiver.underlying()))
+        sys.stdout.write(to_dot(quiver, args.directed))
         return 0
     if args.emit:
         sys.stdout.write(dump_graph(quiver))

@@ -1,10 +1,13 @@
-"""Multigraphs, quivers, spectral dual graphs, and canonical graph keys.
+"""Multigraphs, spectral dual graphs, and canonical graph keys.
 
 A MultiGraph has positionally labelled edges: the edge list order is part of
 the identity, because boundary matrices, matroid ground sets and circuit
-relations all refer to edges by position.  The spectral dual graph of a
-partition {n_i} at genus g has one vertex per part and n_i*n_j*(2g-2)
-parallel edges between distinct vertices i, j.
+relations all refer to edges by position.  Each edge is stored as a
+(source, target) pair, so a MultiGraph is also the quiver with those
+orientations: boundary_matrix, gale_dual and circuit_relations read the
+pairs that way, and everything else ignores the order within a pair.  The
+spectral dual graph of a partition {n_i} at genus g has one vertex per part
+and n_i*n_j*(2g-2) parallel edges between distinct vertices i, j.
 
 canonical_key produces a byte string invariant under vertex relabelling and
 edge reordering; it groups and sorts the rows of stratum tables.  It is a
@@ -31,7 +34,7 @@ MAX_GRAPH_SIZE = 10**6
 
 
 class MultiGraph:
-    """Undirected multigraph on vertices 0..r-1; parallel edges and loops allowed."""
+    """Multigraph on vertices 0..r-1, parallel edges and loops allowed; each edge a (source, target) pair."""
 
     __slots__ = ("vertex_count", "edges")
 
@@ -65,9 +68,8 @@ class MultiGraph:
         return pairs_connected(self.vertex_count, self.pair_multiplicities())
 
     def __eq__(self, other):
-        # a quiver never equals a multigraph with the same edge list
         return (
-            type(other) is type(self)
+            isinstance(other, MultiGraph)
             and self.vertex_count == other.vertex_count
             and self.edges == other.edges
         )
@@ -76,27 +78,7 @@ class MultiGraph:
         return hash((self.vertex_count, self.edges))
 
     def __repr__(self):
-        return "%s(%d, %r)" % (type(self).__name__, self.vertex_count, list(self.edges))
-
-
-class Quiver(MultiGraph):
-    """Directed multigraph; each edge is an ordered (source, target) pair.
-
-    A MultiGraph already stores its edges as ordered pairs, so a quiver is a
-    multigraph whose stored order is read as the orientation.  Every function
-    that takes a multigraph takes a quiver as it is.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_graph(cls, graph):
-        """Orient a multigraph using the stored endpoint order of each edge."""
-        return cls(graph.vertex_count, graph.edges)
-
-    def underlying(self):
-        """Forget orientations; edge positions are preserved."""
-        return MultiGraph(self.vertex_count, self.edges)
+        return "MultiGraph(%d, %r)" % (self.vertex_count, list(self.edges))
 
 
 def _relabel(pairs, index):
@@ -230,35 +212,27 @@ def _spectral_pairs(parts, genus):
     return {(i, j): parts[i] * parts[j] * (2 * genus - 2) for i in range(r) for j in range(i + 1, r)}
 
 
-def _spectral_edges(partition, genus):
-    checked_spectral_edge_count(partition, genus)
-    edges = []
-    for pair, k in _spectral_pairs(partition.parts, genus).items():
-        edges.extend([pair] * k)
-    return edges
-
-
 def spectral_dual_graph(partition, genus):
     """Dual graph of a generic nodal spectral curve for the given partition.
 
     One vertex per part, and n_i * n_j * (2g - 2) parallel edges between
     distinct vertices i and j; no loops.  Edges are listed in lexicographic
-    pair order, consecutive within each pair.  Requires genus >= 2 (the
-    canonical bundle must be ample).  Raises ResourceLimitError before
-    building anything when r + s exceeds MAX_GRAPH_SIZE.
+    pair order, consecutive within each pair, and each is oriented from the
+    smaller vertex index.  Requires genus >= 2 (the canonical bundle must be
+    ample).  Raises ResourceLimitError before building anything when r + s
+    exceeds MAX_GRAPH_SIZE.
     """
-    return MultiGraph(partition.r, _spectral_edges(partition, genus))
+    checked_spectral_edge_count(partition, genus)
+    edges = []
+    for pair, k in _spectral_pairs(partition.parts, genus).items():
+        edges.extend([pair] * k)
+    return MultiGraph(partition.r, edges)
 
 
 def spectral_edge_count(partition, genus):
     """Edge count s = (2g-2) * sum_{i<j} n_i n_j of the spectral dual graph, without building it."""
     squares = sum(p * p for p in partition.parts)
     return (genus - 1) * (partition.n * partition.n - squares)
-
-
-def spectral_dual_quiver(partition, genus):
-    """spectral_dual_graph with each edge oriented from the smaller vertex index."""
-    return Quiver(partition.r, _spectral_edges(partition, genus))
 
 
 def betti1(graph):
@@ -283,16 +257,17 @@ def _dense_shape(r, s, connected, gale=False):
         )
     if not connected():
         raise ValueError("boundary matrix requires a connected quiver")
-    if gale and s * (r - 1 + s) > MAX_DENSE_ENTRIES:
+    # A and B hold (r - 1) s + s b1 = s^2 entries together
+    if gale and s * s > MAX_DENSE_ENTRIES:
         raise ResourceLimitError(
             "the Gale dual of a %dx%d matrix needs %d dense entries; the limit is %d"
-            % (r - 1, s, s * (r - 1 + s), MAX_DENSE_ENTRIES)
+            % (r - 1, s, s * s, MAX_DENSE_ENTRIES)
         )
     return r, s
 
 
 def check_spectral_gale(partition, genus):
-    """Make the refusals of gale_dual(spectral_dual_quiver(partition, genus)) from the edge count alone.
+    """Make the refusals of gale_dual(spectral_dual_graph(partition, genus)) from the edge count alone.
 
     They come in the same order, with the same messages, and before anything
     is built.  A spectral dual graph is connected: every two of its
@@ -338,8 +313,8 @@ def gale_dual(quiver):
     fundamental circuits; Cohen, GTM 138, section 2.4).
 
     Refuses, before anything dense is built, what boundary_matrix refuses
-    (in the same order) and then, with ResourceLimitError, an s*(r-1+s)
-    above MAX_DENSE_ENTRIES, which bounds the entries of A and B together.
+    (in the same order) and then, with ResourceLimitError, an s*s above
+    MAX_DENSE_ENTRIES: A and B hold (r-1)*s + s*b1 = s*s entries together.
     """
     r, s = _dense_shape(quiver.vertex_count, quiver.edge_count, quiver.is_connected, gale=True)
     edges = quiver.edges
@@ -475,10 +450,9 @@ def pairs_canonical_key(r, pairs):
     return repr((r, best)).encode("ascii")
 
 
-def to_dot(graph):
-    """DOT text for visualization; quivers render as digraphs."""
+def to_dot(graph, directed=False):
+    """DOT text for visualization; with directed, a digraph of the (source, target) orientations."""
     _check_size(graph.vertex_count, graph.edge_count, "a graph to print as DOT")
-    directed = isinstance(graph, Quiver)
     arrow = "->" if directed else "--"
     kind = "digraph" if directed else "graph"
     lines = ["%s G {" % kind]
@@ -491,7 +465,7 @@ def to_dot(graph):
 
 
 def dump_graph(graph):
-    """Serialize a graph or quiver to the versioned text format.
+    """Serialize a graph to the versioned text format.
 
     The text is json.dumps of {"format", "vertices", "edges"} with indent=2,
     plus a newline, byte for byte, joined from one string per edge.
@@ -503,7 +477,7 @@ def dump_graph(graph):
 
 
 def load_graph(text):
-    """Parse the versioned text format; returns a Quiver (pairs read as source, target)."""
+    """Parse the versioned text format; returns a MultiGraph, its pairs read as (source, target)."""
     import json
 
     try:
@@ -524,7 +498,7 @@ def load_graph(text):
         type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise ValueError("graph file: 'edges' must be a list of [u, v] integer pairs")
-    return Quiver(vertices, edges)
+    return MultiGraph(vertices, edges)
 
 
 def _is_int(value):

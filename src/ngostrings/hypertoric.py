@@ -202,7 +202,7 @@ def enumerate_strata(quiver):
 
 
 def spectral_strata(partition, genus):
-    """enumerate_strata(spectral_dual_quiver(partition, genus)), without building the quiver.
+    """enumerate_strata(spectral_dual_graph(partition, genus)), without building the graph.
 
     Vertex i stands for partition.parts[i]; blocks A and B are joined by
     N_A N_B (2g - 2) edges, N the block sums, so the contraction is the

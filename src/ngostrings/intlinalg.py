@@ -22,10 +22,10 @@ from itertools import compress
 # Bound on the entries of a dense matrix built for a boundary map or a Gale
 # dual, checked before anything is allocated.  Each entry is a pointer in a
 # Python list, and verify_exact and the printed output walk every entry of
-# B: near the bound, `gale` on 2,1,1 at genus 100 (990 edges, s*(r-1+s) =
-# 982 080) answers in about 0.35 s and 29 MiB, or 0.4-0.7 s and 55 MiB with
-# --json (fresh process, 2-core Xeon, Python 3.11), while a 199 990-edge
-# graph would need a 4*10^10-entry matrix.
+# B: at the bound, `gale` on 2,1,1 at genus 101 (1000 edges, s^2 = 10^6
+# entries in A and B) answers in 0.32-0.36 s and 29 MiB, or 0.40-0.41 s and
+# 62 MiB with --json (fresh process, 2-core Xeon, Python 3.11), while a
+# 199 990-edge graph would need a 4*10^10-entry matrix.
 MAX_DENSE_ENTRIES = 10**6
 
 

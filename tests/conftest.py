@@ -13,7 +13,6 @@ from ngostrings import strings
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
-    Quiver,
     VertexPartition,
     _links,
     _relabel,
@@ -112,7 +111,7 @@ def contract_counting_loops(quiver, vp):
             dropped += 1
         else:
             edges.append((bu, bv))
-    return Quiver(len(vp.blocks), edges), dropped
+    return MultiGraph(len(vp.blocks), edges), dropped
 
 
 def certify_small_bell_walk(quiver):
@@ -175,6 +174,12 @@ def independent_sets_reference(graph):
             current.pop()
 
     return list(extend([], 0))
+
+
+def pruned_facets_reference(facets):
+    """Oracle: SimplicialComplex(facets).facets, each facet compared with every longer one."""
+    norm = {tuple(sorted(set(f))) for f in facets}
+    return tuple(sorted(f for f in norm if not any(set(f) < set(g) for g in norm)))
 
 
 def faces_by_dim_reference(complex_):

@@ -12,12 +12,11 @@ from contextlib import contextmanager
 from math import factorial
 
 from ngostrings.graphs import (
-    Quiver,
+    MultiGraph,
     betti1,
     boundary_matrix,
     gale_dual,
     spectral_dual_graph,
-    spectral_dual_quiver,
 )
 from ngostrings.homology import MAX_GROUND_SET, matroid_complex, reduced_homology_ranks
 from ngostrings.hypertoric import _sphere_count, circuit_relations, enumerate_strata, local_model_dims
@@ -143,7 +142,7 @@ def test_criterion_07_gale_exactness():
                 for p in partitions_of(n):
                     if p.r < 2:
                         continue
-                    quiver = spectral_dual_quiver(p, g)
+                    quiver = spectral_dual_graph(p, g)
                     A, B = boundary_matrix(quiver), gale_dual(quiver)
                     assert B.cols == betti1(quiver)
                     assert verify_exact(A, B).ok
@@ -155,7 +154,7 @@ def test_criterion_07_gale_exactness():
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
             if graph.vertex_count < 2:
                 continue
-            quiver = Quiver.from_graph(graph)
+            quiver = graph
             A = boundary_matrix(quiver)
             assert all(d == 1 for d in smith_normal_form(A).invariants)
             assert verify_exact(A, gale_dual(quiver)).ok
@@ -183,20 +182,20 @@ def test_criterion_09_semismall_certification():
     with criterion(9, "semismall certification", 60):
         for n in range(2, 6):
             for p in partitions_of(n):
-                for rec in enumerate_strata(spectral_dual_quiver(p, 2)):
+                for rec in enumerate_strata(spectral_dual_graph(p, 2)):
                     assert 2 * rec.fiber_dim == rec.codim_in_Y
                     if len(rec.vp) >= 2:
                         # strictly small: the fiber dimension is below the Lawrence codimension b1 + s
                         assert rec.b1_contracted < rec.s_contracted
                         # a singular stratum: b1 = 0 would be a smooth slice, merged into the open one
                         assert rec.b1_contracted > 0
-        banana = Quiver(2, [(0, 1), (0, 1)])
+        banana = MultiGraph(2, [(0, 1), (0, 1)])
         assert [(len(rec.vp), rec.codim_in_Y, rec.multiplicity) for rec in enumerate_strata(banana)] == [
             (1, 0, 1),
             (2, 2, 1),
         ]
         # the single edge has such a smooth two-block record, so it decomposes as the open summand alone
-        edge = Quiver(2, [(0, 1)])
+        edge = MultiGraph(2, [(0, 1)])
         assert [(len(rec.vp), rec.b1_contracted, rec.multiplicity) for rec in enumerate_strata(edge)] == [
             (1, 0, 1),
             (2, 0, 1),

@@ -16,10 +16,10 @@ import pytest
 from ngostrings import cli, graphs, hypertoric, matroid
 from ngostrings.cli import CACHE_FORMAT, EMPTY_CACHE, run
 from ngostrings.graphs import (
-    Quiver,
+    MultiGraph,
     VertexPartition,
     dump_graph,
-    spectral_dual_quiver,
+    spectral_dual_graph,
     spectral_edge_count,
 )
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, IntMatrix
@@ -138,7 +138,7 @@ class TestGraphCommands:
             raise AssertionError("built the spectral dual graph")
 
         # the CLI imports it from graphs when it builds a graph
-        monkeypatch.setattr(graphs, "spectral_dual_quiver", no_graph)
+        monkeypatch.setattr(graphs, "spectral_dual_graph", no_graph)
         assert capture("graph", "--partition", "1,1", "--genus", "500000") == (0, "r=2 s=999998 b1=999997\n", "")
         assert capture("graph", "--partition", "3", "--genus", "5") == (0, "r=1 s=0 b1=0\n", "")
         for genus, (status, out, err) in refusals.items():
@@ -150,6 +150,23 @@ class TestGraphCommands:
         assert status == 0
         assert out.startswith("graph G {")
         assert out.count("0 -- 1") == 2
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_graph_dot_prints_the_graph_it_built(self, capture, monkeypatch, directed):
+        # one MultiGraph, the spectral dual graph: no copy of its edge list
+        built = []
+        init = graphs.MultiGraph.__init__
+
+        def counting_init(self, vertex_count, edges):
+            built.append(len(edges))
+            init(self, vertex_count, edges)
+
+        monkeypatch.setattr(graphs.MultiGraph, "__init__", counting_init)
+        argv = ["graph", "--partition", "1,1", "--genus", "2000", "--dot"] + (["--directed"] if directed else [])
+        status, out, _ = capture(*argv)
+        assert status == 0
+        assert out.count("0 -> 1" if directed else "0 -- 1") == 3998
+        assert built == [3998]
 
     def test_graph_emit_round_trip(self, capture, tmp_path):
         status, out, _ = capture("graph", "--partition", "1,1", "--genus", "2", "--emit")
@@ -244,7 +261,7 @@ class TestGraphCommands:
 class TestGale:
     def test_triangle_from_file(self, capture, tmp_path):
         path = tmp_path / "triangle.json"
-        path.write_text(dump_graph(Quiver(3, [(0, 1), (1, 2), (2, 0)])))
+        path.write_text(dump_graph(MultiGraph(3, [(0, 1), (1, 2), (2, 0)])))
         status, out, _ = capture("gale", "--quiver", str(path))
         assert status == 0
         assert "A =" in out and "B =" in out
@@ -287,7 +304,7 @@ class TestGale:
     def test_homology_quiver_at_the_ground_set_cap(self, capture, monkeypatch, tmp_path):
         # the n-cycle has n edges; its matroid complex is n points
         for n in (16, 17):
-            (tmp_path / ("c%d.json" % n)).write_text(dump_graph(Quiver(n, [(v, (v + 1) % n) for v in range(n)])))
+            (tmp_path / ("c%d.json" % n)).write_text(dump_graph(MultiGraph(n, [(v, (v + 1) % n) for v in range(n)])))
         status, out, err = capture("matroid-homology", "--quiver", str(tmp_path / "c16.json"))
         assert (status, err) == (0, "")
         assert out == "degree -1: 0\ndegree 0: 15\ntop degree: 0\nspheres: 15\nwedge: ok\n"
@@ -308,7 +325,7 @@ class TestGale:
         [
             (
                 ["gale", "--partition", "1,1", "--genus", "400000"],
-                "the Gale dual of a 1x799998 matrix needs 639997600002 dense entries; the limit is 1000000",
+                "the Gale dual of a 1x799998 matrix needs 639996800004 dense entries; the limit is 1000000",
             ),
             (
                 ["gale", "--partition", "2,1,1", "--genus", "100000"],
@@ -335,15 +352,15 @@ class TestGale:
         def no_graph(*args):
             raise AssertionError("built the spectral dual graph")
 
-        monkeypatch.setattr(graphs, "spectral_dual_quiver", no_graph)
+        monkeypatch.setattr(graphs, "spectral_dual_graph", no_graph)
         for json_flag in ([], ["--json"]):
             assert capture(*argv, *json_flag) == (1, "", "error: %s\n" % message)
 
     def test_largest_spectral_input_within_dense_limit(self, capture):
-        # genus 100 is the last genus of 2,1,1 whose Gale dual fits MAX_DENSE_ENTRIES
-        edges = {g: spectral_edge_count(Partition((2, 1, 1)), g) for g in (100, 101)}
-        assert edges[100] * (2 + edges[100]) <= MAX_DENSE_ENTRIES < edges[101] * (2 + edges[101])
-        status, out, _ = capture("gale", "--partition", "2,1,1", "--genus", "100")
+        # genus 101 is the last genus of 2,1,1 whose A and B, s^2 entries, fit MAX_DENSE_ENTRIES
+        edges = {g: spectral_edge_count(Partition((2, 1, 1)), g) for g in (101, 102)}
+        assert edges[101] ** 2 <= MAX_DENSE_ENTRIES < edges[102] ** 2
+        status, out, _ = capture("gale", "--partition", "2,1,1", "--genus", "101")
         assert status == 0
         assert "\nexact: ok\n" in out
 
@@ -398,7 +415,7 @@ class TestTutteCommand:
     def test_quiver_refused_before_work(self, tmp_path, command):
         # seeded r24, the first input of tests/tutte_timings.py past MAX_TUTTE_WORK
         path = tmp_path / "r24.json"
-        path.write_text(dump_graph(Quiver(*TIMING_INPUTS["seeded r24"]())))
+        path.write_text(dump_graph(MultiGraph(*TIMING_INPUTS["seeded r24"]())))
         start = time.perf_counter()
         status, out, err = run_process([command, "--quiver", str(path)], tmp_path)
         assert time.perf_counter() - start < 1.0
@@ -484,7 +501,7 @@ class TestStrataAndDims:
     )
     def test_strata_matches_pinned_digest(self, capture, tmp_path, argv, digest):
         graph = tmp_path / "k4.json"
-        graph.write_text(dump_graph(Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
+        graph.write_text(dump_graph(MultiGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
         status, out, _ = capture("strata", *[str(graph) if a == "K4" else a for a in argv])
         assert status == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -508,10 +525,10 @@ class TestStrataAndDims:
         def no_graph(*args, **kwargs):
             raise AssertionError("strata --partition built a graph")
 
-        monkeypatch.setattr(graphs, "_spectral_edges", no_graph)
+        monkeypatch.setattr(graphs.MultiGraph, "__init__", no_graph)
         assert capture(*argv) == expected
         with pytest.raises(AssertionError):
-            spectral_dual_quiver(Partition((2, 1, 1, 1)), 3)
+            spectral_dual_graph(Partition((2, 1, 1, 1)), 3)
 
     @pytest.mark.parametrize(
         "partition, genus, message",
@@ -592,8 +609,8 @@ CACHED_COMMANDS = {
 }
 # tutte and matroid create a missing --cache file; strata accepts the option and leaves the path alone
 CREATES_FILE = {label for label in CACHED_COMMANDS if not label.startswith("strata")}
-CACHED_GRAPH = Quiver(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])
-K4 = Quiver(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+CACHED_GRAPH = MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (2, 2)])
+K4 = MultiGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 
 def poisoned_k4_cache():
@@ -723,14 +740,14 @@ class TestSparseQuivers:
 
     @pytest.mark.parametrize("n", [60, 200])
     def test_cycle(self, tmp_path, n):
-        out = self.run_fresh(tmp_path, Quiver(n, [(v, (v + 1) % n) for v in range(n)]))
+        out = self.run_fresh(tmp_path, MultiGraph(n, [(v, (v + 1) % n) for v in range(n)]))
         powers = " + ".join(["x^%d" % i for i in range(n - 1, 1, -1)] + ["x", "y"])
         assert out == "T = %s\nT(1,1) = %d\n" % (powers, n)
 
     def test_prism_14(self, tmp_path):
         m = 7
         edges = [(v, (v + 1) % m) for v in range(m)] + [(m + v, m + (v + 1) % m) for v in range(m)]
-        out = self.run_fresh(tmp_path, Quiver(2 * m, edges + [(v, m + v) for v in range(m)]))
+        out = self.run_fresh(tmp_path, MultiGraph(2 * m, edges + [(v, m + v) for v in range(m)]))
         # Kirchhoff's count of the 7-prism's spanning trees
         assert out.startswith("T = x^13 + ") and out.endswith("\nT(1,1) = 35287\n")
 
@@ -740,14 +757,14 @@ class TestSparseQuivers:
         n = 20000
         rng = random.Random(n)
         parent = [v - 1 if shape == "path" else rng.randrange(v) for v in range(1, n)]
-        out = self.run_fresh(tmp_path, Quiver(n, [(u, v) for v, u in enumerate(parent, 1)]))
+        out = self.run_fresh(tmp_path, MultiGraph(n, [(u, v) for v, u in enumerate(parent, 1)]))
         assert out == "T = x^%d\nT(1,1) = 1\n" % (n - 1)
 
     def test_long_cycle_refused_quickly(self, tmp_path):
         # one block of 20 000 vertices: planned in linear steps, then refused
         n = 20000
         path = tmp_path / "graph.json"
-        path.write_text(dump_graph(Quiver(n, [(v, (v + 1) % n) for v in range(n)])))
+        path.write_text(dump_graph(MultiGraph(n, [(v, (v + 1) % n) for v in range(n)])))
         start = time.perf_counter()
         status, out, err = run_process(["tutte", "--quiver", str(path)], tmp_path)
         assert time.perf_counter() - start < 2.0
@@ -759,7 +776,7 @@ class TestSparseQuivers:
         # an edge set leaves empty, T = (y-1) g^n + ((g + x - 1)^n - g^n) / (x - 1),
         # with g = 1 + y + ... + y^(k-1) per nonempty bundle
         n, k = 50, 20
-        graph = Quiver(n, [(v, (v + 1) % n) for v in range(n) for _ in range(k)])
+        graph = MultiGraph(n, [(v, (v + 1) % n) for v in range(n) for _ in range(k)])
         payload = json.loads(self.run_fresh(tmp_path, graph, "--json"))
         assert payload["value"] == str(n * k ** (n - 1))
         terms = [(int(i), int(j), int(c)) for i, j, c in payload["terms"]]
@@ -1219,7 +1236,7 @@ class TestProcessIdentity:
 
     def test_cache_file_complete_when_the_process_ends(self, capture, tmp_path):
         quiver = tmp_path / "q.graph"
-        quiver.write_text(dump_graph(spectral_dual_quiver(Partition((2, 1, 1)), 2)))
+        quiver.write_text(dump_graph(spectral_dual_graph(Partition((2, 1, 1)), 2)))
         argv = ["tutte", "--quiver", str(quiver), "--cache"]
         expected = capture(*argv, str(tmp_path / "cold.json"))
         assert run_process([*argv, str(tmp_path / "fresh.json")], tmp_path) == expected

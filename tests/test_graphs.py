@@ -8,7 +8,6 @@ from ngostrings import graphs, hypertoric
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
-    Quiver,
     VertexPartition,
     betti1,
     boundary_matrix,
@@ -17,7 +16,6 @@ from ngostrings.graphs import (
     load_graph,
     pairs_canonical_key,
     spectral_dual_graph,
-    spectral_dual_quiver,
     to_dot,
 )
 from ngostrings.intlinalg import _eliminate, _sparse_rows
@@ -82,15 +80,8 @@ class TestMultiGraph:
         # enough edges, but loops: the search decides
         assert not MultiGraph(3, [(0, 1), (1, 1), (2, 2)]).is_connected()
 
-    def test_quiver_is_a_multigraph_never_equal_to_one(self):
-        q = Quiver(2, [(0, 1)])
-        g = MultiGraph(2, [(0, 1)])
-        assert isinstance(q, MultiGraph)
-        assert q != g
-        assert g != q
-        assert q.underlying() == g and Quiver.from_graph(g) == q
-        assert repr(q) == "Quiver(2, [(0, 1)])"
-        assert repr(g) == "MultiGraph(2, [(0, 1)])"
+    def test_repr(self):
+        assert repr(MultiGraph(2, [(0, 1)])) == "MultiGraph(2, [(0, 1)])"
 
 
 class TestSpectralDualGraph:
@@ -128,19 +119,17 @@ class TestSpectralDualGraph:
 
     def test_size_limit_checked_before_building(self):
         # about 10**13 edges: refused from the edge count alone
-        for build in (spectral_dual_graph, spectral_dual_quiver):
-            with pytest.raises(ResourceLimitError):
-                build(Partition([2, 1, 1]), 10**12)
+        with pytest.raises(ResourceLimitError):
+            spectral_dual_graph(Partition([2, 1, 1]), 10**12)
 
     def test_size_limit_bounds_vertices_plus_edges(self, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 10)
         assert spectral_dual_graph(Partition([1, 1]), 5).edge_count == 8
-        for build in (spectral_dual_graph, spectral_dual_quiver):
-            with pytest.raises(ResourceLimitError):
-                build(Partition([1, 1]), 6)
+        with pytest.raises(ResourceLimitError):
+            spectral_dual_graph(Partition([1, 1]), 6)
         assert to_dot(MultiGraph(2, [(0, 1)] * 8)).count(" -- ") == 8
         with pytest.raises(ResourceLimitError):
-            to_dot(Quiver(10, [(0, 1)]))
+            to_dot(MultiGraph(10, [(0, 1)]))
 
 
 class TestBetti:
@@ -155,7 +144,7 @@ class TestBetti:
             betti1(MultiGraph(2, []))
 
 
-TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
+TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
 
 
 _WEIGHTED_K4 = {(0, 1): 1, (0, 2): 2, (0, 3): 1, (1, 2): 1, (1, 3): 3, (2, 3): 1}
@@ -233,8 +222,8 @@ class TestContract:
     def test_composition_exhaustive_small(self):
         quivers = [
             TRIANGLE,
-            Quiver(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-            Quiver(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]),
+            MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+            MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]),
         ]
         for quiver in quivers:
             r = quiver.vertex_count
@@ -277,7 +266,7 @@ class TestContract:
         rng = random.Random(7)
         for _ in range(25):
             g = random_connected_multigraph(rng)
-            quiver = Quiver.from_graph(g)
+            quiver = g
             for blocks in set_partitions(range(g.vertex_count)):
                 vp = VertexPartition(blocks)
                 if not blocks_connected(g, vp.blocks):
@@ -286,12 +275,11 @@ class TestContract:
                 assert betti1(contracted) <= betti1(g)
 
     def test_betti_never_increases_on_spectral_graphs(self):
-        from ngostrings.graphs import spectral_dual_quiver
         from ngostrings.partitions import partitions_of
 
         for n in range(2, 6):
             for p in partitions_of(n):
-                quiver = spectral_dual_quiver(p, 2)
+                quiver = spectral_dual_graph(p, 2)
                 base = betti1(quiver)
                 for blocks in set_partitions(range(quiver.vertex_count)):
                     contracted = contract_counting_loops(quiver, VertexPartition(blocks))[0]
@@ -300,22 +288,22 @@ class TestContract:
 
 class TestBoundaryMatrix:
     def test_single_edge(self):
-        A = boundary_matrix(Quiver(2, [(0, 1)]))
+        A = boundary_matrix(MultiGraph(2, [(0, 1)]))
         assert A.data == [[1]]
 
     def test_triangle_columns(self):
         assert boundary_matrix(TRIANGLE).data == [[1, -1, 0], [0, 1, -1]]
 
     def test_loop_gives_zero_column(self):
-        assert boundary_matrix(Quiver(2, [(0, 1), (1, 1)])).data == [[1, 0]]
+        assert boundary_matrix(MultiGraph(2, [(0, 1), (1, 1)])).data == [[1, 0]]
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
-            boundary_matrix(Quiver(1, []))
+            boundary_matrix(MultiGraph(1, []))
 
     def test_needs_connected(self):
         with pytest.raises(ValueError):
-            boundary_matrix(Quiver(3, [(0, 1)]))
+            boundary_matrix(MultiGraph(3, [(0, 1)]))
 
     def test_full_rank_for_connected(self):
         rng = random.Random(11)
@@ -323,7 +311,7 @@ class TestBoundaryMatrix:
             g = random_connected_multigraph(rng, allow_loops=True)
             if g.vertex_count < 2:
                 continue
-            A = boundary_matrix(Quiver.from_graph(g))
+            A = boundary_matrix(g)
             assert len(_eliminate(_sparse_rows(A.data))[0]) == g.vertex_count - 1
 
 
@@ -375,8 +363,8 @@ class TestCanonicalKey:
             pairs += 1
 
     def test_orientation_invariance(self):
-        a = Quiver(2, [(0, 1), (0, 1)])
-        b = Quiver(2, [(0, 1), (1, 0)])
+        a = MultiGraph(2, [(0, 1), (0, 1)])
+        b = MultiGraph(2, [(0, 1), (1, 0)])
         assert canonical_key(a) == canonical_key(b)
 
 
@@ -408,7 +396,7 @@ class TestCanonicalKey:
         monkeypatch.setattr(hypertoric, "pairs_canonical_key", recording)
         for r, pairs in tutte_cold_pairs(1):
             if r <= 8:
-                hypertoric.enumerate_strata(Quiver(r, [e for e, k in pairs.items() for _ in range(k)]))
+                hypertoric.enumerate_strata(MultiGraph(r, [e for e, k in pairs.items() for _ in range(k)]))
         distinct = {(r, tuple(sorted(pairs.items()))): key for r, pairs, key in met}
         assert len(distinct) > 1000
         for (r, pairs), key in distinct.items():
@@ -437,9 +425,9 @@ class TestSerialization:
         [
             MultiGraph(1, []),
             MultiGraph(1, [(0, 0), (0, 0)]),
-            Quiver(3, [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)]),
-            Quiver(12, [(11, 10)] * 3 + [(0, 11)]),
-            spectral_dual_quiver(Partition([2, 1, 1]), 2),
+            MultiGraph(3, [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)]),
+            MultiGraph(12, [(11, 10)] * 3 + [(0, 11)]),
+            spectral_dual_graph(Partition([2, 1, 1]), 2),
         ],
     )
     def test_same_bytes_as_indented_json(self, graph):
@@ -457,10 +445,10 @@ class TestSerialization:
     def test_dot_output(self):
         dot = to_dot(MultiGraph(2, [(0, 1)]))
         assert "graph" in dot and "0 -- 1" in dot
-        ddot = to_dot(TRIANGLE)
-        assert "digraph" in ddot and "0 -> 1" in ddot
+        ddot = to_dot(TRIANGLE, directed=True)
+        assert "digraph" in ddot and "0 -> 1" in ddot and "2 -> 0" in ddot
+        assert to_dot(TRIANGLE) == ddot.replace("digraph", "graph").replace("->", "--")
 
     def test_spectral_quiver_orientation(self):
-        q = spectral_dual_quiver(Partition([2, 1]), 2)
+        q = spectral_dual_graph(Partition([2, 1]), 2)
         assert all(u < v for u, v in q.edges)
-        assert q.underlying() == spectral_dual_graph(Partition([2, 1]), 2)

@@ -18,6 +18,7 @@ from conftest import (
     bench_workloads,
     boundary_rows_reference,
     faces_by_dim_reference,
+    pruned_facets_reference,
     random_connected_multigraph,
     reduced_homology_ranks_reference,
     sparse_rank_reference,
@@ -32,6 +33,19 @@ class TestSimplicialComplex:
     def test_facet_pruning(self):
         c = SimplicialComplex([(0, 1), (0,), (1, 0)])
         assert c.facets == ((0, 1),)
+
+    def test_facet_pruning_matches_reference(self):
+        # facets of mixed sizes, many of them inside another, with repeats
+        rng = random.Random(30)
+        pruned = 0
+        for _ in range(2000):
+            facets = [rng.sample(range(8), rng.randint(0, 6)) for _ in range(rng.randint(0, 12))]
+            facets += [rng.sample(f, rng.randint(0, len(f))) for f in facets[: rng.randint(0, len(facets))]]
+            rng.shuffle(facets)
+            got = SimplicialComplex(facets).facets
+            assert got == pruned_facets_reference(facets), facets
+            pruned += len(got) < len({frozenset(f) for f in facets})
+        assert pruned >= 1000
 
     def test_faces_by_dim(self):
         c = SimplicialComplex([(0, 1, 2)])

@@ -6,13 +6,11 @@ from ngostrings import hypertoric
 from ngostrings.errors import ResourceLimitError
 from ngostrings.graphs import (
     MultiGraph,
-    Quiver,
     VertexPartition,
     betti1,
     boundary_matrix,
     canonical_key,
     spectral_dual_graph,
-    spectral_dual_quiver,
 )
 from ngostrings.hypertoric import (
     MAX_STRATA_VERTICES,
@@ -32,8 +30,8 @@ from conftest import (
     top_betti_reference,
 )
 
-BANANA = Quiver(2, [(0, 1), (0, 1)])
-TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
+BANANA = MultiGraph(2, [(0, 1), (0, 1)])
+TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
 
 
 class TestCircuitRelations:
@@ -45,20 +43,20 @@ class TestCircuitRelations:
         assert str(rels[1]) == "z2*w2 - z3*w3"
 
     def test_single_edge(self):
-        rels = circuit_relations(Quiver(2, [(0, 1)]))
+        rels = circuit_relations(MultiGraph(2, [(0, 1)]))
         assert len(rels) == 1
         assert rels[0].coefficients == (1,)
         assert str(rels[0]) == "z1*w1"
 
     def test_one_vertex(self):
-        assert circuit_relations(Quiver(1, [])) == []
+        assert circuit_relations(MultiGraph(1, [])) == []
 
     def test_rows_match_boundary_matrix(self):
         for n in range(2, 6):
             for p in partitions_of(n):
                 if p.r < 2:
                     continue
-                q = spectral_dual_quiver(p, 2)
+                q = spectral_dual_graph(p, 2)
                 A = boundary_matrix(q)
                 rels = circuit_relations(q)
                 assert len(rels) == q.vertex_count - 1
@@ -80,12 +78,12 @@ class TestStrata:
         assert point.multiplicity == 1
 
     def test_one_vertex(self):
-        records = enumerate_strata(Quiver(1, []))
+        records = enumerate_strata(MultiGraph(1, []))
         assert len(records) == 1
         assert records[0].codim_in_Y == 0
 
     def test_doubled_triangle_bell_count(self):
-        q = spectral_dual_quiver(Partition([1, 1, 1]), 2)
+        q = spectral_dual_graph(Partition([1, 1, 1]), 2)
         records = enumerate_strata(q)
         assert len(records) == 5
         deepest = records[-1]
@@ -94,7 +92,7 @@ class TestStrata:
 
     def test_stratum_invariants(self):
         for p in [Partition([1, 1, 1]), Partition([2, 1, 1]), Partition([2, 2])]:
-            q = spectral_dual_quiver(p, 2)
+            q = spectral_dual_graph(p, 2)
             records = enumerate_strata(q)
             for rec in records:
                 assert rec.codim_in_Y == 2 * rec.b1_contracted
@@ -107,8 +105,8 @@ class TestStrata:
 
     def test_records_match_edge_list_contraction(self):
         rng = random.Random(2022)
-        quivers = [Quiver.from_graph(random_connected_multigraph(rng, allow_loops=True)) for _ in range(25)]
-        quivers += [spectral_dual_quiver(p, 2) for n in range(2, 5) for p in partitions_of(n)]
+        quivers = [random_connected_multigraph(rng, allow_loops=True) for _ in range(25)]
+        quivers += [spectral_dual_graph(p, 2) for n in range(2, 5) for p in partitions_of(n)]
         for quiver in quivers:
             records = enumerate_strata(quiver)
             expected = []
@@ -130,13 +128,13 @@ class TestStrata:
         for n in range(1, 8):
             for p in partitions_of(n):
                 for g in (2, 3):
-                    assert spectral_strata(p, g) == enumerate_strata_reference(spectral_dual_quiver(p, g)), (p, g)
+                    assert spectral_strata(p, g) == enumerate_strata_reference(spectral_dual_graph(p, g)), (p, g)
 
     def test_quiver_path_matches_reference(self):
         rng = random.Random(1103)
         for _ in range(40):
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=12, allow_loops=True)
-            quiver = Quiver.from_graph(graph)
+            quiver = graph
             assert enumerate_strata(quiver) == enumerate_strata_reference(quiver)
 
     def test_each_vertex_partition_contracted_once(self, monkeypatch):
@@ -153,7 +151,7 @@ class TestStrata:
             return relabel(*args)
 
         monkeypatch.setattr(hypertoric, "_relabel", counting)
-        assert len(enumerate_strata(Quiver(8, edges))) == len(calls) == 4140
+        assert len(enumerate_strata(MultiGraph(8, edges))) == len(calls) == 4140
 
     def test_coarsening_classes_count_no_spheres(self, monkeypatch):
         def no_count(*args, **kwargs):
@@ -168,7 +166,7 @@ class TestStrata:
 
     def test_vertex_guard(self, monkeypatch):
         monkeypatch.setattr(hypertoric, "set_partitions", None)
-        path = Quiver(12, [(v, v + 1) for v in range(11)])
+        path = MultiGraph(12, [(v, v + 1) for v in range(11)])
         with pytest.raises(ResourceLimitError):
             enumerate_strata(path)
 
@@ -183,7 +181,7 @@ class TestStrata:
         with pytest.raises(LookupError, match="^11$"):
             spectral_strata(Partition([1] * 11), 2)
         with pytest.raises(LookupError, match="^11$"):
-            enumerate_strata(Quiver(11, [(v, v + 1) for v in range(10)]))
+            enumerate_strata(MultiGraph(11, [(v, v + 1) for v in range(10)]))
 
     @pytest.mark.parametrize(
         "parts, genus, error, message",
@@ -206,11 +204,11 @@ class TestStrata:
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_strata(Quiver(2, []))
+            enumerate_strata(MultiGraph(2, []))
 
     def test_single_edge_point_codims(self):
         # codim_in_X = b1 + s and codim_in_Y = 2 * b1 of the contraction
-        point = enumerate_strata(Quiver(2, [(0, 1)]))[-1]
+        point = enumerate_strata(MultiGraph(2, [(0, 1)]))[-1]
         assert point.vp.blocks == ((0,), (1,))
         assert (point.codim_in_X, point.codim_in_Y) == (1, 0)
 
@@ -223,7 +221,7 @@ class TestStrata:
         for n in range(2, 5):
             for p in partitions_of(n):
                 for g in (2, 3):
-                    for rec in enumerate_strata(spectral_dual_quiver(p, g)):
+                    for rec in enumerate_strata(spectral_dual_graph(p, g)):
                         assert rec.multiplicity == factorial(len(rec.vp.blocks) - 1), (p, g, rec.vp)
 
 
@@ -293,17 +291,17 @@ class TestSmallness:
         for n in range(2, 6):
             for p in partitions_of(n):
                 for g in (2, 3):
-                    assert_strictly_small(spectral_dual_quiver(p, g))
+                    assert_strictly_small(spectral_dual_graph(p, g))
 
     def test_random_looped_multigraphs(self):
         rng = random.Random(1019)
         for _ in range(40):
             graph = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
-            assert_strictly_small(Quiver(graph.vertex_count, graph.edges))
+            assert_strictly_small(MultiGraph(graph.vertex_count, graph.edges))
 
     def test_oracle_rejects_disconnected(self):
         with pytest.raises(ValueError):
-            certify_small_bell_walk(Quiver(2, []))
+            certify_small_bell_walk(MultiGraph(2, []))
 
 
 class TestSmoothSlices:
@@ -311,7 +309,7 @@ class TestSmoothSlices:
     # summand merges into the open stratum's
 
     def test_single_edge_smooth(self):
-        edge = Quiver(2, [(0, 1)])
+        edge = MultiGraph(2, [(0, 1)])
         records = enumerate_strata(edge)
         assert [(len(rec.vp), rec.b1_contracted, rec.codim_in_Y, rec.multiplicity) for rec in records] == [
             (1, 0, 0, 1),
@@ -322,7 +320,7 @@ class TestSmoothSlices:
         for n in range(2, 6):
             for p in partitions_of(n):
                 for g in (2, 3):
-                    for rec in enumerate_strata(spectral_dual_quiver(p, g)):
+                    for rec in enumerate_strata(spectral_dual_graph(p, g)):
                         if len(rec.vp) >= 2:
                             assert rec.b1_contracted > 0, (p, g, rec.vp)
 
@@ -346,7 +344,7 @@ class TestLocalModelDims:
 
     def test_banana_lawrence_dims(self):
         # the spectral graph of 1,1 at g = 2 is the banana
-        assert spectral_dual_quiver(Partition([1, 1]), 2).pair_multiplicities() == BANANA.pair_multiplicities()
+        assert spectral_dual_graph(Partition([1, 1]), 2).pair_multiplicities() == BANANA.pair_multiplicities()
         local = local_model_dims(Partition([1, 1]), 2)
         assert (local.dim_X, local.dim_Y) == (3, 2)
 

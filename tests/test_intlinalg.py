@@ -4,7 +4,7 @@ import pytest
 
 from ngostrings import intlinalg
 from ngostrings.errors import ResourceLimitError
-from ngostrings.graphs import Quiver, boundary_matrix, gale_dual, spectral_dual_quiver, spectral_edge_count
+from ngostrings.graphs import MultiGraph, boundary_matrix, gale_dual, spectral_dual_graph, spectral_edge_count
 from ngostrings.intlinalg import (
     MAX_DENSE_ENTRIES,
     IntMatrix,
@@ -245,7 +245,7 @@ class TestSparseRank:
             graph = random_connected_multigraph(rng, max_vertices=7, max_edges=14, allow_loops=True)
             if graph.vertex_count < 2:
                 continue
-            quiver = Quiver.from_graph(graph)
+            quiver = graph
             for matrix in (boundary_matrix(quiver), gale_dual(quiver)):
                 rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.data]
                 result = intlinalg._eliminate(rows)
@@ -266,7 +266,7 @@ class TestHermite:
         assert row_hermite_form(mixed, 3) == h
 
 
-TRIANGLE = Quiver(3, [(0, 1), (1, 2), (2, 0)])
+TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
 
 
 class TestGaleDual:
@@ -275,17 +275,17 @@ class TestGaleDual:
         assert B.data == [[1], [1], [1]]
 
     def test_banana(self):
-        banana = Quiver(2, [(0, 1), (0, 1)])
+        banana = MultiGraph(2, [(0, 1), (0, 1)])
         assert boundary_matrix(banana).data == [[1, 1]]
         B = gale_dual(banana)
         assert B.data == [[1], [-1]]
 
     def test_single_edge_trivial_kernel(self):
-        B = gale_dual(Quiver(2, [(0, 1)]))
+        B = gale_dual(MultiGraph(2, [(0, 1)]))
         assert B.rows == 1 and B.cols == 0
 
     def test_loops_are_their_own_cycles(self):
-        B = gale_dual(Quiver(2, [(1, 1), (1, 0), (0, 0)]))
+        B = gale_dual(MultiGraph(2, [(1, 1), (1, 0), (0, 0)]))
         assert B.data == [[1, 0], [0, 0], [0, 1]]
 
     def test_not_surjective_rejected(self):
@@ -324,7 +324,7 @@ class TestGaleDual:
             g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
             if g.vertex_count < 2:
                 continue
-            quiver = Quiver.from_graph(g)
+            quiver = g
             assert gale_dual(quiver) == gale_dual_via_smith(boundary_matrix(quiver)), g
 
     def test_same_as_hermite_oracle_on_random_quivers(self):
@@ -335,20 +335,20 @@ class TestGaleDual:
             if g.vertex_count < 2:
                 continue
             # reverse some edges, so orientations disagree along tree paths
-            quiver = Quiver(g.vertex_count, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
+            quiver = MultiGraph(g.vertex_count, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
             assert gale_dual(quiver) == gale_dual_hermite(boundary_matrix(quiver)), quiver
             done += 1
 
     @pytest.mark.parametrize("parts, genus", [((2, 1, 1), 100), ((1,) * 5, 10), ((2, 1, 1, 1), 8)])
     def test_same_as_hermite_oracle_on_spectral_quivers(self, parts, genus):
-        quiver = spectral_dual_quiver(Partition(parts), genus)
+        quiver = spectral_dual_graph(Partition(parts), genus)
         assert gale_dual(quiver) == gale_dual_hermite(boundary_matrix(quiver))
 
     def test_size_limit(self):
-        # (r-1)*s fits, the Gale dual's s*(r-1+s) does not
-        with pytest.raises(ResourceLimitError, match="Gale dual of a 1x1000 matrix needs 1001000 dense entries"):
-            gale_dual(Quiver(2, [(0, 1)] * 1000))
-        path = Quiver(1002, [(v, v + 1) for v in range(1001)])
+        # (r-1)*s fits, the s^2 entries of A and B together do not
+        with pytest.raises(ResourceLimitError, match="Gale dual of a 1x1001 matrix needs 1002001 dense entries"):
+            gale_dual(MultiGraph(2, [(0, 1)] * 1001))
+        path = MultiGraph(1002, [(v, v + 1) for v in range(1001)])
         for build in (boundary_matrix, gale_dual):
             with pytest.raises(ResourceLimitError, match="boundary matrix of 1002 vertices .* dense entries"):
                 build(path)
@@ -356,14 +356,14 @@ class TestGaleDual:
     def test_refusal_order(self):
         # each refusal of gale_dual is the one boundary_matrix would give first
         with pytest.raises(ValueError, match="at least 2 vertices"):
-            gale_dual(Quiver(1, [(0, 0)] * 2000))
+            gale_dual(MultiGraph(1, [(0, 0)] * 2000))
         with pytest.raises(ValueError, match="requires a connected quiver"):
-            gale_dual(Quiver(3, [(0, 1)] * 1000))
+            gale_dual(MultiGraph(3, [(0, 1)] * 1000))
 
     def test_size_limit_admits_genus_60(self):
         s = spectral_edge_count(Partition((2, 1, 1)), 60)
         assert s == 590
-        assert s * (2 + s) <= MAX_DENSE_ENTRIES
+        assert s * s <= MAX_DENSE_ENTRIES
 
 
 class TestVerifyExact:
@@ -399,14 +399,14 @@ class TestVerifyExact:
         # boundary and fundamental-cycle matrices are totally unimodular, so
         # the unit-pivot certificate decides every pair gale builds
         quivers = [
-            spectral_dual_quiver(p, genus) for genus in (2, 3) for n in range(2, 7) for p in partitions_of(n) if p.r > 1
+            spectral_dual_graph(p, genus) for genus in (2, 3) for n in range(2, 7) for p in partitions_of(n) if p.r > 1
         ]
         rng = random.Random(23)
         for _ in range(1000):
             g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
             while g.vertex_count < 2:
                 g = random_connected_multigraph(rng, max_vertices=8, max_edges=16, allow_loops=True)
-            quivers.append(Quiver.from_graph(g))
+            quivers.append(g)
         assert sum(len(set(q.edges)) < q.edge_count for q in quivers) > 100  # parallel edges
         assert sum(any(u == v for u, v in q.edges) for q in quivers) > 100  # loops
         for quiver in quivers:
@@ -474,7 +474,7 @@ class TestExactSequencesOnGraphs:
             for p in partitions_of(n):
                 if p.r < 2:
                     continue
-                quiver = spectral_dual_quiver(p, genus)
+                quiver = spectral_dual_graph(p, genus)
                 A, B = boundary_matrix(quiver), gale_dual(quiver)
                 expected_b1 = quiver.edge_count - quiver.vertex_count + 1
                 assert B.cols == expected_b1
@@ -488,7 +488,7 @@ class TestExactSequencesOnGraphs:
             g = random_connected_multigraph(rng, max_vertices=6, max_edges=10, allow_loops=True)
             if g.vertex_count < 2:
                 continue
-            quiver = Quiver.from_graph(g)
+            quiver = g
             A, B = boundary_matrix(quiver), gale_dual(quiver)
             assert verify_exact(A, B).ok
             assert B.cols == g.edge_count - g.vertex_count + 1

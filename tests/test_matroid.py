@@ -7,7 +7,7 @@ from math import comb, factorial, prod
 import pytest
 
 from ngostrings.errors import ResourceLimitError
-from ngostrings.graphs import MultiGraph, Quiver, betti1, canonical_key, spectral_dual_graph, spectral_dual_quiver
+from ngostrings.graphs import MultiGraph, betti1, canonical_key, spectral_dual_graph
 from ngostrings import matroid
 from ngostrings.hypertoric import enumerate_strata
 from ngostrings.homology import MAX_GROUND_SET
@@ -259,14 +259,14 @@ class TestTutte:
             assert poly == tutte_polynomial_naive(g)
             assert all(c > 0 for c in poly.coeffs.values())
 
-    def test_quiver_same_as_underlying(self):
+    def test_orientation_changes_nothing(self):
+        # the same graph with every edge reversed at random
         rng = random.Random(23)
-        quivers = [spectral_dual_quiver(Partition(p), 2) for p in ([1, 1, 1], [2, 1, 1], [1, 1, 1, 1])]
-        while len(quivers) < 23:
-            g = random_connected_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=True)
-            quivers.append(Quiver.from_graph(g))
-        for q in quivers:
-            g = q.underlying()
+        graphs = [spectral_dual_graph(Partition(p), 2) for p in ([1, 1, 1], [2, 1, 1], [1, 1, 1, 1])]
+        while len(graphs) < 23:
+            graphs.append(random_connected_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=True))
+        for g in graphs:
+            q = MultiGraph(g.vertex_count, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
             assert tutte_polynomial(q) == tutte_polynomial(g)
             assert top_betti_reference(q) == top_betti_reference(g)
             assert betti1(q) == betti1(g)
@@ -466,7 +466,7 @@ class TestPerCallMemo:
         g = spectral_dual_graph(Partition([1] * 5), 2)
         tutte_polynomial(g)
         f_h_vectors(CographicMatroid(g))
-        enumerate_strata(spectral_dual_quiver(Partition([1] * 4), 2))
+        enumerate_strata(spectral_dual_graph(Partition([1] * 4), 2))
         held = [
             (name, attr)
             for name, module in list(sys.modules.items())
