@@ -19,9 +19,7 @@ _MODULES = {
         "spectral_strata"
     ),
     "intlinalg": "ExactnessReport IntMatrix verify_exact",
-    "matroid": (
-        "CographicMatroid TuttePolynomial f_h_vectors spectral_tutte_polynomial tutte_polynomial"
-    ),
+    "matroid": "CographicMatroid TuttePolynomial f_h_vectors tutte_polynomial",
     "partitions": "Partition admissible_partitions local_system_rank partitions_of set_partitions stabilizer_order",
     "strings": (
         "StratumDims StringTable ngo_string_graded_ranks stabilization_codim stratum_dims string_table "

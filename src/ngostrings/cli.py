@@ -13,6 +13,8 @@ alone writes usage, help and error text.
 Every graph, of ``--quiver FILE`` or of ``--partition``/``--genus``, is one
 MultiGraph whose edges are (source, target) pairs: ``gale`` reads the
 orientations, and ``graph --dot`` draws them only with ``--directed``.
+Every subcommand takes both down one path, _resolve_quiver and the library
+call, but ``strata --partition``, which builds no graph (spectral_strata).
 
 ``tutte``, ``matroid`` and ``strata`` accept ``--cache PATH`` and read no
 file; ``tutte`` and ``matroid`` create a missing PATH as EMPTY_CACHE.
@@ -123,20 +125,14 @@ def _spectral_input(args):
     return _parse_partition(args.partition), args.genus
 
 
-def _resolve_quiver(args, check=None):
-    """The graph of --quiver FILE or of --partition/--genus, its edges (source, target) pairs.
-
-    For a partition, ``check(partition, genus)`` runs before the graph is
-    built, so that a refusal that needs only the edge count costs nothing.
-    """
+def _resolve_quiver(args):
+    """The graph of --quiver FILE or of --partition/--genus, its edges (source, target) pairs."""
     from .graphs import load_graph, spectral_dual_graph
 
     spectral = _spectral_input(args)
     if spectral is None:
         with open(args.quiver, "r", encoding="utf-8") as handle:
             return load_graph(handle.read())
-    if check is not None:
-        check(*spectral)
     return spectral_dual_graph(*spectral)
 
 
@@ -216,14 +212,8 @@ def cmd_partition(args):
 
 
 def cmd_graph(args):
-    from .graphs import betti1, checked_spectral_edge_count, dump_graph, to_dot
+    from .graphs import betti1, dump_graph, to_dot
 
-    spectral = _spectral_input(args)
-    if spectral is not None and not (args.dot or args.emit or args.json):
-        # the statistics of a spectral dual graph need only its edge count
-        r, s = spectral[0].r, checked_spectral_edge_count(*spectral)
-        print("r=%d s=%d b1=%d" % (r, s, s - r + 1))
-        return 0
     quiver = _resolve_quiver(args)
     if args.dot:
         sys.stdout.write(to_dot(quiver, args.directed))
@@ -249,11 +239,11 @@ def cmd_graph(args):
 
 
 def cmd_gale(args):
-    from .graphs import boundary_matrix, check_spectral_gale, gale_dual
+    from .graphs import boundary_matrix, gale_dual
     from .hypertoric import circuit_relations
     from .intlinalg import verify_exact
 
-    quiver = _resolve_quiver(args, check_spectral_gale)
+    quiver = _resolve_quiver(args)
     # gale_dual makes every refusal before a dense matrix is built
     B = gale_dual(quiver)
     A = boundary_matrix(quiver)
@@ -287,11 +277,9 @@ def cmd_gale(args):
 def cmd_tutte(args):
     import math
 
-    from .matroid import spectral_tutte_polynomial, tutte_polynomial
+    from .matroid import tutte_polynomial
 
-    # partition inputs go to the same engines as pair multiplicities, with no edge list
-    spectral = _spectral_input(args)
-    poly = tutte_polynomial(_resolve_quiver(args)) if spectral is None else spectral_tutte_polynomial(*spectral)
+    poly = tutte_polynomial(_resolve_quiver(args))
     # the cache_warm benchmark's set-up copies the file a run creates
     _create_cache(args.cache)
     value = None
@@ -327,33 +315,21 @@ def cmd_tutte(args):
 
 
 def cmd_matroid(args):
-    from .graphs import spectral_edge_count
-    from .matroid import CographicMatroid, _f_h_vectors, f_h_vectors, spectral_tutte_polynomial
+    from .matroid import CographicMatroid, f_h_vectors
 
-    spectral = _spectral_input(args)
-    if spectral is None:
-        matroid = CographicMatroid(_resolve_quiver(args))
-        edges, rank = matroid.size, matroid.rank
-        f, h = f_h_vectors(matroid)
-    else:
-        partition, genus = spectral
-        edges = spectral_edge_count(partition, genus)
-        rank = edges - partition.r + 1
-        f, h = _f_h_vectors(rank, lambda: spectral_tutte_polynomial(partition, genus))
+    matroid = CographicMatroid(_resolve_quiver(args))
+    f, h = f_h_vectors(matroid)
     _create_cache(args.cache)
     # h[-1] is T_graphic(1, 0), the sphere count printed as top_betti
-    _print_fields(args, [("edges", edges), ("rank", rank), ("f", f), ("h", h), ("top_betti", h[-1])])
+    _print_fields(args, [("edges", matroid.size), ("rank", matroid.rank), ("f", f), ("h", h), ("top_betti", h[-1])])
     return 0
 
 
 def cmd_matroid_homology(args):
-    from .graphs import checked_spectral_edge_count
-    from .homology import check_ground_set, matroid_complex, reduced_homology_ranks
+    from .homology import matroid_complex, reduced_homology_ranks
     from .matroid import CographicMatroid
 
-    # the ground set is the edge set, so a partition is checked before its graph is built
-    quiver = _resolve_quiver(args, lambda *spectral: check_ground_set(checked_spectral_edge_count(*spectral)))
-    matroid = CographicMatroid(quiver)
+    matroid = CographicMatroid(_resolve_quiver(args))
     complex_ = matroid_complex(matroid)
     ranks = reduced_homology_ranks(complex_)
     top_degree = len(ranks) - 2

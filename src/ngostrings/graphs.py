@@ -2,12 +2,14 @@
 
 A MultiGraph has positionally labelled edges: the edge list order is part of
 the identity, because boundary matrices, matroid ground sets and circuit
-relations all refer to edges by position.  Each edge is stored as a
-(source, target) pair, so a MultiGraph is also the quiver with those
-orientations: boundary_matrix, gale_dual and circuit_relations read the
-pairs that way, and everything else ignores the order within a pair.  The
-spectral dual graph of a partition {n_i} at genus g has one vertex per part
-and n_i*n_j*(2g-2) parallel edges between distinct vertices i, j.
+relations all refer to edges by position.  Each edge is a (source, target)
+pair, so a MultiGraph is also the quiver with those orientations:
+boundary_matrix, gale_dual and circuit_relations read the pairs that way,
+and everything else ignores the order within a pair.  The edges are stored
+in order as maximal runs of equal consecutive pairs, so k consecutive
+parallel edges cost one pair and one count.  The spectral dual graph of a
+partition {n_i} at genus g has one vertex per part and n_i*n_j*(2g-2)
+parallel edges between distinct vertices i, j: one run per pair of parts.
 
 canonical_key produces a byte string invariant under vertex relabelling and
 edge reordering; it groups and sorts the rows of stratum tables.  It is a
@@ -16,66 +18,96 @@ and prefix pruning, which is entirely adequate at the sizes arising here
 (at most a dozen vertices).
 """
 
-from collections import Counter, deque
+from collections import Counter
+from itertools import chain, combinations, repeat, starmap
+from operator import le
 
 from .errors import ResourceLimitError
 from .intlinalg import MAX_DENSE_ENTRIES, IntMatrix
 
 GRAPH_FORMAT = "graph/1"
 
-# Bound on vertices + edges of a graph built or printed edge by edge, checked
-# before anything is allocated.  At the bound (1,1 at genus 500 000), `graph`
-# prints its costliest outputs, --json in about 3-4 s and 200 MiB and --emit
-# in about 1 s and 200 MiB (fresh process, 2-core Xeon, Python 3.11).  The
-# spectral dual graphs of interest stay well below it (2,1,1 at genus 20000
-# has 199 990 edges).  Graph statistics, `tutte` and `matroid` on a partition
-# check it but build no edge list; `strata` on a partition does neither.
+# Bound on vertices + edges of a spectral dual graph or a graph file, checked
+# before the graph is built, and of a graph printed as DOT.  At the bound
+# (1,1 at genus 500 000), `graph` prints its costliest output, --json, in
+# about 3-4 s and 200 MiB (fresh process, 2-core Xeon, Python 3.11), and
+# `tutte` answers a bundle of a million terms.  The spectral dual graphs of
+# interest stay well below it (2,1,1 at genus 20000 has 199 990 edges).
+# `strata` on a partition builds no graph and does not check it.
 MAX_GRAPH_SIZE = 10**6
 
 
 class MultiGraph:
-    """Multigraph on vertices 0..r-1, parallel edges and loops allowed; each edge a (source, target) pair."""
+    """Multigraph on vertices 0..r-1, parallel edges and loops allowed; each edge a (source, target) pair.
 
-    __slots__ = ("vertex_count", "edges")
+    The edges are kept as maximal runs of equal consecutive pairs: _pairs
+    holds one pair per run, each unlike the next, and _counts the run
+    lengths.  ``edges`` expands them each time it is read.
+    """
+
+    __slots__ = ("vertex_count", "_pairs", "_counts")
 
     def __init__(self, vertex_count, edges):
         vertex_count = int(vertex_count)
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive, got %r" % vertex_count)
-        norm = []
+        pairs, counts = [], []
+        last = None
         for e in edges:
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError("edge (%d, %d) out of range for %d vertices" % (u, v, vertex_count))
-            norm.append((u, v))
+            if (u, v) == last:
+                counts[-1] += 1
+            else:
+                last = (u, v)
+                pairs.append(last)
+                counts.append(1)
         self.vertex_count = vertex_count
-        self.edges = tuple(norm)
+        self._pairs, self._counts = tuple(pairs), tuple(counts)
+
+    @classmethod
+    def _of_runs(cls, vertex_count, pairs, counts):
+        """The graph of the runs given, unchecked: pairs in range, each unlike the next, counts positive."""
+        graph = cls.__new__(cls)
+        graph.vertex_count, graph._pairs, graph._counts = vertex_count, pairs, counts
+        return graph
+
+    @property
+    def edges(self):
+        """The tuple of (source, target) pairs, one per edge, in order."""
+        return tuple(chain.from_iterable(map(repeat, self._pairs, self._counts)))
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return sum(self._counts)
 
     def pair_multiplicities(self):
-        """Counter mapping unordered pairs (min,max) to multiplicities; loops as (v,v)."""
-        return Counter(e if e[0] <= e[1] else (e[1], e[0]) for e in self.edges)
+        """Counter mapping unordered pairs (min,max) to multiplicities, in order of first edge; loops as (v,v)."""
+        pairs = dict(zip(self._pairs, self._counts))
+        if len(pairs) == len(self._pairs) and all(starmap(le, pairs)):
+            return Counter(pairs)  # runs of distinct pairs, each (min, max)
+        out = Counter()
+        for (u, v), k in zip(self._pairs, self._counts):
+            out[(u, v) if u <= v else (v, u)] += k
+        return out
 
     def is_connected(self):
-        if self.vertex_count == 1:
-            return True
         # a spanning tree needs r - 1 edges; so per-vertex work below stays O(s)
-        if self.vertex_count > len(self.edges) + 1:
+        if self.vertex_count > self.edge_count + 1:
             return False
-        return pairs_connected(self.vertex_count, self.pair_multiplicities())
+        return pairs_connected(self.vertex_count, self._pairs)
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiGraph)
             and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
+            and self._pairs == other._pairs
+            and self._counts == other._counts
         )
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self._pairs, self._counts))
 
     def __repr__(self):
         return "MultiGraph(%d, %r)" % (self.vertex_count, list(self.edges))
@@ -113,16 +145,24 @@ def _links(r, pairs):
 
 
 def pairs_connected(r, pairs):
-    """True iff the multiplicity map {(u, v): k} joins vertices 0..r-1 into one component."""
-    links = _links(r, pairs)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for y, _ in links[queue.popleft()]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == r
+    """True iff the pairs (u, v), such as the keys of a multiplicity map, join vertices 0..r-1 into one component.
+
+    A union-find that stops once r - 1 pairs have joined two components: on
+    a spectral dual graph, after the pairs of vertex 0.
+    """
+    root = list(range(r))
+    joins = r - 1
+    for u, v in pairs:
+        if not joins:
+            break
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            joins -= 1
+    return not joins
 
 
 class VertexPartition:
@@ -193,23 +233,11 @@ def _check_size(r, s, what):
         )
 
 
-def checked_spectral_edge_count(partition, genus):
-    """spectral_edge_count after the checks that building the graph makes.
-
-    Raises ValueError when genus < 2, and ResourceLimitError when r + s
-    exceeds MAX_GRAPH_SIZE, with the same messages as spectral_dual_graph.
-    """
-    if genus < 2:
-        raise ValueError("genus must be at least 2, got %r" % genus)
-    s = spectral_edge_count(partition, genus)
-    _check_size(partition.r, s, "the spectral dual graph of %s at genus %d" % (partition, genus))
-    return s
-
-
-def _spectral_pairs(parts, genus):
-    """The spectral dual graph's pair multiplicities {(i, j): n_i n_j (2g - 2)}, i < j, in lexicographic order."""
-    r = len(parts)
-    return {(i, j): parts[i] * parts[j] * (2 * genus - 2) for i in range(r) for j in range(i + 1, r)}
+def _spectral_runs(parts, genus):
+    """(pairs, counts) of the spectral dual graph's runs: (i, j), i < j, lexicographic, and n_i n_j (2g - 2)."""
+    w = 2 * genus - 2
+    pairs = tuple(combinations(range(len(parts)), 2))
+    return pairs, tuple(chain.from_iterable(map((n * w).__mul__, parts[i + 1 :]) for i, n in enumerate(parts)))
 
 
 def spectral_dual_graph(partition, genus):
@@ -218,15 +246,16 @@ def spectral_dual_graph(partition, genus):
     One vertex per part, and n_i * n_j * (2g - 2) parallel edges between
     distinct vertices i and j; no loops.  Edges are listed in lexicographic
     pair order, consecutive within each pair, and each is oriented from the
-    smaller vertex index.  Requires genus >= 2 (the canonical bundle must be
-    ample).  Raises ResourceLimitError before building anything when r + s
-    exceeds MAX_GRAPH_SIZE.
+    smaller vertex index: one run per pair, O(r^2) at any genus.  Requires
+    genus >= 2 (the canonical bundle must be ample).  Raises
+    ResourceLimitError before building anything when r + s exceeds
+    MAX_GRAPH_SIZE.
     """
-    checked_spectral_edge_count(partition, genus)
-    edges = []
-    for pair, k in _spectral_pairs(partition.parts, genus).items():
-        edges.extend([pair] * k)
-    return MultiGraph(partition.r, edges)
+    if genus < 2:
+        raise ValueError("genus must be at least 2, got %r" % genus)
+    s = spectral_edge_count(partition, genus)
+    _check_size(partition.r, s, "the spectral dual graph of %s at genus %d" % (partition, genus))
+    return MultiGraph._of_runs(partition.r, *_spectral_runs(partition.parts, genus))
 
 
 def spectral_edge_count(partition, genus):
@@ -264,16 +293,6 @@ def _dense_shape(r, s, connected, gale=False):
             % (r - 1, s, s * s, MAX_DENSE_ENTRIES)
         )
     return r, s
-
-
-def check_spectral_gale(partition, genus):
-    """Make the refusals of gale_dual(spectral_dual_graph(partition, genus)) from the edge count alone.
-
-    They come in the same order, with the same messages, and before anything
-    is built.  A spectral dual graph is connected: every two of its
-    vertices are joined by edges.
-    """
-    _dense_shape(partition.r, checked_spectral_edge_count(partition, genus), lambda: True, gale=True)
 
 
 def boundary_matrix(quiver):
@@ -450,6 +469,11 @@ def pairs_canonical_key(r, pairs):
     return repr((r, best)).encode("ascii")
 
 
+def _edge_texts(graph, text):
+    """text % (u, v) for each edge (u, v) in order, formatted once per run and repeated."""
+    return chain.from_iterable(map(repeat, map(text.__mod__, graph._pairs), graph._counts))
+
+
 def to_dot(graph, directed=False):
     """DOT text for visualization; with directed, a digraph of the (source, target) orientations."""
     _check_size(graph.vertex_count, graph.edge_count, "a graph to print as DOT")
@@ -458,8 +482,7 @@ def to_dot(graph, directed=False):
     lines = ["%s G {" % kind]
     for v in range(graph.vertex_count):
         lines.append("  %d;" % v)
-    for u, v in graph.edges:
-        lines.append("  %d %s %d;" % (u, arrow, v))
+    lines.extend(_edge_texts(graph, "  %d " + arrow + " %d;"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -468,16 +491,20 @@ def dump_graph(graph):
     """Serialize a graph to the versioned text format.
 
     The text is json.dumps of {"format", "vertices", "edges"} with indent=2,
-    plus a newline, byte for byte, joined from one string per edge.
+    plus a newline, byte for byte, joined from one string per run repeated.
     """
     edges = "[]"
-    if graph.edges:
-        edges = "[\n" + ",\n".join(map("    [\n      %d,\n      %d\n    ]".__mod__, graph.edges)) + "\n  ]"
+    if graph._pairs:
+        edges = "[\n" + ",\n".join(_edge_texts(graph, "    [\n      %d,\n      %d\n    ]")) + "\n  ]"
     return '{\n  "format": "%s",\n  "vertices": %d,\n  "edges": %s\n}\n' % (GRAPH_FORMAT, graph.vertex_count, edges)
 
 
 def load_graph(text):
-    """Parse the versioned text format; returns a MultiGraph, its pairs read as (source, target)."""
+    """Parse the versioned text format; returns a MultiGraph, its pairs read as (source, target).
+
+    Raises ResourceLimitError before building the graph when its vertices
+    plus edges exceed MAX_GRAPH_SIZE.
+    """
     import json
 
     try:
@@ -498,6 +525,7 @@ def load_graph(text):
         type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise ValueError("graph file: 'edges' must be a list of [u, v] integer pairs")
+    _check_size(vertices, len(edges), "the graph file")
     return MultiGraph(vertices, edges)
 
 

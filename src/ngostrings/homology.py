@@ -100,17 +100,16 @@ class SimplicialComplex:
         return "SimplicialComplex(%r)" % (list(self.facets),)
 
 
-def check_ground_set(size):
-    """Refuse a ground set of more than MAX_GROUND_SET elements, as matroid_complex does."""
-    if size > MAX_GROUND_SET:
-        raise ResourceLimitError(
-            "ground set has %d elements; the homology oracle is capped at %d" % (size, MAX_GROUND_SET)
-        )
-
-
 def matroid_complex(matroid):
-    """Complex of independent sets; the facets are the bases of the matroid."""
-    check_ground_set(matroid.size)
+    """Complex of independent sets; the facets are the bases of the matroid.
+
+    Raises ResourceLimitError before listing any basis when the ground set
+    has more than MAX_GROUND_SET elements.
+    """
+    if matroid.size > MAX_GROUND_SET:
+        raise ResourceLimitError(
+            "ground set has %d elements; the homology oracle is capped at %d" % (matroid.size, MAX_GROUND_SET)
+        )
     return SimplicialComplex(matroid.bases())
 
 

@@ -29,7 +29,7 @@ from .errors import ResourceLimitError
 from .graphs import (
     VertexPartition,
     _relabel,
-    _spectral_pairs,
+    _spectral_runs,
     boundary_matrix,
     pairs_canonical_key,
     spectral_edge_count,
@@ -190,13 +190,14 @@ def enumerate_strata(quiver):
     if not quiver.is_connected():
         raise ValueError("stratum enumeration requires a connected quiver")
     pairs = quiver.pair_multiplicities()
+    s = quiver.edge_count
 
     # the contraction along vp: its blocks numbered as in vp.block_of(), the
     # edges inside a block deleted and counted; its canonical key is the label
     def stratum_of(vp):
         contracted, dropped = _relabel(pairs, vp.block_of())
         key = pairs_canonical_key(len(vp), contracted)
-        return key, lambda: (quiver.edge_count - dropped, dropped, key, _sphere_count(len(vp), contracted))
+        return key, lambda: (s - dropped, dropped, key, _sphere_count(len(vp), contracted))
 
     return _strata(quiver.vertex_count, stratum_of)
 
@@ -216,7 +217,7 @@ def spectral_strata(partition, genus):
     part_of = partition.parts.__getitem__
 
     def fields(mu):
-        pairs = _spectral_pairs(mu, genus)
+        pairs = dict(zip(*_spectral_runs(mu, genus)))
         s = sum(pairs.values())
         return s, total - s, pairs_canonical_key(len(mu), pairs), factorial(len(mu) - 1)
 

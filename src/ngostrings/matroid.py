@@ -10,18 +10,17 @@ T_graphic(1, 0).  Bases are listed, as spanning-tree complements, only for
 the brute-force homology oracle; the sphere counts of `strata --quiver`
 take no polynomial (hypertoric._sphere_count).
 
-tutte_polynomial takes any connected multigraph (the `--quiver` inputs), as
-its pair multiplicities {(u, v): k}, and spectral_tutte_polynomial a
-partition and a genus (the `--partition` inputs of `tutte` and `matroid`),
-as the pair multiplicities of its spectral dual graph, with no edge list.
-Both go to _tutte.  Loops are a factor y^loops and a graph with a cut vertex
-is the product of its blocks.  A block of two vertices is a bundle; each
-other block goes to the cheaper of two engines by work estimates made
-before any work: a frontier sweep over edge subsets, for sparse blocks, or
-the exponential formula over twin classes, for dense twin-rich ones such as
-spectral dual graphs.  A graph is refused when those estimates and the cost
-of multiplying the blocks' polynomials sum past MAX_TUTTE_WORK.  Nothing is
-kept from one call to the next.
+tutte_polynomial takes any connected multigraph, a graph file or a
+spectral dual graph alike, and passes its pair multiplicities {(u, v): k}
+to _tutte, so a bundle of k parallel edges costs one entry.  Loops are a
+factor y^loops and a graph with a cut vertex is the product of its blocks.
+A block of two vertices is a bundle; each other block goes to the cheaper
+of two engines by work estimates made before any work: a frontier sweep
+over edge subsets, for sparse blocks, or the exponential formula over twin
+classes, for dense twin-rich ones such as spectral dual graphs.  A graph is
+refused when those estimates and the cost of multiplying the blocks'
+polynomials sum past MAX_TUTTE_WORK.  Nothing is kept from one call to the
+next.
 """
 
 from collections import Counter
@@ -31,7 +30,7 @@ from math import comb, prod
 from operator import mul
 
 from .errors import ResourceLimitError
-from .graphs import _links, _relabel, _spectral_pairs, betti1, checked_spectral_edge_count
+from .graphs import _links, _relabel
 
 
 class TuttePolynomial:
@@ -136,7 +135,7 @@ class CographicMatroid:
         if not graph.is_connected():
             raise ValueError("cographic matroid requires a connected graph")
         self.graph = graph
-        self.rank = betti1(graph)
+        self.rank = graph.edge_count - graph.vertex_count + 1
 
     @property
     def size(self):
@@ -170,17 +169,21 @@ class CographicMatroid:
         return out
 
 
-def _blocks(r, core):
-    """[(b, pairs)] of the blocks of a connected loopless multigraph, each renumbered 0..b-1 in vertex order.
+def _blocks(r, pairs):
+    """[(b, pairs)] of the blocks of a multigraph, each loopless and renumbered 0..b-1 in vertex order.
 
-    One iterative Hopcroft-Tarjan depth-first search from vertex 0 that
-    stacks the tree and back edges it meets: a tree edge (p, v) closes a
-    block when no descendant of v reaches above p, and the block's edges are
-    (p, v) and those stacked after it.  Linear in the size of the graph.
+    None when the graph is not connected.  One iterative Hopcroft-Tarjan
+    depth-first search from vertex 0 that stacks the tree and back edges it
+    meets: a tree edge (p, v) closes a block when no descendant of v reaches
+    above p, and the block's edges are (p, v) and those stacked after it.
+    Linear in the size of the graph.
     """
-    links = _links(r, core)
+    links = _links(r, pairs)
     # every vertex with r/2 neighbours or more: 2-connected (Dirac), one block
     if 2 * min(map(len, links)) >= r:
+        core = dict(pairs)
+        for v in range(r):
+            core.pop((v, v), None)
         return [(r, core)]
     disc = [-1] * r
     low = [0] * r
@@ -215,7 +218,7 @@ def _blocks(r, core):
                     del edges[at[v] :]
                     index = {u: i for i, u in enumerate(sorted({u for e in block for u in e[:2]}))}
                     blocks.append((len(index), _relabel({(u, w): k for u, w, k in block}, index)[0]))
-    return blocks
+    return blocks if count == r else None
 
 
 def _base_digits(value, K):
@@ -558,12 +561,16 @@ def _tutte(r, pairs):
     Loops, the (v, v) entries, are a factor y^loops, and a graph with a cut
     vertex is the product of its blocks: a block of two vertices is a
     bundle, and any other is computed by the engine _block_plan picks.
-    Raises ResourceLimitError before any engine runs when the blocks' work
+    Raises ValueError when the graph is not connected, and then
+    ResourceLimitError before any engine runs when the blocks' work
     estimates and _factor_work sum past MAX_TUTTE_WORK.
     """
-    core = {pair: k for pair, k in pairs.items() if pair[0] != pair[1]}
-    loops = sum(pairs.values()) - sum(core.values())
-    blocks = _blocks(r, core)
+    s = sum(pairs.values())
+    # a spanning tree needs r - 1 edges: fewer are refused before anything is allocated per vertex
+    blocks = _blocks(r, pairs) if r <= s + 1 else None
+    if blocks is None:
+        raise ValueError("Tutte polynomial requires a connected graph")
+    loops = s - sum(sum(block.values()) for _, block in blocks)
     bundles = [k for b, block in blocks if b == 2 for k in block.values()]
     others = [(b, block) for b, block in blocks if b > 2]
     plans = [_block_plan(b, block) for b, block in others]
@@ -571,7 +578,7 @@ def _tutte(r, pairs):
     if work > MAX_TUTTE_WORK:
         raise ResourceLimitError(
             "the Tutte polynomial of a graph with %d vertices and %d edges needs about 2^%d units of work; "
-            "the limit is about 2^%d" % (r, sum(pairs.values()), work.bit_length(), MAX_TUTTE_WORK.bit_length())
+            "the limit is about 2^%d" % (r, s, work.bit_length(), MAX_TUTTE_WORK.bit_length())
         )
     poly = TuttePolynomial.monomial(0, loops)
     for k in bundles:
@@ -585,11 +592,10 @@ def _tutte(r, pairs):
 def tutte_polynomial(graph):
     """Tutte polynomial of the graphic matroid of a connected multigraph.
 
-    See _tutte.  Raises ResourceLimitError before any work when the work
-    estimate exceeds MAX_TUTTE_WORK.
+    See _tutte.  Raises ValueError when the graph is not connected, and
+    ResourceLimitError before any work when the work estimate exceeds
+    MAX_TUTTE_WORK.
     """
-    if not graph.is_connected():
-        raise ValueError("Tutte polynomial requires a connected graph")
     return _tutte(graph.vertex_count, graph.pair_multiplicities())
 
 
@@ -612,15 +618,6 @@ MAX_TUTTE_WORK = 8 * 10**9
 MAX_F_VECTOR_RANK = 5000
 
 
-def spectral_tutte_polynomial(partition, genus):
-    """Tutte polynomial of spectral_dual_graph(partition, genus), by _tutte on its pair multiplicities.
-
-    Raises what spectral_dual_graph and then _tutte raise; builds no edge list.
-    """
-    checked_spectral_edge_count(partition, genus)
-    return _tutte(partition.r, _spectral_pairs(partition.parts, genus))
-
-
 def f_h_vectors(matroid):
     """f- and h-vector of the matroid complex; exact integers.
 
@@ -632,17 +629,13 @@ def f_h_vectors(matroid):
     Raises ResourceLimitError before any work when the rank exceeds
     MAX_F_VECTOR_RANK.
     """
-    return _f_h_vectors(matroid.rank, lambda: tutte_polynomial(matroid.graph))
-
-
-def _f_h_vectors(rank, tutte):
-    """f_h_vectors of a cographic matroid of the given rank; tutte() is its graphic Tutte polynomial."""
+    rank = matroid.rank
     if rank > MAX_F_VECTOR_RANK:
         raise ResourceLimitError(
             "the f-vector of a matroid of rank %d is past the limit of rank %d" % (rank, MAX_F_VECTOR_RANK)
         )
     h = [0] * (rank + 1)
-    for (_, j), c in tutte().coeffs.items():
+    for (_, j), c in tutte_polynomial(matroid.graph).coeffs.items():
         h[rank - j] += c
     # sum_k f[k] t^(rank-k) = sum_i h[i] (t+1)^(rank-i): a Taylor shift by
     # one, done as rank passes of prefix sums

@@ -23,7 +23,7 @@ from ngostrings.graphs import (
     spectral_edge_count,
 )
 from ngostrings.intlinalg import MAX_DENSE_ENTRIES, IntMatrix
-from ngostrings.partitions import Partition, set_partitions
+from ngostrings.partitions import Partition, partitions_of, set_partitions
 from ngostrings.strings import string_table, table_report
 
 from tutte_timings import INPUTS as TIMING_INPUTS
@@ -45,6 +45,10 @@ def capture(capsys):
         return status, captured.out, captured.err
 
     return invoke
+
+
+def no_edge_list(graph):
+    raise AssertionError("listed the edges one by one")
 
 
 def all_leaves_are_strings(obj):
@@ -129,16 +133,12 @@ class TestGraphCommands:
         assert out == "r=3 s=10 b1=8\n"
 
     def test_graph_statistics_build_no_graph(self, capture, monkeypatch):
-        # --json builds the graph, so its refusals are the ones to keep
+        # --json lists the edges, so its refusals are the ones to keep
         refusals = {
             genus: capture("graph", "--partition", "1,1", "--genus", genus, "--json") for genus in ("500001", "1")
         }
-
-        def no_graph(*args):
-            raise AssertionError("built the spectral dual graph")
-
-        # the CLI imports it from graphs when it builds a graph
-        monkeypatch.setattr(graphs, "spectral_dual_graph", no_graph)
+        # the spectral dual graph is one run per pair of parts: no edge list is built
+        monkeypatch.setattr(graphs.MultiGraph, "edges", property(no_edge_list))
         assert capture("graph", "--partition", "1,1", "--genus", "500000") == (0, "r=2 s=999998 b1=999997\n", "")
         assert capture("graph", "--partition", "3", "--genus", "5") == (0, "r=1 s=0 b1=0\n", "")
         for genus, (status, out, err) in refusals.items():
@@ -153,20 +153,12 @@ class TestGraphCommands:
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_graph_dot_prints_the_graph_it_built(self, capture, monkeypatch, directed):
-        # one MultiGraph, the spectral dual graph: no copy of its edge list
-        built = []
-        init = graphs.MultiGraph.__init__
-
-        def counting_init(self, vertex_count, edges):
-            built.append(len(edges))
-            init(self, vertex_count, edges)
-
-        monkeypatch.setattr(graphs.MultiGraph, "__init__", counting_init)
+        # the spectral dual graph's one run, formatted once: no edge list
+        monkeypatch.setattr(graphs.MultiGraph, "edges", property(no_edge_list))
         argv = ["graph", "--partition", "1,1", "--genus", "2000", "--dot"] + (["--directed"] if directed else [])
         status, out, _ = capture(*argv)
         assert status == 0
         assert out.count("0 -> 1" if directed else "0 -- 1") == 3998
-        assert built == [3998]
 
     def test_graph_emit_round_trip(self, capture, tmp_path):
         status, out, _ = capture("graph", "--partition", "1,1", "--genus", "2", "--emit")
@@ -247,6 +239,30 @@ class TestGraphCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["graph", "gale", "tutte", "matroid", "matroid-homology", "strata"])
+    def test_graph_file_over_size_limit(self, capture, monkeypatch, tmp_path, command):
+        # 999 999 vertices and two loops, one past MAX_GRAPH_SIZE: refused
+        # before the graph is built, as a spectral dual graph of that size is
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"format": "graph/1", "vertices": 999999, "edges": [[0, 0], [0, 0]]}))
+
+        def no_graph(*args):
+            raise AssertionError("built the graph")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(graphs.MultiGraph, "__init__", no_graph)
+            extra = ["--emit"] if command == "graph" else []
+            assert capture(command, "--quiver", str(path), *extra) == (
+                1,
+                "",
+                "error: the graph file has 999999 vertices and 2 edges; the limit is 1000000 in all\n",
+            )
+        if command == "graph":
+            # one vertex fewer is at the limit
+            path.write_text(path.read_text().replace("999999", "999998"))
+            emitted = dump_graph(MultiGraph(999998, [(0, 0), (0, 0)]))
+            assert capture("graph", "--quiver", str(path), "--emit") == (0, emitted, "")
 
     def test_graph_needs_source(self, capture):
         status, _, err = capture("graph")
@@ -346,13 +362,17 @@ class TestGale:
                 ["matroid-homology", "--partition", "1,1,1", "--genus", "5"],
                 "ground set has 24 elements; the homology oracle is capped at 16",
             ),
+            # past MAX_F_VECTOR_RANK too: the graph's size is checked first, as on --quiver
+            (
+                ["matroid", "--partition", "1,1", "--genus", "500001"],
+                "the spectral dual graph of 1,1 at genus 500001 has 2 vertices and 1000000 edges; "
+                "the limit is 1000000 in all",
+            ),
         ],
     )
     def test_partition_refused_before_the_graph_is_built(self, capture, monkeypatch, argv, message):
-        def no_graph(*args):
-            raise AssertionError("built the spectral dual graph")
-
-        monkeypatch.setattr(graphs, "spectral_dual_graph", no_graph)
+        # at most the runs of the graph are built, never its edge list
+        monkeypatch.setattr(graphs.MultiGraph, "edges", property(no_edge_list))
         for json_flag in ([], ["--json"]):
             assert capture(*argv, *json_flag) == (1, "", "error: %s\n" % message)
 
@@ -375,6 +395,28 @@ class TestRecordedDigests:
         status, out, _ = capture(*BENCH.FIXED_OPS[label])
         assert status == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == BENCH.DIGESTS[label]
+
+
+class TestTwoSpellings:
+    """--partition P --genus G and --quiver of its `graph --emit` file are one graph, one path."""
+
+    @pytest.mark.parametrize(
+        "partition, genus",
+        [(str(p), genus) for genus in (2, 3) for n in range(1, 6) for p in partitions_of(n)],
+    )
+    def test_same_status_and_bytes(self, capture, tmp_path, partition, genus):
+        # genus 2 in text, genus 3 in --json, as the golden corpus runs them
+        spectral = ["--partition", partition, "--genus", str(genus)]
+        tail = ["--json"] if genus == 3 else []
+        status, emitted, _ = capture("graph", *spectral, "--emit")
+        assert status == 0
+        path = tmp_path / "g.json"
+        path.write_text(emitted)
+        commands = ["graph", "gale", "tutte", "matroid"]
+        if spectral_edge_count(Partition.from_string(partition), genus) <= 16:
+            commands.append("matroid-homology")
+        for command in commands:
+            assert capture(command, "--quiver", str(path), *tail) == capture(command, *spectral, *tail), command
 
 
 class TestTutteCommand:
@@ -525,7 +567,9 @@ class TestStrataAndDims:
         def no_graph(*args, **kwargs):
             raise AssertionError("strata --partition built a graph")
 
+        # both constructors: of an edge list and of runs
         monkeypatch.setattr(graphs.MultiGraph, "__init__", no_graph)
+        monkeypatch.setattr(graphs.MultiGraph, "_of_runs", classmethod(no_graph))
         assert capture(*argv) == expected
         with pytest.raises(AssertionError):
             spectral_dual_graph(Partition((2, 1, 1, 1)), 3)

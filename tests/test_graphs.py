@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -82,6 +83,35 @@ class TestMultiGraph:
 
     def test_repr(self):
         assert repr(MultiGraph(2, [(0, 1)])) == "MultiGraph(2, [(0, 1)])"
+
+    def test_runs_are_maximal(self):
+        g = MultiGraph(3, [(0, 1), (0, 1), (1, 0), (0, 1), (2, 2), (2, 2), (1, 2)])
+        assert (g._pairs, g._counts) == (((0, 1), (1, 0), (0, 1), (2, 2), (1, 2)), (2, 1, 1, 2, 1))
+        assert g.edge_count == 7
+        assert g.pair_multiplicities() == {(0, 1): 4, (2, 2): 2, (1, 2): 1}
+
+    def test_spectral_graph_equals_its_edge_list(self):
+        for n in range(1, 7):
+            for p in partitions_of(n):
+                for genus in (2, 3, 7):
+                    g = spectral_dual_graph(p, genus)
+                    again = MultiGraph(g.vertex_count, g.edges)
+                    assert again == g and hash(again) == hash(g)
+                    assert (again._pairs, again._counts) == (g._pairs, g._counts)
+                    assert again.pair_multiplicities() == g.pair_multiplicities()
+
+    def test_edges_keep_their_positions(self):
+        # loops and parallel edges interleaved, in both orientations
+        rng = random.Random(31)
+        for _ in range(300):
+            r = rng.randint(1, 3)
+            edges = [(rng.randrange(r), rng.randrange(r)) for _ in range(rng.randint(0, 12))]
+            g = MultiGraph(r, edges)
+            assert g.edges == tuple(edges)
+            assert g.edge_count == len(edges)
+            assert repr(g) == "MultiGraph(%d, %r)" % (r, edges)
+            expected = Counter((min(e), max(e)) for e in edges)
+            assert list(g.pair_multiplicities().items()) == list(expected.items())
 
 
 class TestSpectralDualGraph:

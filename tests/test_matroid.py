@@ -16,7 +16,6 @@ from ngostrings.matroid import (
     CographicMatroid,
     TuttePolynomial,
     f_h_vectors,
-    spectral_tutte_polynomial,
     _tutte,
     tutte_polynomial,
 )
@@ -229,9 +228,21 @@ class TestTutte:
             expected.update({(0, j): 1 for j in range(1, k)})
             assert poly == TuttePolynomial(expected)
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            tutte_polynomial(MultiGraph(3, [(0, 1)]))
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            MultiGraph(3, [(0, 1)]),
+            # enough edges to connect: the block search finds the second component
+            MultiGraph(4, [(0, 1), (0, 1), (1, 0), (2, 3)]),
+            MultiGraph(5, [(0, 1), (1, 2), (2, 0), (3, 3), (4, 4)]),
+            MultiGraph(6, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+            # too few edges: refused with nothing allocated per vertex
+            MultiGraph(10**9, [(0, 1), (1, 2)]),
+        ],
+    )
+    def test_disconnected_rejected(self, graph):
+        with pytest.raises(ValueError, match="^Tutte polynomial requires a connected graph$"):
+            tutte_polynomial(graph)
 
     def test_spanning_tree_specialization(self):
         named = [
@@ -377,9 +388,9 @@ class TestFactorProducts:
         # records: one block, whose single factor is not charged as a product
         for engine in ("_frontier_tutte", "_class_tutte"):
             monkeypatch.setattr(matroid, engine, lambda *args: TuttePolynomial.monomial(0, 0))
-        spectral_tutte_polynomial(Partition(list(parts)), genus)
+        tutte_polynomial(spectral_dual_graph(Partition(list(parts)), genus))
         with pytest.raises(ResourceLimitError, match="units of work"):
-            spectral_tutte_polynomial(Partition(list(parts)), genus + 1)
+            tutte_polynomial(spectral_dual_graph(Partition(list(parts)), genus + 1))
 
     def test_square_bundle_chains_at_the_bound(self):
         # the last path of m bundles of m edges accepted, as MAX_TUTTE_WORK's comment records
@@ -542,21 +553,13 @@ class TestSpectralTutte:
         # is an oracle, and the two share no step
         for p, g in self.ORACLE_INPUTS:
             graph = spectral_dual_graph(p, g)
-            poly = spectral_tutte_polynomial(p, g)
+            poly = tutte_polynomial(graph)
             for engine in ("frontier", "classes"):
                 assert poly == engine_tutte(engine, graph.vertex_count, graph.pair_multiplicities()), (p, g, engine)
 
     def test_single_part_is_one(self):
         for n in (1, 2, 5):
-            assert spectral_tutte_polynomial(Partition([n]), 2) == TuttePolynomial.one()
-
-    @pytest.mark.parametrize("parts, genus", [([2, 1], 1), ([3], 0), ([1, 1, 1], -4)])
-    def test_genus_below_two_same_error(self, parts, genus):
-        with pytest.raises(ValueError) as built:
-            spectral_dual_graph(Partition(parts), genus)
-        with pytest.raises(ValueError) as engine:
-            spectral_tutte_polynomial(Partition(parts), genus)
-        assert str(engine.value) == str(built.value)
+            assert tutte_polynomial(spectral_dual_graph(Partition([n]), 2)) == TuttePolynomial.one()
 
     @pytest.mark.parametrize(
         "parts, genus",
@@ -566,7 +569,7 @@ class TestSpectralTutte:
         p = Partition(parts)
         r, n = p.r, p.n
         s = (genus - 1) * (n * n - sum(v * v for v in parts))
-        poly = spectral_tutte_polynomial(p, genus)
+        poly = tutte_polynomial(spectral_dual_graph(p, genus))
         # weighted Cayley formula for the edge weights (2g-2) n_i n_j
         assert poly.evaluate(1, 1) == (2 * genus - 2) ** (r - 1) * n ** (r - 2) * prod(parts)
         assert poly.evaluate(2, 2) == 2**s
@@ -581,5 +584,5 @@ class TestSpectralTutte:
     def test_refused_before_work(self, parts, genus):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError):
-            spectral_tutte_polynomial(Partition(parts), genus)
+            tutte_polynomial(spectral_dual_graph(Partition(parts), genus))
         assert time.perf_counter() - start < 1.0

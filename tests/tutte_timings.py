@@ -3,13 +3,13 @@
 Usage (from the root of a checkout): python3 tests/tutte_timings.py [NAME ...] [--timeout S]
 
 Each input is rebuilt from its seed or its shape and run in a fresh process
-on the checkout's own src/.  A graph (INPUTS) goes to tutte_polynomial, a
-partition and genus (PARTITIONS, named like "2,1,1 g=16384") to
-spectral_tutte_polynomial.  One line per input: the engine that ran
-(frontier, classes, or "-" when the checkout has neither), the in-process
-time of the call, the peak RSS of the process, and the first 16 hex digits
-of the sha256 of str(T); or "refused" and the error, or "timeout".  pytest
-does not collect this file.
+on the checkout's own src/.  A graph (INPUTS) goes to tutte_polynomial, and
+so does the spectral dual graph of a partition and genus (PARTITIONS, named
+like "2,1,1 g=16384"), built inside the timed call.  One line per input: the
+engine that ran (frontier, classes, or "-" when the checkout has neither),
+the in-process time of the call, the peak RSS of the process, and the
+first 16 hex digits of the sha256 of str(T); or "refused" and the error, or
+"timeout".  pytest does not collect this file.
 """
 
 import hashlib
@@ -105,7 +105,7 @@ def run_one(name):
     sys.path.insert(0, SRC)
     from ngostrings import matroid
     from ngostrings.errors import ResourceLimitError
-    from ngostrings.graphs import MultiGraph
+    from ngostrings.graphs import MultiGraph, spectral_dual_graph
     from ngostrings.partitions import Partition
 
     engines = []
@@ -120,7 +120,7 @@ def run_one(name):
             setattr(matroid, engine, recording)
     if name in PARTITIONS:
         parts, genus = PARTITIONS[name]
-        args, tutte = (Partition(parts), genus), matroid.spectral_tutte_polynomial
+        args, tutte = (Partition(parts), genus), lambda p, g: matroid.tutte_polynomial(spectral_dual_graph(p, g))
     else:
         args, tutte = (MultiGraph(*INPUTS[name]()),), matroid.tutte_polynomial
     start = time.perf_counter()
